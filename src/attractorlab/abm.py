@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from .rng import make_generator, mix64
-
-COOPERATE = True
-DEFECT = False
 
 OUTCOME_AGI = "agi_first"
 OUTCOME_DCI = "dci_first"
@@ -75,10 +73,71 @@ class RingLattice:
 
 
 @dataclass(frozen=True)
+class _Adjacency:
+    """CSR neighbor arrays of an imported graph, neighbors sorted per node."""
+
+    degree: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def _compile_edges(edges: tuple[tuple[int, int], ...], n: int) -> _Adjacency:
+    """Validate a simple graph on nodes 0..n-1 and build its CSR arrays.
+
+    Raises ValueError naming the first offending node or edge; a node
+    without neighbors raises IsolatedAgentError.
+    """
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    except OverflowError:
+        raise ValueError(f"node ids must lie in [0, {n})") from None
+    arr = flat.reshape(-1, 2)
+    outside = (arr < 0) | (arr >= n)
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise ValueError(
+            f"node {arr[row, col]} of edge ({arr[row, 0]}, {arr[row, 1]}) "
+            f"outside node range [0, {n})"
+        )
+    u, v = arr[:, 0], arr[:, 1]
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        raise ValueError(f"self-loop at node {u[loops[0]]}")
+    # one sorted array of packed (source, target) keys, both orientations:
+    # a repeated key is a duplicate edge, and the targets in key order are
+    # the CSR neighbor lists, each sorted so sampling is reproducible
+    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        a, b = divmod(int(keys[repeated[0]]), n)
+        raise ValueError(f"duplicate edge ({a}, {b})")
+    src, indices = np.divmod(keys, n)
+    degree = np.bincount(src, minlength=n)
+    if degree.min(initial=1) == 0:
+        raise IsolatedAgentError(
+            f"node {int(np.argmin(degree))} has no neighbors in the imported graph"
+        )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    return _Adjacency(degree, indptr, indices)
+
+
+@dataclass(frozen=True)
 class Imported:
-    """Simple undirected graph given as an edge tuple."""
+    """Simple undirected graph given as an edge tuple.
+
+    ``compile(n)`` validates the graph for n agents and returns a copy that
+    carries its neighbor arrays; simulations of a compiled graph never
+    rebuild them, while an uncompiled one is compiled on each use.
+    """
 
     edges: tuple[tuple[int, int], ...]
+    adjacency: _Adjacency | None = field(default=None, compare=False, repr=False)
+
+    def compile(self, n: int) -> Imported:
+        if self.adjacency is not None and self.adjacency.degree.size == n:
+            return self
+        return replace(self, adjacency=_compile_edges(self.edges, n))
 
 
 Topology = WellMixed | RingLattice | Imported
@@ -132,7 +191,7 @@ class AbmConfig:
             if k >= self.n:
                 raise ValueError(f"ring lattice degree k={k} must be < n={self.n}")
         if isinstance(self.topology, Imported):
-            _check_edges(self.topology.edges, self.n)
+            self.topology.compile(self.n)
 
 
 @dataclass
@@ -169,10 +228,9 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"edge list line {lineno}: expected 'u v', got {raw!r}")
         try:
@@ -183,64 +241,12 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"edge list line {lineno}: node ids must be >= 0")
         if u == v:
             raise ValueError(f"edge list line {lineno}: self-loop {u}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ValueError(f"edge list line {lineno}: duplicate edge {key}")
         seen.add(key)
         edges.append(key)
     return tuple(edges)
-
-
-def _check_edges(edges: tuple[tuple[int, int], ...], n: int) -> None:
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) outside node range [0, {n})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-
-
-class _Adjacency:
-    """CSR-style neighbor arrays for an imported graph."""
-
-    def __init__(self, edges: tuple[tuple[int, int], ...], n: int):
-        degree = np.zeros(n, dtype=np.int64)
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        self.degree = degree
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degree, out=self.indptr[1:])
-        self.indices = np.zeros(max(1, int(self.indptr[-1])), dtype=np.int64)
-        cursor = self.indptr[:-1].copy()
-        for u, v in edges:
-            self.indices[cursor[u]] = v
-            cursor[u] += 1
-            self.indices[cursor[v]] = u
-            cursor[v] += 1
-        # sorted neighbor order keeps sampling reproducible across builds
-        for i in range(n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            self.indices[lo:hi] = np.sort(self.indices[lo:hi])
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-
-_ADJ_CACHE: dict[tuple[tuple[tuple[int, int], ...], int], _Adjacency] = {}
-
-
-def _adjacency(topology: Imported, n: int) -> _Adjacency:
-    key = (topology.edges, n)
-    adj = _ADJ_CACHE.get(key)
-    if adj is None:
-        adj = _Adjacency(topology.edges, n)
-        _ADJ_CACHE[key] = adj
-    return adj
 
 
 def _ring_offsets(k: int) -> np.ndarray:
@@ -273,10 +279,8 @@ def payoff_of(agent: int, population: Population, game: GameMatrix) -> float:
         for o in offsets:
             total += game.payoff(mine, bool(strat[(agent + int(o)) % n]))
         return total / topo.k
-    adj = _adjacency(topo, n)
-    nbrs = adj.neighbors(agent)
-    if nbrs.size == 0:
-        raise IsolatedAgentError(f"agent {agent} has no neighbors in the imported graph")
+    adj = topo.compile(n).adjacency
+    nbrs = adj.indices[adj.indptr[agent]:adj.indptr[agent + 1]]
     total = 0.0
     for j in nbrs:
         total += game.payoff(mine, bool(strat[int(j)]))
@@ -296,34 +300,34 @@ def adoption_probability(update: UpdateRule, payoff_gap: float, payoff_span: flo
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def _payoff_vectors(pop: Population, game: GameMatrix) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Per-agent payoff, plus (pi_C, pi_D) scalars in the well-mixed case."""
+def _payoffs_by_strategy(pop: Population, game: GameMatrix) -> tuple:
+    """Mean game payoff each agent earns as a cooperator and as a defector.
+
+    Well-mixed populations play against the strategy mix excluding self, so
+    both are scalars there: the payoff of any cooperator and any defector.
+    """
     strat = pop.strategies
     n = pop.n
     if isinstance(pop.topology, WellMixed):
         nc = int(strat.sum())
         pi_c = ((nc - 1) * game.r + (n - nc) * game.sg) / (n - 1)
         pi_d = (nc * game.t + (n - nc - 1) * game.pu) / (n - 1)
-        return np.where(strat, pi_c, pi_d), None, None
+        return pi_c, pi_d
+    # cooperating neighbors (ncn) out of deg neighbors, per agent
     if isinstance(pop.topology, RingLattice):
-        k = pop.topology.k
+        deg = pop.topology.k
         coop = strat.astype(np.int64)
         ncn = np.zeros(n, dtype=np.int64)
-        for o in _ring_offsets(k):
+        for o in _ring_offsets(deg):
             ncn += np.roll(coop, -int(o))
-        pi_if_c = (game.r * ncn + game.sg * (k - ncn)) / k
-        pi_if_d = (game.t * ncn + game.pu * (k - ncn)) / k
-        return np.where(strat, pi_if_c, pi_if_d), pi_if_c, pi_if_d
-    adj = _adjacency(pop.topology, n)
-    if int(adj.degree.min()) == 0:
-        bad = int(np.argmin(adj.degree))
-        raise IsolatedAgentError(f"agent {bad} has no neighbors in the imported graph")
-    coop = strat.astype(np.float64)
-    ncn = np.add.reduceat(coop[adj.indices], adj.indptr[:-1])
-    deg = adj.degree.astype(np.float64)
+    else:
+        adj = pop.topology.compile(n).adjacency
+        coop = strat.astype(np.float64)
+        ncn = np.add.reduceat(coop[adj.indices], adj.indptr[:-1])
+        deg = adj.degree.astype(np.float64)
     pi_if_c = (game.r * ncn + game.sg * (deg - ncn)) / deg
     pi_if_d = (game.t * ncn + game.pu * (deg - ncn)) / deg
-    return np.where(strat, pi_if_c, pi_if_d), pi_if_c, pi_if_d
+    return pi_if_c, pi_if_d
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +345,13 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator) ->
     strat = population.strategies
     n = population.n
     game = config.game
-    pi, pi_if_c, pi_if_d = _payoff_vectors(population, game)
+    pi_c, pi_d = _payoffs_by_strategy(population, game)
+    pi = np.where(strat, pi_c, pi_d)
 
     if isinstance(population.topology, WellMixed):
         nc = int(strat.sum())
         p_nbr_c = np.where(strat, (nc - 1) / (n - 1), nc / (n - 1))
         nbr_strat = rng.random(n) < p_nbr_c
-        pi_c = ((nc - 1) * game.r + (n - nc) * game.sg) / (n - 1)
-        pi_d = (nc * game.t + (n - nc - 1) * game.pu) / (n - 1)
         pi_nbr = np.where(nbr_strat, pi_c, pi_d)
     else:
         if isinstance(population.topology, RingLattice):
@@ -356,7 +359,7 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator) ->
             picks = rng.integers(0, offsets.size, size=n)
             nbr_idx = (np.arange(n) + offsets[picks]) % n
         else:
-            adj = _adjacency(population.topology, n)
+            adj = population.topology.compile(n).adjacency
             u = rng.random(n)
             picks = (u * adj.degree).astype(np.int64)
             nbr_idx = adj.indices[adj.indptr[:-1] + picks]
@@ -394,7 +397,8 @@ def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -
     """Simulate ``config.rounds`` rounds and classify the final fraction.
 
     Exactly ``round(x0 * n)`` cooperators are placed by a seeded shuffle, so
-    the first trace entry is the realized initial fraction.
+    the first trace entry is the realized initial fraction.  An imported
+    graph is compiled here once unless the config carries it compiled.
     """
     config.validate()
     rng = make_generator(config.rng_seed)
@@ -403,7 +407,10 @@ def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -
     order = rng.permutation(n)
     strat = np.zeros(n, dtype=bool)
     strat[order[:k]] = True
-    pop = Population(strat, config.topology)
+    topology = config.topology
+    if isinstance(topology, Imported):
+        topology = topology.compile(n)
+    pop = Population(strat, topology)
 
     fractions = np.empty(config.rounds + 1)
     fractions[0] = k / n
@@ -425,6 +432,27 @@ def mean_field_time_step(game: GameMatrix) -> float:
     return 1.0 / span
 
 
+def basin_replicate(
+    template: AbmConfig,
+    x0_list: list[float],
+    replicate: int,
+    s_c: float = DEFAULT_S_C,
+    s_d: float = DEFAULT_S_D,
+) -> list[str]:
+    """Outcome per entry of ``x0_list`` for one replicate of a basin experiment.
+
+    Cell (replicate r, x0 index i) uses the stream derived from
+    ``(template.rng_seed, r * len(x0_list) + i)``, so results are
+    independent of evaluation order.
+    """
+    outcomes = []
+    for i, x0 in enumerate(x0_list):
+        seed = mix64(template.rng_seed, replicate * len(x0_list) + i)
+        cfg = replace(template, x0=float(x0), rng_seed=seed)
+        outcomes.append(run(cfg, s_c, s_d).outcome)
+    return outcomes
+
+
 def basin_experiment(
     template: AbmConfig,
     x0_list: list[float],
@@ -432,12 +460,8 @@ def basin_experiment(
     s_c: float = DEFAULT_S_C,
     s_d: float = DEFAULT_S_D,
 ) -> dict[float, dict[str, int]]:
-    """Outcome counts per initial fraction over seeded replicates.
-
-    Cell (replicate r, x0 index i) uses the stream derived from
-    ``(template.rng_seed, r * len(x0_list) + i)``, so results are
-    independent of evaluation order.
-    """
+    """Outcome counts per initial fraction over seeded replicates (see
+    ``basin_replicate`` for the stream of each cell)."""
     if not x0_list:
         raise ValueError("x0_list must be non-empty")
     if replicates < 1:
@@ -447,9 +471,6 @@ def basin_experiment(
         for x0 in x0_list
     }
     for r in range(replicates):
-        for i, x0 in enumerate(x0_list):
-            seed = mix64(template.rng_seed, r * len(x0_list) + i)
-            cfg = replace(template, x0=float(x0), rng_seed=seed)
-            trace = run(cfg, s_c, s_d)
-            counts[float(x0)][trace.outcome] += 1
+        for x0, outcome in zip(x0_list, basin_replicate(template, x0_list, r, s_c, s_d)):
+            counts[float(x0)][outcome] += 1
     return counts

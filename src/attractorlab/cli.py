@@ -4,12 +4,16 @@
 (``replicator``, ``bifurcate``, ``hysteresis``, ``netgrowth``, ``abm``,
 ``basin``) synthesize the equivalent config from flags and go through the
 same loader, so flag runs and file runs with equal values emit identical
-bytes.  ``report`` pretty-prints a run directory's summary.csv.
+bytes.  Each shortcut is one row of ``_SHORTCUTS``: its flags and the
+params key each one sets.  A flag left out leaves its key out, and the
+loader fills in the default, so every default lives in the loader only.
+``report`` pretty-prints a run directory's summary.csv.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
-Diagnostics go to stderr; data files never contain log lines.  The env var
-``ATTRACTORLAB_SEED`` overrides the config's master seed, and an explicit
-``--seed`` flag overrides both.
+Diagnostics go to stderr; data files never contain log lines.  A run whose
+manifest reports a non-zero numerical diagnostic prints a warning to stderr,
+also under ``--quiet``.  The env var ``ATTRACTORLAB_SEED`` overrides the
+config's master seed, and an explicit ``--seed`` flag overrides both.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import replace
+from typing import NamedTuple
 
-from .harness import ConfigError, load_config, run_scenario
+from .harness import KINDS, ConfigError, load_config, run_scenario
 
 SEED_ENV = "ATTRACTORLAB_SEED"
 
@@ -42,34 +49,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub, seeded=True):
-    sub.add_argument("--out", default="out", help="output directory (default: out)")
-    sub.add_argument("--jobs", type=int, default=1, help="max parallel replicates")
-    sub.add_argument("--quiet", action="store_true", help="suppress status lines")
-    if seeded:
-        sub.add_argument("--seed", type=int, default=None, help="master seed (wins over env)")
-        sub.add_argument("--replicates", type=int, default=1)
+def _numbers(cast, count: int | None = None):
+    """Parser of comma-separated numbers: exactly ``count`` of them, or any
+    number when count is None (then empty items are skipped)."""
 
+    def parse(text: str) -> list:
+        parts = text.split(",")
+        if count is None:
+            parts = [p for p in parts if p != ""]
+        elif len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expects {count} comma-separated numbers, got {text!r}")
+        try:
+            return [cast(p) for p in parts]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects numbers, got {text!r}") from None
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{flag} expects two comma-separated integers, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"{flag} expects integers, got {text!r}") from None
+    return parse
 
 
 def _parse_game(text: str) -> dict:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"--game expects 'r,sg,t,pu', got {text!r}")
-    try:
-        r, sg, t, pu = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--game expects numbers, got {text!r}") from None
-    return {"r": r, "sg": sg, "t": t, "pu": pu}
+    return dict(zip(("r", "sg", "t", "pu"), _numbers(float, 4)(text)))
 
 
 def _parse_topology(text: str) -> dict:
@@ -79,10 +78,12 @@ def _parse_topology(text: str) -> dict:
         try:
             return {"kind": "ring_lattice", "k": int(text[5:])}
         except ValueError:
-            raise ConfigError(f"--topology ring expects 'ring:K', got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"ring expects 'ring:K', got {text!r}") from None
     if text.startswith("file:"):
         return {"kind": "imported", "path": text[5:]}
-    raise ConfigError(f"unknown topology {text!r}; use well_mixed, ring:K or file:PATH")
+    raise argparse.ArgumentTypeError(
+        f"unknown topology {text!r}; use well_mixed, ring:K or file:PATH"
+    )
 
 
 def _parse_update(text: str) -> dict:
@@ -92,8 +93,87 @@ def _parse_update(text: str) -> dict:
         try:
             return {"kind": "fermi", "beta": float(text[6:])}
         except ValueError:
-            raise ConfigError(f"--update fermi expects 'fermi:BETA', got {text!r}") from None
-    raise ConfigError(f"unknown update rule {text!r}")
+            raise argparse.ArgumentTypeError(f"fermi expects 'fermi:BETA', got {text!r}") from None
+    raise argparse.ArgumentTypeError(f"unknown update rule {text!r}")
+
+
+class _Flag(NamedTuple):
+    """A shortcut flag and the params key (or keys) its parsed value sets."""
+
+    name: str
+    key: str | tuple[str, ...]
+    parse: Callable = float
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+class _Shortcut(NamedTuple):
+    kind: str
+    help: str
+    flags: tuple[_Flag, ...]
+    command: str | None = None  # subcommand name, when it is not the kind
+
+
+_GAME_HELP = "payoffs 'r,sg,t,pu'"
+
+_SWEEP_FLAGS = (
+    _Flag("--theta", "theta", required=True),
+    _Flag("--lambda-lo", "lambda_lo", required=True),
+    _Flag("--lambda-hi", "lambda_hi", required=True),
+    _Flag("--step", "step", required=True),
+)
+
+_POPULATION_FLAGS = (
+    _Flag("--n", "n", int, True, "number of agents"),
+    _Flag("--game", "game", _parse_game, True, _GAME_HELP),
+    _Flag("--rounds", "rounds", int, True),
+    _Flag("--topology", "topology", _parse_topology, help="well_mixed | ring:K | file:PATH"),
+    _Flag("--update", "update", _parse_update, help="proportional_imitation | fermi:BETA"),
+    _Flag("--noise", "noise"),
+    _Flag("--sc", "s_c", help="competitive-outcome threshold"),
+    _Flag("--sd", "s_d", help="cooperative-outcome threshold"),
+)
+
+_SHORTCUTS = (
+    _Shortcut("replicator", "integrate the strategy-share flow", (
+        _Flag("--x0", "x0", required=True),
+        _Flag("--t-end", "t_end", required=True),
+        _Flag("--dt", "dt"),
+        _Flag("--pc", "p_c"),
+        _Flag("--pd", "p_d"),
+        _Flag("--game", "game", _parse_game, help=_GAME_HELP),
+    )),
+    _Shortcut("bifurcation", "fixed-point sweep of the bistable family", (
+        *_SWEEP_FLAGS,
+        _Flag("--grid-n", "grid_n", int),
+    ), command="bifurcate"),
+    _Shortcut("hysteresis", "quasi-static up/down sweep", (
+        *_SWEEP_FLAGS,
+        _Flag("--relax-t", "relax_t"),
+        _Flag("--relax-dt", "relax_dt"),
+        _Flag("--jump-tol", "jump_tol"),
+    )),
+    _Shortcut("netgrowth", "two-camp growing network", (
+        _Flag("--seeds", ("seed_agi", "seed_dci"), _numbers(int, 2), True, "initial nodes 'AGI,DCI'"),
+        _Flag("--nodes", "n_nodes", int, True, "arrivals to simulate"),
+        _Flag("--m", "m", int, help="edges per arrival (degree_pa)"),
+        _Flag("--mode", "mode", str, help="urn | degree_pa"),
+        _Flag("--boost", "dci_boost", help="DCI attachment weight"),
+        _Flag("--tau", "tau", help="lock-in share threshold"),
+    )),
+    _Shortcut("abm", "imitation-game population run", (
+        *_POPULATION_FLAGS,
+        _Flag("--x0", "x0", required=True),
+    )),
+    _Shortcut("basin", "outcome frequencies across initial fractions", (
+        *_POPULATION_FLAGS,
+        _Flag("--x0-list", "x0_list", _numbers(float), True, "comma-separated initial fractions"),
+    )),
+)
 
 
 def _resolve_seed(flag_value, fallback: int) -> int:
@@ -108,12 +188,15 @@ def _resolve_seed(flag_value, fallback: int) -> int:
     return fallback
 
 
-def _execute(args, doc: dict) -> int:
-    config = load_config(json.dumps(doc))
+def _execute(args, config) -> int:
     _info(args, f"running {config.kind} ({config.replicates} replicate(s)) -> {config.output_dir}")
-    _, summary, manifest = run_scenario(config, jobs=max(1, args.jobs))
+    _, _, manifest = run_scenario(config, jobs=max(1, args.jobs))
     for name in manifest.files:
         _info(args, f"wrote {os.path.join(config.output_dir, name)}")
+    for name, count in manifest.diagnostics.items():
+        if count:
+            where = os.path.join(config.output_dir, "manifest.json")
+            _err(f"warning: diagnostic {name} = {count}, results may be unreliable; see {where}")
     return 0
 
 
@@ -124,104 +207,34 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
     config = load_config(text)
+    config = replace(
+        config,
+        master_seed=_resolve_seed(args.seed, config.master_seed),
+        output_dir=config.output_dir if args.out is None else args.out,
+    )
+    return _execute(args, config)
+
+
+def _cmd_shortcut(args) -> int:
+    shortcut = args.shortcut
+    params = {}
+    for flag in shortcut.flags:
+        value = getattr(args, flag.dest)
+        if value is None:
+            continue  # the loader fills in the default
+        if isinstance(flag.key, tuple):
+            params.update(zip(flag.key, value))
+        else:
+            params[flag.key] = value
     doc = {
-        "kind": config.kind,
-        "master_seed": _resolve_seed(args.seed, config.master_seed),
-        "replicates": config.replicates,
-        "output_dir": args.out if args.out is not None else config.output_dir,
-        "params": config.params,
-    }
-    return _execute(args, doc)
-
-
-def _shortcut_doc(args, kind: str, params: dict, replicates=None) -> dict:
-    return {
-        "kind": kind,
+        "kind": shortcut.kind,
         "master_seed": _resolve_seed(args.seed, 0),
-        "replicates": replicates if replicates is not None else args.replicates,
-        "output_dir": args.out,
+        "replicates": args.replicates,
         "params": params,
     }
-
-
-def _cmd_replicator(args) -> int:
-    params = {"x0": args.x0, "t_end": args.t_end, "dt": args.dt}
-    if args.game is not None:
-        if args.pc is not None or args.pd is not None:
-            raise ConfigError("give either --pc/--pd or --game, not both")
-        params["game"] = _parse_game(args.game)
-    else:
-        if args.pc is None or args.pd is None:
-            raise ConfigError("constant payoffs need both --pc and --pd")
-        params["p_c"] = args.pc
-        params["p_d"] = args.pd
-    return _execute(args, _shortcut_doc(args, "replicator", params))
-
-
-def _cmd_bifurcate(args) -> int:
-    params = {
-        "theta": args.theta,
-        "lambda_lo": args.lambda_lo,
-        "lambda_hi": args.lambda_hi,
-        "step": args.step,
-        "grid_n": args.grid_n,
-    }
-    return _execute(args, _shortcut_doc(args, "bifurcation", params, replicates=1))
-
-
-def _cmd_hysteresis(args) -> int:
-    params = {
-        "theta": args.theta,
-        "lambda_lo": args.lambda_lo,
-        "lambda_hi": args.lambda_hi,
-        "step": args.step,
-        "relax_t": args.relax_t,
-        "relax_dt": args.relax_dt,
-        "jump_tol": args.jump_tol,
-    }
-    return _execute(args, _shortcut_doc(args, "hysteresis", params, replicates=1))
-
-
-def _cmd_netgrowth(args) -> int:
-    seed_agi, seed_dci = _parse_pair(args.seeds, "--seeds")
-    params = {
-        "n_nodes": args.nodes,
-        "m": args.m,
-        "seed_agi": seed_agi,
-        "seed_dci": seed_dci,
-        "mode": args.mode,
-        "dci_boost": args.boost,
-        "tau": args.tau,
-    }
-    return _execute(args, _shortcut_doc(args, "netgrowth", params))
-
-
-def _abm_params(args) -> dict:
-    return {
-        "n": args.n,
-        "game": _parse_game(args.game),
-        "rounds": args.rounds,
-        "topology": _parse_topology(args.topology),
-        "update": _parse_update(args.update),
-        "noise": args.noise,
-        "s_c": args.sc,
-        "s_d": args.sd,
-    }
-
-
-def _cmd_abm(args) -> int:
-    params = _abm_params(args)
-    params["x0"] = args.x0
-    return _execute(args, _shortcut_doc(args, "abm", params))
-
-
-def _cmd_basin(args) -> int:
-    params = _abm_params(args)
-    try:
-        params["x0_list"] = [float(v) for v in args.x0_list.split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"--x0-list expects comma-separated numbers, got {args.x0_list!r}") from None
-    return _execute(args, _shortcut_doc(args, "basin", params))
+    if args.out is not None:
+        doc["output_dir"] = args.out
+    return _execute(args, load_config(json.dumps(doc)))
 
 
 def _cmd_report(args) -> int:
@@ -238,16 +251,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_abm_flags(sub):
-    sub.add_argument("--n", type=int, required=True, help="number of agents")
-    sub.add_argument("--game", required=True, help="payoffs 'r,sg,t,pu'")
-    sub.add_argument("--rounds", type=int, required=True)
-    sub.add_argument("--topology", default="well_mixed", help="well_mixed | ring:K | file:PATH")
-    sub.add_argument("--update", default="proportional_imitation",
-                     help="proportional_imitation | fermi:BETA")
-    sub.add_argument("--noise", type=float, default=0.0)
-    sub.add_argument("--sc", type=float, default=0.1, help="competitive-outcome threshold")
-    sub.add_argument("--sd", type=float, default=0.9, help="cooperative-outcome threshold")
+def _add_common(sub, out_help: str) -> None:
+    sub.add_argument("--seed", type=int, default=None, help="master seed (wins over env)")
+    sub.add_argument("--out", default=None, help=out_help)
+    sub.add_argument("--jobs", type=int, default=1, help="max parallel replicates")
+    sub.add_argument("--quiet", action="store_true", help="suppress status lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,68 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Deterministic path-dependence simulations.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sub = subs.add_parser("run", parents=[], help="run a JSON scenario file")
+    sub = subs.add_parser("run", help="run a JSON scenario file")
     sub.add_argument("--config", required=True, help="scenario JSON path")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None, help="override the config's output_dir")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--quiet", action="store_true")
+    _add_common(sub, "override the config's output_dir")
     sub.set_defaults(func=_cmd_run)
 
-    sub = subs.add_parser("replicator", help="integrate the strategy-share flow")
-    sub.add_argument("--x0", type=float, required=True)
-    sub.add_argument("--t-end", type=float, required=True, dest="t_end")
-    sub.add_argument("--dt", type=float, default=1e-3)
-    sub.add_argument("--pc", type=float, default=None)
-    sub.add_argument("--pd", type=float, default=None)
-    sub.add_argument("--game", default=None, help="payoffs 'r,sg,t,pu'")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_replicator)
-
-    sub = subs.add_parser("bifurcate", help="fixed-point sweep of the bistable family")
-    sub.add_argument("--theta", type=float, required=True)
-    sub.add_argument("--lambda-lo", type=float, required=True, dest="lambda_lo")
-    sub.add_argument("--lambda-hi", type=float, required=True, dest="lambda_hi")
-    sub.add_argument("--step", type=float, required=True)
-    sub.add_argument("--grid-n", type=int, default=1024, dest="grid_n")
-    sub.add_argument("--seed", type=int, default=None)
-    _add_common(sub, seeded=False)
-    sub.set_defaults(func=_cmd_bifurcate, replicates=1)
-
-    sub = subs.add_parser("hysteresis", help="quasi-static up/down sweep")
-    sub.add_argument("--theta", type=float, required=True)
-    sub.add_argument("--lambda-lo", type=float, required=True, dest="lambda_lo")
-    sub.add_argument("--lambda-hi", type=float, required=True, dest="lambda_hi")
-    sub.add_argument("--step", type=float, required=True)
-    sub.add_argument("--relax-t", type=float, default=50.0, dest="relax_t")
-    sub.add_argument("--relax-dt", type=float, default=1e-2, dest="relax_dt")
-    sub.add_argument("--jump-tol", type=float, default=0.5, dest="jump_tol")
-    sub.add_argument("--seed", type=int, default=None)
-    _add_common(sub, seeded=False)
-    sub.set_defaults(func=_cmd_hysteresis, replicates=1)
-
-    sub = subs.add_parser("netgrowth", help="two-camp growing network")
-    sub.add_argument("--seeds", required=True, help="initial nodes 'AGI,DCI'")
-    sub.add_argument("--nodes", type=int, required=True, help="arrivals to simulate")
-    sub.add_argument("--m", type=int, default=1, help="edges per arrival (degree_pa)")
-    sub.add_argument("--mode", default="urn", choices=["urn", "degree_pa"])
-    sub.add_argument("--boost", type=float, default=1.0, help="DCI attachment weight")
-    sub.add_argument("--tau", type=float, default=0.9, help="lock-in share threshold")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_netgrowth)
-
-    sub = subs.add_parser("abm", help="imitation-game population run")
-    _add_abm_flags(sub)
-    sub.add_argument("--x0", type=float, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_abm)
-
-    sub = subs.add_parser("basin", help="outcome frequencies across initial fractions")
-    _add_abm_flags(sub)
-    sub.add_argument("--x0-list", required=True, dest="x0_list",
-                     help="comma-separated initial fractions")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_basin)
+    for shortcut in _SHORTCUTS:
+        sub = subs.add_parser(shortcut.command or shortcut.kind, help=shortcut.help)
+        for flag in shortcut.flags:
+            sub.add_argument(flag.name, type=flag.parse, required=flag.required, help=flag.help)
+        _add_common(sub, "output directory (default: the loader's output_dir)")
+        if KINDS[shortcut.kind].deterministic:
+            sub.set_defaults(replicates=1)
+        else:
+            sub.add_argument("--replicates", type=int, default=1)
+        sub.set_defaults(func=_cmd_shortcut, shortcut=shortcut)
 
     sub = subs.add_parser("report", help="print a run's summary.csv as a table")
     sub.add_argument("dir", help="run directory")

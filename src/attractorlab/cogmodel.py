@@ -149,19 +149,16 @@ def _all_edge_ids(graph: ConceptGraph) -> dict[str, int]:
     return out
 
 
-def _fresh_node_id(graph: ConceptGraph) -> str:
-    k = len(graph.nodes)
-    while f"n{k}" in graph.nodes:
+def _fresh_id(taken: dict, prefix: str) -> str:
+    k = len(taken)
+    while f"{prefix}{k}" in taken:
         k += 1
-    return f"n{k}"
+    return f"{prefix}{k}"
 
 
-def _fresh_edge_id(graph: ConceptGraph, order: int) -> str:
-    layer = graph.layers[order - 1]
-    k = len(layer)
-    while f"e{order}_{k}" in layer:
-        k += 1
-    return f"e{order}_{k}"
+def _with_layer(graph: ConceptGraph, depth: int, layer: dict[str, frozenset[str]]) -> ConceptGraph:
+    layers = graph.layers[:depth - 1] + (layer,) + graph.layers[depth:]
+    return ConceptGraph(graph.nodes, layers, graph.annotations)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,7 @@ def store(graph: ConceptGraph, item: Node | Edge) -> tuple[ConceptGraph, str]:
     """
     if isinstance(item, Node):
         _check_payload(item.payload)
-        node_id = item.id if item.id is not None else _fresh_node_id(graph)
+        node_id = item.id if item.id is not None else _fresh_id(graph.nodes, "n")
         _check_id(node_id)
         if node_id in graph.nodes:
             raise DuplicateIdError(f"node id {node_id!r} already stored")
@@ -201,15 +198,11 @@ def store(graph: ConceptGraph, item: Node | Edge) -> tuple[ConceptGraph, str]:
     for m in members:
         if m not in below:
             raise DanglingMemberError(f"edge member {m!r} not present in layer below")
-    edge_id = item.id if item.id is not None else _fresh_edge_id(graph, order)
+    edge_id = item.id if item.id is not None else _fresh_id(graph.layers[order - 1], f"e{order}_")
     _check_id(edge_id)
     if edge_id in graph.layers[order - 1]:
         raise DuplicateIdError(f"edge id {edge_id!r} already stored in layer {order}")
-    layers = list(graph.layers)
-    layer = dict(layers[order - 1])
-    layer[edge_id] = members
-    layers[order - 1] = layer
-    return ConceptGraph(graph.nodes, tuple(layers), graph.annotations), edge_id
+    return _with_layer(graph, order, {**graph.layers[order - 1], edge_id: members}), edge_id
 
 
 def remove(graph: ConceptGraph, item_id: str) -> ConceptGraph:
@@ -229,11 +222,9 @@ def remove(graph: ConceptGraph, item_id: str) -> ConceptGraph:
         for edge_id, members in graph.layers[depth].items():
             if item_id in members:
                 raise GraphError(f"edge {item_id!r} is still used by edge {edge_id!r}")
-    layers = list(graph.layers)
-    layer = dict(layers[depth - 1])
+    layer = dict(graph.layers[depth - 1])
     del layer[item_id]
-    layers[depth - 1] = layer
-    return ConceptGraph(graph.nodes, tuple(layers), graph.annotations)
+    return _with_layer(graph, depth, layer)
 
 
 def recall(graph: ConceptGraph, key: str) -> list[Node | Edge]:
@@ -269,6 +260,24 @@ def _adjacency(graph: ConceptGraph) -> dict[str, list[str]]:
     return adj
 
 
+def _hops(adj: dict[str, list[str]], sources, limit: int | None) -> dict[str, int]:
+    """Breadth-first hop count from ``sources`` along layer-1 edges, for
+    nodes within ``limit`` hops (every reachable node when None)."""
+    dist = {s: 0 for s in sources}
+    frontier = sorted(sources)
+    hop = 0
+    while frontier and (limit is None or hop < limit):
+        hop += 1
+        nxt = []
+        for node in frontier:
+            for nbr in adj[node]:
+                if nbr not in dist:
+                    dist[nbr] = hop
+                    nxt.append(nbr)
+        frontier = nxt
+    return dist
+
+
 def reason_s1(
     graph: ConceptGraph, cue: str, budget: int, decay: float
 ) -> dict[str, float]:
@@ -284,19 +293,7 @@ def reason_s1(
         raise GraphError(f"budget must be >= 0, got {budget}")
     if not 0.0 < decay <= 1.0:
         raise GraphError(f"decay must lie in (0, 1], got {decay}")
-    adj = _adjacency(graph)
-    dist = {cue: 0}
-    frontier = [cue]
-    for hop in range(1, budget + 1):
-        nxt = []
-        for node in frontier:
-            for nbr in adj[node]:
-                if nbr not in dist:
-                    dist[nbr] = hop
-                    nxt.append(nbr)
-        frontier = nxt
-        if not frontier:
-            break
+    dist = _hops(_adjacency(graph), [cue], budget)
     return {node: decay ** d for node, d in dist.items()}
 
 
@@ -330,20 +327,7 @@ def reason_s2(graph: ConceptGraph, problem: ProblemSpec) -> tuple[str, ...] | No
     adj = _adjacency(graph)
 
     # breadth-first distance as an admissible floor for the deepening loop
-    dist = {p: 0 for p in problem.premises}
-    frontier = sorted(problem.premises)
-    d = 0
-    while frontier and problem.goal not in dist:
-        d += 1
-        if d > problem.max_depth:
-            return None
-        nxt = []
-        for node in frontier:
-            for nbr in adj[node]:
-                if nbr not in dist:
-                    dist[nbr] = d
-                    nxt.append(nbr)
-        frontier = nxt
+    dist = _hops(adj, problem.premises, problem.max_depth)
     if problem.goal not in dist:
         return None
 
@@ -525,12 +509,7 @@ def _apply_action(graph: ConceptGraph, action: Action) -> ConceptGraph:
     if kind == "adapt":
         return _adapt_graph(graph, action[1])[0]
     if kind == "bridge":
-        a, b = frozenset(action[1]), frozenset(action[2])
-        _check_bridge_sets(graph, a, b)
-        pair = (min(a), min(b))
-        if frozenset(pair) in set(map(frozenset, graph.layers[0].values())):
-            return graph
-        return store(graph, Edge(order=1, members=frozenset(pair)))[0]
+        return _bridge_graph(graph, frozenset(action[1]), frozenset(action[2]))[0]
     raise UnsupportedActionError(f"unsupported action {kind!r}")
 
 
@@ -591,6 +570,17 @@ def _check_bridge_sets(graph: ConceptGraph, a: frozenset[str], b: frozenset[str]
         raise UnknownIdError(f"bridge references missing nodes {sorted(missing)}")
 
 
+def _bridge_graph(
+    graph: ConceptGraph, a: frozenset[str], b: frozenset[str]
+) -> tuple[ConceptGraph, str]:
+    _check_bridge_sets(graph, a, b)
+    pair = frozenset((min(a), min(b)))
+    if pair in set(map(frozenset, graph.layers[0].values())):
+        return graph, "noop"
+    new, edge_id = store(graph, Edge(order=1, members=pair))
+    return new, f"added {edge_id}"
+
+
 def bridge(
     mind: AgentMind,
     domain_a: Iterable[str],
@@ -600,15 +590,9 @@ def bridge(
     """Link the lowest-id nodes of two disjoint domains (no-op when the
     edge already exists); logged either way."""
     a, b = frozenset(domain_a), frozenset(domain_b)
-    _check_bridge_sets(mind.graph, a, b)
-    pair = (min(a), min(b))
-    if frozenset(pair) in set(map(frozenset, mind.graph.layers[0].values())):
-        graph, note = mind.graph, "noop"
-    else:
-        graph, edge_id = store(mind.graph, Edge(order=1, members=frozenset(pair)))
-        note = f"added {edge_id}"
+    graph, note = _bridge_graph(mind.graph, a, b)
     f_c = functional(graph)
-    log = mind.transform_log + (f"bridge({pair[0]},{pair[1]}): {note}",)
+    log = mind.transform_log + (f"bridge({min(a)},{min(b)}): {note}",)
     return AgentMind(graph, FitnessTriple(f_c, mind.fitness.f_t, f_c), log)
 
 
@@ -617,18 +601,10 @@ def _components(graph: ConceptGraph) -> list[set[str]]:
     seen: set[str] = set()
     comps = []
     for start in sorted(graph.nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nbr in adj[node]:
-                if nbr not in comp:
-                    comp.add(nbr)
-                    stack.append(nbr)
-        seen |= comp
-        comps.append(comp)
+        if start not in seen:
+            comp = set(_hops(adj, [start], None))
+            seen |= comp
+            comps.append(comp)
     return comps
 
 

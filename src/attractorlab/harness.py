@@ -3,8 +3,16 @@
 A scenario is a JSON document with required keys ``kind``, ``master_seed``
 and ``replicates``, an optional ``output_dir`` (default ``out``) and a
 ``params`` block holding exactly the target model's parameters.  Unknown
-keys are rejected so experiment typos fail loudly, and defaults are filled
-in at load time so a loaded config is fully explicit.
+keys are rejected so experiment typos fail loudly.  Defaults live only in
+this loader (taken from the model modules) and are filled in at load time,
+so a loaded config is fully explicit.
+
+Each scenario kind is one entry of ``KINDS``: its params schema, the build
+step that turns params into validated model objects, the replicate runner,
+metrics, CSV writer, seed streams per replicate and whether the kind is
+deterministic.  The build step runs once, when a config is created; an
+imported graph is read, validated and compiled there, and every replicate
+reuses it.
 
 Replicate ``i`` draws from the stream seeded by ``mix64(master_seed, i)``;
 the ``basin`` kind consumes one stream per (replicate, x0) cell, indexed
@@ -12,8 +20,8 @@ flat.  Given (config, master_seed), every emitted data byte is reproducible;
 wall-clock timestamps live only in the manifest.
 
 Outputs are small CSV files (diff-able, golden-testable) plus a
-``manifest.json`` carrying the config echo, per-replicate seeds and sha256
-digests of every emitted file.
+``manifest.json`` carrying the config echo, per-replicate seeds, numerical
+diagnostics and sha256 digests of every emitted file.
 """
 
 from __future__ import annotations
@@ -22,17 +30,15 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 
 from . import __version__, abm, dynamics, netgrowth
 from .rng import mix64
 
-KINDS = ("replicator", "bifurcation", "hysteresis", "netgrowth", "abm", "basin")
-
-_TOP_KEYS = {"kind", "master_seed", "replicates", "output_dir", "params"}
 _MAX_SEED = (1 << 64) - 1
 
 
@@ -58,15 +64,41 @@ class RunManifest:
     finished: str
     replicate_seeds: tuple[int, ...]
     files: dict[str, str]
+    diagnostics: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario.
+
+    ``model`` is the params built into model objects, made once when the
+    config is created and carried over by ``dataclasses.replace``.  It takes
+    no part in equality and is never serialized.
+    """
+
     kind: str
     master_seed: int
     replicates: int
     output_dir: str
     params: dict
+    model: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not 0 <= self.master_seed <= _MAX_SEED:
+            raise ConfigError("master_seed must be a 64-bit unsigned integer")
+        if self.replicates < 1:
+            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        spec = KINDS[self.kind]
+        if spec.deterministic and self.replicates != 1:
+            raise ConfigError(f"{self.kind} scenarios are deterministic; use replicates=1")
+        if self.model is None:
+            try:
+                model = spec.build(self.params)
+            except ConfigError:
+                raise
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"invalid {self.kind} params: {exc}") from None
+            object.__setattr__(self, "model", model)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +124,12 @@ def _as_str(value, field: str) -> str:
 
 
 _REQUIRED = object()
+_OPTIONAL = object()  # left out of the loaded params when absent
 
 
-def _take(raw: dict, spec: dict, where: str) -> dict:
+def _take(raw, spec: dict, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
     unknown = set(raw) - set(spec)
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
@@ -104,40 +139,30 @@ def _take(raw: dict, spec: dict, where: str) -> dict:
             out[key] = cast(raw[key], key)
         elif default is _REQUIRED:
             raise ConfigError(f"missing required {where} key {key!r}")
-        else:
+        elif default is not _OPTIONAL:
             out[key] = default
     return out
 
 
+def _default(cls, name: str):
+    """Default of a model dataclass field, so the loader never restates it."""
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
 def _norm_game(raw, field: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field {field!r} must be an object with keys r, sg, t, pu")
-    spec = {k: (_as_float, _REQUIRED) for k in ("r", "sg", "t", "pu")}
-    return _take(raw, spec, field)
+    return _take(raw, {k: (_as_float, _REQUIRED) for k in ("r", "sg", "t", "pu")}, field)
 
 
-def _norm_topology(raw, field: str) -> dict:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"field {field!r} must be an object with a 'kind'")
-    kind = raw["kind"]
-    if kind == "well_mixed":
-        return _take(raw, {"kind": (_as_str, _REQUIRED)}, field)
-    if kind == "ring_lattice":
-        return _take(raw, {"kind": (_as_str, _REQUIRED), "k": (_as_int, _REQUIRED)}, field)
-    if kind == "imported":
-        return _take(raw, {"kind": (_as_str, _REQUIRED), "path": (_as_str, _REQUIRED)}, field)
-    raise ConfigError(f"unknown topology kind {kind!r}")
+def _variant(specs: dict):
+    """Cast for an object whose ``kind`` selects one of ``specs``."""
 
+    def cast(raw, field: str) -> dict:
+        kind = raw.get("kind") if isinstance(raw, dict) else None
+        if not isinstance(kind, str) or kind not in specs:
+            raise ConfigError(f"field {field!r} needs a 'kind' out of {sorted(specs)}, got {raw!r}")
+        return _take(raw, {"kind": (_as_str, _REQUIRED), **specs[kind]}, field)
 
-def _norm_update(raw, field: str) -> dict:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"field {field!r} must be an object with a 'kind'")
-    kind = raw["kind"]
-    if kind == "proportional_imitation":
-        return _take(raw, {"kind": (_as_str, _REQUIRED)}, field)
-    if kind == "fermi":
-        return _take(raw, {"kind": (_as_str, _REQUIRED), "beta": (_as_float, _REQUIRED)}, field)
-    raise ConfigError(f"unknown update kind {kind!r}")
+    return cast
 
 
 def _norm_x0_list(raw, field: str) -> list:
@@ -146,137 +171,53 @@ def _norm_x0_list(raw, field: str) -> list:
     return [_as_float(v, field) for v in raw]
 
 
-def _normalize_params(kind: str, raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("'params' must be an object")
-    if kind == "replicator":
-        spec = {
-            "x0": (_as_float, _REQUIRED),
-            "t_end": (_as_float, _REQUIRED),
-            "dt": (_as_float, dynamics.DEFAULT_DT),
-            "p_c": (_as_float, None),
-            "p_d": (_as_float, None),
-            "game": (_norm_game, None),
-        }
-        params = _take(raw, spec, "replicator params")
-        has_const = params["p_c"] is not None or params["p_d"] is not None
-        if has_const and params["game"] is not None:
-            raise ConfigError("give either p_c/p_d or game, not both")
-        if params["game"] is None:
-            if params["p_c"] is None or params["p_d"] is None:
-                raise ConfigError("constant payoffs need both p_c and p_d")
-            del params["game"]
-        else:
-            del params["p_c"], params["p_d"]
-        return params
-    if kind == "bifurcation":
-        spec = {
-            "theta": (_as_float, _REQUIRED),
-            "lambda_lo": (_as_float, _REQUIRED),
-            "lambda_hi": (_as_float, _REQUIRED),
-            "step": (_as_float, _REQUIRED),
-            "grid_n": (_as_int, dynamics.DEFAULT_GRID_N),
-        }
-        return _take(raw, spec, "bifurcation params")
-    if kind == "hysteresis":
-        spec = {
-            "theta": (_as_float, _REQUIRED),
-            "lambda_lo": (_as_float, _REQUIRED),
-            "lambda_hi": (_as_float, _REQUIRED),
-            "step": (_as_float, _REQUIRED),
-            "relax_t": (_as_float, dynamics.DEFAULT_RELAX_T),
-            "relax_dt": (_as_float, dynamics.DEFAULT_RELAX_DT),
-            "jump_tol": (_as_float, dynamics.DEFAULT_JUMP_TOL),
-        }
-        return _take(raw, spec, "hysteresis params")
-    if kind == "netgrowth":
-        spec = {
-            "n_nodes": (_as_int, _REQUIRED),
-            "m": (_as_int, 1),
-            "seed_agi": (_as_int, 1),
-            "seed_dci": (_as_int, 1),
-            "mode": (_as_str, netgrowth.MODE_URN),
-            "dci_boost": (_as_float, 1.0),
-            "tau": (_as_float, netgrowth.DEFAULT_TAU),
-        }
-        return _take(raw, spec, "netgrowth params")
-    if kind in ("abm", "basin"):
-        spec = {
-            "n": (_as_int, _REQUIRED),
-            "game": (_norm_game, _REQUIRED),
-            "rounds": (_as_int, _REQUIRED),
-            "topology": (_norm_topology, {"kind": "well_mixed"}),
-            "update": (_norm_update, {"kind": "proportional_imitation"}),
-            "noise": (_as_float, 0.0),
-            "s_c": (_as_float, abm.DEFAULT_S_C),
-            "s_d": (_as_float, abm.DEFAULT_S_D),
-        }
-        if kind == "abm":
-            spec["x0"] = (_as_float, _REQUIRED)
-        else:
-            spec["x0_list"] = (_norm_x0_list, _REQUIRED)
-        return _take(raw, spec, f"{kind} params")
-    raise ConfigError(f"unknown scenario kind {kind!r}")
-
-
 def load_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a JSON scenario; defaults are filled in."""
+    """Parse and fully validate a JSON scenario; defaults are filled in and
+    the params are built into model objects once."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    for key in ("kind", "master_seed", "replicates"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    kind = _as_str(raw["kind"], "kind")
+    top = _take(raw, {
+        "kind": (_as_str, _REQUIRED),
+        "master_seed": (_as_int, _REQUIRED),
+        "replicates": (_as_int, _REQUIRED),
+        "output_dir": (_as_str, "out"),
+        "params": (lambda value, field: value, {}),
+    }, "config")
+    kind = top["kind"]
     if kind not in KINDS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {KINDS}")
-    master_seed = _as_int(raw["master_seed"], "master_seed")
-    if not 0 <= master_seed <= _MAX_SEED:
-        raise ConfigError("master_seed must be a 64-bit unsigned integer")
-    replicates = _as_int(raw["replicates"], "replicates")
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    if kind in ("bifurcation", "hysteresis") and replicates != 1:
-        raise ConfigError(f"{kind} scenarios are deterministic; use replicates=1")
-    output_dir = _as_str(raw.get("output_dir", "out"), "output_dir")
-    params = _normalize_params(kind, raw.get("params", {}))
-    config = ScenarioConfig(kind, master_seed, replicates, output_dir, params)
-    _check_buildable(config)
-    return config
+        raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {tuple(KINDS)}")
+    params = _take(top["params"], KINDS[kind].schema, f"{kind} params")
+    return ScenarioConfig(kind, top["master_seed"], top["replicates"], top["output_dir"], params)
 
 
 def serialize_config(config: ScenarioConfig) -> str:
-    doc = {
-        "kind": config.kind,
-        "master_seed": config.master_seed,
-        "replicates": config.replicates,
-        "output_dir": config.output_dir,
-        "params": config.params,
-    }
+    doc = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "model"}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Builders: params dict -> module objects
+# Scenario kinds: params -> model objects -> replicate results -> files
 # ---------------------------------------------------------------------------
 
-def _build_payoffs(params: dict) -> dynamics.PayoffSpec:
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _build_replicator(params: dict) -> dynamics.OdeSpec:
     if "game" in params:
-        return dynamics.PayoffSpec.from_game(abm.GameMatrix(**params["game"]))
-    return dynamics.PayoffSpec.constant(params["p_c"], params["p_d"])
-
-
-def _build_ode_spec(params: dict) -> dynamics.OdeSpec:
+        if "p_c" in params or "p_d" in params:
+            raise ConfigError("give either p_c/p_d or game, not both")
+        payoffs = dynamics.PayoffSpec.from_game(abm.GameMatrix(**params["game"]))
+    elif "p_c" in params and "p_d" in params:
+        payoffs = dynamics.PayoffSpec.constant(params["p_c"], params["p_d"])
+    else:
+        raise ConfigError("constant payoffs need both p_c and p_d")
     spec = dynamics.OdeSpec(
-        rhs=dynamics.ReplicatorRhs(_build_payoffs(params)),
+        rhs=dynamics.ReplicatorRhs(payoffs),
         x0=params["x0"],
         dt=params["dt"],
         t_end=params["t_end"],
@@ -285,160 +226,252 @@ def _build_ode_spec(params: dict) -> dynamics.OdeSpec:
     return spec
 
 
-def _build_growth_config(params: dict, seed: int) -> netgrowth.GrowthConfig:
-    cfg = netgrowth.GrowthConfig(
-        n_nodes=params["n_nodes"],
-        m=params["m"],
-        seed_agi=params["seed_agi"],
-        seed_dci=params["seed_dci"],
-        mode=params["mode"],
-        dci_boost=params["dci_boost"],
-        tau=params["tau"],
-        rng_seed=seed,
-    )
+def _check_bifurcation(params: dict) -> dict:
+    if params["step"] <= 0 or params["lambda_lo"] >= params["lambda_hi"]:
+        raise ConfigError("need step > 0 and lambda_lo < lambda_hi")
+    if params["grid_n"] < 2:
+        raise ConfigError("grid_n must be >= 2")
+    return params
+
+
+def _check_hysteresis(params: dict) -> dict:
+    if params["step"] <= 0 or params["lambda_lo"] > params["lambda_hi"]:
+        raise ConfigError("need step > 0 and lambda_lo <= lambda_hi")
+    if params["relax_t"] <= 0 or params["relax_dt"] <= 0 or params["jump_tol"] <= 0:
+        raise ConfigError("relax_t, relax_dt and jump_tol must be > 0")
+    return params
+
+
+def _build_growth(params: dict) -> netgrowth.GrowthConfig:
+    cfg = netgrowth.GrowthConfig(**params)
     cfg.validate()
     return cfg
 
 
-def _build_topology(params: dict) -> abm.Topology:
-    topo = params["topology"]
+def _build_topology(topo: dict, n: int) -> abm.Topology:
     if topo["kind"] == "well_mixed":
         return abm.WellMixed()
     if topo["kind"] == "ring_lattice":
         return abm.RingLattice(topo["k"])
     try:
         with open(topo["path"], encoding="utf-8") as fh:
-            edges = abm.load_edge_list(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read topology file {topo['path']!r}: {exc}") from None
-    return abm.Imported(edges)
+    return abm.Imported(abm.load_edge_list(text)).compile(n)
 
 
-def _build_abm_config(params: dict, seed: int, x0: float | None = None) -> abm.AbmConfig:
+def _build_abm(params: dict) -> tuple[abm.AbmConfig, float, float]:
+    """Validated template config (seed 0) plus the outcome thresholds."""
     update = params["update"]
-    rule = (
-        abm.Fermi(update["beta"])
-        if update["kind"] == "fermi"
-        else abm.ProportionalImitation()
-    )
     cfg = abm.AbmConfig(
         n=params["n"],
-        x0=params["x0"] if x0 is None else x0,
+        x0=params["x0"],
         game=abm.GameMatrix(**params["game"]),
-        topology=_build_topology(params),
-        update=rule,
+        topology=_build_topology(params["topology"], params["n"]),
+        update=(abm.Fermi(update["beta"]) if update["kind"] == "fermi"
+                else abm.ProportionalImitation()),
         noise=params["noise"],
         rounds=params["rounds"],
-        rng_seed=seed,
     )
     cfg.validate()
     if not 0.0 <= params["s_c"] < params["s_d"] <= 1.0:
         raise ConfigError("thresholds must satisfy 0 <= s_c < s_d <= 1")
-    return cfg
+    return cfg, params["s_c"], params["s_d"]
 
 
-def _check_buildable(config: ScenarioConfig) -> None:
-    kind, params = config.kind, config.params
-    try:
-        if kind == "replicator":
-            _build_ode_spec(params)
-        elif kind == "bifurcation":
-            if params["step"] <= 0 or params["lambda_lo"] >= params["lambda_hi"]:
-                raise ConfigError("need step > 0 and lambda_lo < lambda_hi")
-            if params["grid_n"] < 2:
-                raise ConfigError("grid_n must be >= 2")
-        elif kind == "hysteresis":
-            if params["step"] <= 0 or params["lambda_lo"] > params["lambda_hi"]:
-                raise ConfigError("need step > 0 and lambda_lo <= lambda_hi")
-            if params["relax_t"] <= 0 or params["relax_dt"] <= 0 or params["jump_tol"] <= 0:
-                raise ConfigError("relax_t, relax_dt and jump_tol must be > 0")
-        elif kind == "netgrowth":
-            _build_growth_config(params, 0)
-        elif kind == "abm":
-            _build_abm_config(params, 0)
-        elif kind == "basin":
-            for x0 in params["x0_list"]:
-                if not 0.0 <= x0 <= 1.0:
-                    raise ConfigError(f"x0_list entries must lie in [0, 1], got {x0}")
-            _build_abm_config(params, 0, x0=params["x0_list"][0])
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid {kind} params: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# Replication
-# ---------------------------------------------------------------------------
-
-def _run_replicate(kind: str, params: dict, master_seed: int, index: int):
-    """One replicate's raw result; top-level so process pools can pickle it."""
-    if kind == "replicator":
-        return dynamics.integrate(_build_ode_spec(params))
-    if kind == "bifurcation":
-        return dynamics.sweep_bifurcation(
-            params["theta"], params["lambda_lo"], params["lambda_hi"],
-            params["step"], params["grid_n"],
-        )
-    if kind == "hysteresis":
-        return dynamics.hysteresis_loop(
-            params["theta"], params["lambda_lo"], params["lambda_hi"], params["step"],
-            relax_t=params["relax_t"], relax_dt=params["relax_dt"],
-            jump_tol=params["jump_tol"],
-        )
-    if kind == "netgrowth":
-        return netgrowth.grow(_build_growth_config(params, mix64(master_seed, index)))
-    if kind == "abm":
-        cfg = _build_abm_config(params, mix64(master_seed, index))
-        return abm.run(cfg, params["s_c"], params["s_d"])
-    if kind == "basin":
-        x0_list = params["x0_list"]
-        outcomes = {}
-        for i, x0 in enumerate(x0_list):
-            seed = mix64(master_seed, index * len(x0_list) + i)
-            cfg = _build_abm_config(params, seed, x0=float(x0))
-            outcomes[float(x0)] = abm.run(cfg, params["s_c"], params["s_d"]).outcome
-        return outcomes
-    raise ConfigError(f"unknown scenario kind {kind!r}")
-
-
-def _metrics(kind: str, params: dict, results: list) -> dict[str, list[float]]:
-    if kind == "replicator":
-        return {"final_x": [float(t.states[-1]) for t in results]}
-    if kind == "bifurcation":
-        counts = [report.stable_count() for _, report in results[0]]
-        return {
-            "max_stable_roots": [float(max(counts))],
-            "min_stable_roots": [float(min(counts))],
-        }
-    if kind == "hysteresis":
-        rep = results[0]
-        return {
-            "loop_area": [rep.loop_area],
-            "jumps_up": [float(len(rep.jumps_up))],
-            "jumps_down": [float(len(rep.jumps_down))],
-        }
-    if kind == "netgrowth":
-        finals = [float(t.shares[-1]) for t in results]
-        return {
-            "final_agi_share": finals,
-            "agi_lockin": [1.0 if t.locked_in == netgrowth.LOCKED_AGI else 0.0 for t in results],
-            "dci_lockin": [1.0 if t.locked_in == netgrowth.LOCKED_DCI else 0.0 for t in results],
-        }
-    if kind == "abm":
-        return {
-            "final_coop_fraction": [float(t.coop_fraction[-1]) for t in results],
-            "outcome_agi_first": [1.0 if t.outcome == abm.OUTCOME_AGI else 0.0 for t in results],
-            "outcome_dci_first": [1.0 if t.outcome == abm.OUTCOME_DCI else 0.0 for t in results],
-            "outcome_undecided": [1.0 if t.outcome == abm.OUTCOME_UNDECIDED else 0.0 for t in results],
-        }
-    # basin: indicator series per (outcome, x0) cell
-    out: dict[str, list[float]] = {}
+def _build_basin(params: dict) -> tuple[abm.AbmConfig, float, float, tuple[float, ...]]:
     for x0 in params["x0_list"]:
-        for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
-            name = f"{outcome}[x0={float(x0)!r}]"
-            out[name] = [1.0 if row[float(x0)] == outcome else 0.0 for row in results]
+        if not 0.0 <= x0 <= 1.0:
+            raise ConfigError(f"x0_list entries must lie in [0, 1], got {x0}")
+    cfg, s_c, s_d = _build_abm({**params, "x0": params["x0_list"][0]})
+    return cfg, s_c, s_d, tuple(params["x0_list"])
+
+
+def _run_abm(model, master_seed: int, index: int) -> abm.AbmTrace:
+    cfg, s_c, s_d = model
+    return abm.run(replace(cfg, rng_seed=mix64(master_seed, index)), s_c, s_d)
+
+
+def _run_basin(model, master_seed: int, index: int) -> tuple[str, ...]:
+    cfg, s_c, s_d, x0_list = model
+    template = replace(cfg, rng_seed=master_seed)
+    return tuple(abm.basin_replicate(template, x0_list, index, s_c, s_d))
+
+
+def _indicator(results, label) -> list[float]:
+    return [1.0 if label(r) else 0.0 for r in results]
+
+
+def _abm_metrics(params: dict, results: list) -> dict[str, list[float]]:
+    out = {"final_coop_fraction": [float(t.coop_fraction[-1]) for t in results]}
+    for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
+        out[f"outcome_{outcome}"] = _indicator(results, lambda t: t.outcome == outcome)
     return out
+
+
+def _basin_metrics(params: dict, results: list) -> dict[str, list[float]]:
+    # indicator series per (outcome, x0) cell
+    out = {}
+    for i, x0 in enumerate(params["x0_list"]):
+        for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
+            out[f"{outcome}[x0={float(x0)!r}]"] = _indicator(results, lambda row: row[i] == outcome)
+    return out
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the harness knows about one scenario kind."""
+
+    schema: dict  # params key -> (cast, default), see ``_take``
+    build: Callable  # params -> validated model object; runs once per config
+    run: Callable  # (model, master_seed, replicate index) -> result
+    metrics: Callable  # (params, results) -> {metric name: per-replicate series}
+    result: type  # type of one replicate's result
+    write: Callable | None  # (result, index) -> (file name, header, rows)
+    streams: Callable = lambda params: 1  # seed streams per replicate
+    deterministic: bool = False  # replicates must be 1
+    diagnostics: Callable = lambda results: {}  # results -> counts for the manifest
+
+
+_SWEEP = {
+    "theta": (_as_float, _REQUIRED),
+    "lambda_lo": (_as_float, _REQUIRED),
+    "lambda_hi": (_as_float, _REQUIRED),
+    "step": (_as_float, _REQUIRED),
+}
+
+_POPULATION = {
+    "n": (_as_int, _REQUIRED),
+    "game": (_norm_game, _REQUIRED),
+    "rounds": (_as_int, _REQUIRED),
+    "topology": (_variant({
+        "well_mixed": {},
+        "ring_lattice": {"k": (_as_int, _REQUIRED)},
+        "imported": {"path": (_as_str, _REQUIRED)},
+    }), {"kind": "well_mixed"}),
+    "update": (_variant({
+        "proportional_imitation": {},
+        "fermi": {"beta": (_as_float, _REQUIRED)},
+    }), {"kind": "proportional_imitation"}),
+    "noise": (_as_float, _default(abm.AbmConfig, "noise")),
+    "s_c": (_as_float, abm.DEFAULT_S_C),
+    "s_d": (_as_float, abm.DEFAULT_S_D),
+}
+
+KINDS: dict[str, _Kind] = {
+    "replicator": _Kind(
+        schema={
+            "x0": (_as_float, _REQUIRED),
+            "t_end": (_as_float, _REQUIRED),
+            "dt": (_as_float, _default(dynamics.OdeSpec, "dt")),
+            "p_c": (_as_float, _OPTIONAL),
+            "p_d": (_as_float, _OPTIONAL),
+            "game": (_norm_game, _OPTIONAL),
+        },
+        build=_build_replicator,
+        run=lambda spec, master_seed, index: dynamics.integrate(spec),
+        metrics=lambda params, results: {"final_x": [float(t.states[-1]) for t in results]},
+        result=dynamics.Trajectory,
+        write=lambda t, i: (
+            f"trajectory_{i:04d}.csv", "t,x",
+            ((_fmt(time), _fmt(x)) for time, x in zip(t.times, t.states)),
+        ),
+    ),
+    "bifurcation": _Kind(
+        schema={**_SWEEP, "grid_n": (_as_int, dynamics.DEFAULT_GRID_N)},
+        build=_check_bifurcation,
+        run=lambda params, master_seed, index: dynamics.sweep_bifurcation(**params),
+        metrics=lambda params, results: {
+            "max_stable_roots": [float(max(rep.stable_count() for _, rep in results[0]))],
+            "min_stable_roots": [float(min(rep.stable_count() for _, rep in results[0]))],
+        },
+        result=list,
+        write=lambda sweep, i: (
+            "bifurcation.csv", "lambda,root,stability",
+            [(_fmt(lam), _fmt(root.location), root.stability)
+             for lam, rep in sweep for root in rep.roots],
+        ),
+        deterministic=True,
+    ),
+    "hysteresis": _Kind(
+        schema={
+            **_SWEEP,
+            "relax_t": (_as_float, dynamics.DEFAULT_RELAX_T),
+            "relax_dt": (_as_float, dynamics.DEFAULT_RELAX_DT),
+            "jump_tol": (_as_float, dynamics.DEFAULT_JUMP_TOL),
+        },
+        build=_check_hysteresis,
+        run=lambda params, master_seed, index: dynamics.hysteresis_loop(**params),
+        metrics=lambda params, results: {
+            "loop_area": [results[0].loop_area],
+            "jumps_up": [float(len(results[0].jumps_up))],
+            "jumps_down": [float(len(results[0].jumps_down))],
+        },
+        result=dynamics.HysteresisReport,
+        write=lambda report, i: (
+            "hysteresis.csv", "sweep,lambda,state",
+            [(sweep, _fmt(lam), _fmt(state))
+             for sweep, branch in (("up", report.up_branch), ("down", report.down_branch))
+             for lam, state in branch],
+        ),
+        deterministic=True,
+        diagnostics=lambda results: {"non_equilibrated": len(results[0].non_equilibrated)},
+    ),
+    "netgrowth": _Kind(
+        schema={
+            "n_nodes": (_as_int, _REQUIRED),
+            "m": (_as_int, _default(netgrowth.GrowthConfig, "m")),
+            "seed_agi": (_as_int, _default(netgrowth.GrowthConfig, "seed_agi")),
+            "seed_dci": (_as_int, _default(netgrowth.GrowthConfig, "seed_dci")),
+            "mode": (_as_str, _default(netgrowth.GrowthConfig, "mode")),
+            "dci_boost": (_as_float, _default(netgrowth.GrowthConfig, "dci_boost")),
+            "tau": (_as_float, _default(netgrowth.GrowthConfig, "tau")),
+        },
+        build=_build_growth,
+        run=lambda cfg, master_seed, index: netgrowth.grow(
+            replace(cfg, rng_seed=mix64(master_seed, index))
+        ),
+        metrics=lambda params, results: {
+            "final_agi_share": [float(t.shares[-1]) for t in results],
+            "agi_lockin": _indicator(results, lambda t: t.locked_in == netgrowth.LOCKED_AGI),
+            "dci_lockin": _indicator(results, lambda t: t.locked_in == netgrowth.LOCKED_DCI),
+        },
+        result=netgrowth.GrowthTrace,
+        write=lambda t, i: (
+            f"shares_{i:04d}.csv", "step,agi_share",
+            ((str(s + 1), _fmt(v)) for s, v in enumerate(t.shares)),
+        ),
+    ),
+    "abm": _Kind(
+        schema={**_POPULATION, "x0": (_as_float, _REQUIRED)},
+        build=_build_abm,
+        run=_run_abm,
+        metrics=_abm_metrics,
+        result=abm.AbmTrace,
+        write=lambda t, i: (
+            f"abm_{i:04d}.csv", "round,coop_fraction",
+            ((str(r), _fmt(v)) for r, v in enumerate(t.coop_fraction)),
+        ),
+    ),
+    # basin outcome rows have no trace file, they only feed summary.csv
+    "basin": _Kind(
+        schema={**_POPULATION, "x0_list": (_norm_x0_list, _REQUIRED)},
+        build=_build_basin,
+        run=_run_basin,
+        metrics=_basin_metrics,
+        result=tuple,
+        write=None,
+        streams=lambda params: len(params["x0_list"]),
+    ),
+}
+
+_WRITERS = {spec.result: spec.write for spec in KINDS.values()}
+
+
+def _replicate(kind: str, model, master_seed: int, index: int):
+    """One replicate's result; top-level so process pools can pickle it."""
+    return KINDS[kind].run(model, master_seed, index)
 
 
 def aggregate(values) -> SummaryStats:
@@ -462,10 +495,6 @@ def aggregate(values) -> SummaryStats:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
@@ -476,41 +505,20 @@ def _write_csv(path: str, header: str, rows) -> None:
 def write_outputs(traces, out_dir: str) -> list[str]:
     """Emit one CSV per trace (schema by trace type); returns paths written.
 
-    Basin frequency tables have no trace file, they only feed summary.csv.
+    Basin outcome rows have no trace file, they only feed summary.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths: list[str] = []
-
-    def emit(name, header, rows):
+    for i, item in enumerate(traces):
+        if type(item) not in _WRITERS:
+            raise TypeError(f"no output schema for {type(item).__name__}")
+        write = _WRITERS[type(item)]
+        if write is None:
+            continue
+        name, header, rows = write(item, i)
         path = os.path.join(out_dir, name)
         _write_csv(path, header, rows)
         paths.append(path)
-
-    for i, item in enumerate(traces):
-        if isinstance(item, dynamics.Trajectory):
-            rows = ((_fmt(t), _fmt(x)) for t, x in zip(item.times, item.states))
-            emit(f"trajectory_{i:04d}.csv", "t,x", rows)
-        elif isinstance(item, netgrowth.GrowthTrace):
-            rows = ((str(s + 1), _fmt(v)) for s, v in enumerate(item.shares))
-            emit(f"shares_{i:04d}.csv", "step,agi_share", rows)
-        elif isinstance(item, abm.AbmTrace):
-            rows = ((str(r), _fmt(v)) for r, v in enumerate(item.coop_fraction))
-            emit(f"abm_{i:04d}.csv", "round,coop_fraction", rows)
-        elif isinstance(item, dynamics.HysteresisReport):
-            rows = [("up", _fmt(lam), _fmt(s)) for lam, s in item.up_branch]
-            rows += [("down", _fmt(lam), _fmt(s)) for lam, s in item.down_branch]
-            emit("hysteresis.csv", "sweep,lambda,state", rows)
-        elif isinstance(item, list):  # bifurcation sweep
-            rows = [
-                (_fmt(lam), _fmt(root.location), root.stability)
-                for lam, report in item
-                for root in report.roots
-            ]
-            emit("bifurcation.csv", "lambda,root,stability", rows)
-        elif isinstance(item, dict):  # basin outcome row
-            continue
-        else:
-            raise TypeError(f"no output schema for {type(item).__name__}")
     return paths
 
 
@@ -530,25 +538,20 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     emit the same bytes as serial ones.
     """
     started = datetime.now(timezone.utc).isoformat()
-    kind, params = config.kind, config.params
+    spec = KINDS[config.kind]
     n_rep = config.replicates
-
-    if kind == "basin":
-        n_streams = n_rep * len(params["x0_list"])
-    else:
-        n_streams = n_rep
+    n_streams = n_rep * spec.streams(config.params)
     seeds = tuple(mix64(config.master_seed, i) for i in range(n_streams))
 
+    args = (repeat(config.kind), repeat(config.model), repeat(config.master_seed), range(n_rep))
     if jobs > 1 and n_rep > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, n_rep)) as pool:
-            results = list(
-                pool.map(_run_replicate, repeat(kind), repeat(params),
-                         repeat(config.master_seed), range(n_rep), chunksize=1)
-            )
+            results = list(pool.map(_replicate, *args, chunksize=1))
     else:
-        results = [_run_replicate(kind, params, config.master_seed, i) for i in range(n_rep)]
+        results = list(map(_replicate, *args))
 
-    summary = {name: aggregate(series) for name, series in _metrics(kind, params, results).items()}
+    metrics = spec.metrics(config.params, results)
+    summary = {name: aggregate(series) for name, series in metrics.items()}
 
     written: list[str] = []
     try:
@@ -571,22 +574,11 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
             finished=datetime.now(timezone.utc).isoformat(),
             replicate_seeds=seeds,
             files={os.path.basename(p): _sha256(p) for p in written},
+            diagnostics=spec.diagnostics(results),
         )
         manifest_path = os.path.join(config.output_dir, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(
-                {
-                    "config": manifest.config,
-                    "version": manifest.version,
-                    "started": manifest.started,
-                    "finished": manifest.finished,
-                    "replicate_seeds": list(manifest.replicate_seeds),
-                    "files": manifest.files,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except BaseException:
         for path in written:

@@ -38,8 +38,3 @@ def mix64(master_seed: int, index: int) -> int:
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-
-def stream(master_seed: int, index: int) -> np.random.Generator:
-    """Generator for replicate ``index`` derived from ``master_seed``."""
-    return make_generator(mix64(master_seed, index))

@@ -263,3 +263,27 @@ def test_load_edge_list_rejects_self_loops_and_garbage():
         load_edge_list("0 1\n0 one\n")
     with pytest.raises(ValueError, match="expected"):
         load_edge_list("0 1 2\n")
+
+
+def test_imported_compile_builds_sorted_neighbors():
+    edges = ((0, 2), (1, 2), (0, 1), (3, 2))
+    compiled = Imported(edges).compile(4)
+    adj = compiled.adjacency
+    for i in range(4):
+        expected = sorted({v for u, v in edges if u == i} | {u for u, v in edges if v == i})
+        assert adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist() == expected
+        assert adj.degree[i] == len(expected)
+    assert compiled == Imported(edges)  # compiled arrays take no part in equality
+    assert compiled.compile(4) is compiled
+
+
+@pytest.mark.parametrize("edges, n, match", [
+    (((0, 1), (1, 0)), 2, r"duplicate edge \(0, 1\)"),
+    (((0, 1), (2, 2)), 3, "self-loop at node 2"),
+    (((0, 1), (1, 5)), 3, "node 5"),
+    (((0, 1), (-1, 1)), 3, "node -1"),
+    (((0, 1),), 3, "node 2 has no neighbors"),
+])
+def test_imported_compile_names_the_bad_node(edges, n, match):
+    with pytest.raises(ValueError, match=match):
+        Imported(edges).compile(n)

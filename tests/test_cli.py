@@ -178,3 +178,55 @@ def test_jobs_flag_reproduces_serial_bytes(tmp_path):
     assert main(base + ["--out", out_serial]) == 0
     assert main(base + ["--out", out_pool, "--jobs", "3"]) == 0
     assert dir_bytes(out_serial) == dir_bytes(out_pool)
+
+
+def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
+    # an out-of-range node id and an isolated node both exit 1 before any run
+    cases = {"range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),
+             "isolated": ("0 1\n1 2\n2 0\n", "node 3")}
+    for name, (text, named) in cases.items():
+        edges = tmp_path / f"{name}.edges"
+        edges.write_text(text)
+        out = tmp_path / f"out_{name}"
+        assert main(["abm", "--n", "4", "--x0", "0.5", "--game", "1,0,0,1",
+                     "--rounds", "2", "--topology", f"file:{edges}",
+                     "--out", str(out), "--quiet"]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_seed_override_is_validated(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "netgrowth", "master_seed": 1, "replicates": 1,
+                                "params": {"n_nodes": 10}}))
+    out = tmp_path / "neg"
+    assert main(["run", "--config", str(path), "--seed", "-1", "--out", str(out)]) == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _hysteresis_run(tmp_path, capsys, **params):
+    from test_acceptance import DETERMINISM_DOCS
+
+    doc = {"kind": "hysteresis", "master_seed": 1234, "replicates": 1,
+           "params": {**DETERMINISM_DOCS["hysteresis"]["params"], **params}}
+    path = tmp_path / "hysteresis.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "h"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    return manifest["diagnostics"], capsys.readouterr().err
+
+
+def test_hysteresis_non_equilibration_is_reported(tmp_path, capsys):
+    diagnostics, err = _hysteresis_run(tmp_path, capsys, relax_t=0.05)
+    assert diagnostics == {"non_equilibrated": 74}
+    assert err.count("warning") == 1
+    assert "non_equilibrated = 74" in err
+
+
+def test_hysteresis_default_relaxation_has_no_warning(tmp_path, capsys):
+    diagnostics, err = _hysteresis_run(tmp_path, capsys)
+    assert diagnostics == {"non_equilibrated": 0}
+    assert "warning" not in err

@@ -464,6 +464,12 @@ def test_bridge_adds_single_edge_then_noop():
     assert again.transform_log[-1].endswith("noop")
 
 
+def test_fitness_eval_bridge_projects_bridge():
+    mind = new_mind(build_graph(["a", "b", "c", "d"], [("a", "b")]))
+    for a, b in (({"a", "b"}, {"c", "d"}), ({"b"}, {"a"})):  # adds an edge, then a no-op
+        assert fitness_eval(mind, ("bridge", a, b)).f_p == bridge(mind, a, b).fitness.f_c
+
+
 def test_bridge_rejects_overlap():
     mind = new_mind(build_graph(["a", "b"], []))
     with pytest.raises(OverlapError):

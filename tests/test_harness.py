@@ -313,3 +313,25 @@ def test_scenario_config_is_value_like():
     b = load_config(json.dumps(doc))
     assert a == b
     assert isinstance(a, ScenarioConfig)
+
+
+def test_imported_graph_read_once_per_run(tmp_path, monkeypatch):
+    from attractorlab import abm as abm_mod
+
+    edges = tmp_path / "ring.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    calls = []
+    load = abm_mod.load_edge_list
+    monkeypatch.setattr(abm_mod, "load_edge_list", lambda text: calls.append(1) or load(text))
+    doc = {
+        "kind": "abm", "master_seed": 5, "replicates": 4,
+        "output_dir": str(tmp_path / "abm"),
+        "params": {"n": 6, "x0": 0.5, "rounds": 3,
+                   "game": {"r": 1, "sg": 0, "t": 0, "pu": 1},
+                   "topology": {"kind": "imported", "path": str(edges)}},
+    }
+    config = load_config(json.dumps(doc))
+    run_scenario(config)
+    assert len(calls) == 1
+    # the compiled graph stays out of the config echo
+    assert json.loads(serialize_config(config))["params"]["topology"] == doc["params"]["topology"]
