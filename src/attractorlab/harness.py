@@ -94,9 +94,7 @@ class ScenarioConfig:
         if self.model is None:
             try:
                 model = spec.build(self.params)
-            except ConfigError:
-                raise
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:  # ConfigError included
                 raise ConfigError(f"invalid {self.kind} params: {exc}") from None
             object.__setattr__(self, "model", model)
 
