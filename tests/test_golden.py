@@ -3,7 +3,8 @@ versions, not only across reruns of the same code.
 
 Every data file (``manifest.json`` excluded, it carries timestamps) of the
 criterion-10 scenario set and of three extra scenarios is compared with a
-committed sha256.  A refactor or speed-up that changes any output byte fails
+committed sha256.  The library results of ``intervention_cost`` and
+``estimate_lockin``, which write no file, are pinned by their exact ``repr``.  A refactor or speed-up that changes any output byte fails
 here.  To re-pin after an intended change of outputs, print the digests of
 ``_run`` and replace the constants, saying why in the change log.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from attractorlab import dynamics
 from attractorlab.harness import load_config, run_scenario
+from attractorlab.netgrowth import MODE_DEGREE_PA, GrowthConfig, estimate_lockin, intervention_cost
 from test_acceptance import DETERMINISM_DOCS
 
 MASTER_SEED = 1234
@@ -139,3 +141,22 @@ def test_golden_catches_numpy_cube(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_rk4_step", array_step)
     digests = _run("hysteresis", tmp_path)
     assert digests["hysteresis.csv"] != GOLDEN["hysteresis"]["hysteresis.csv"]
+
+
+# exact reprs of library results that no data file carries
+GOLDEN_COST = {2: "1.1763969916502812", 4: "1.460917794180647"}
+GOLDEN_LOCKIN = ("LockInEstimate(tau=0.9, p_agi_lockin=0.4166666666666667, "
+                 "p_dci_lockin=0.13333333333333333, ci_halfwidth=0.12474789391824231)")
+
+
+@pytest.mark.parametrize("seed_agi", sorted(GOLDEN_COST))
+def test_golden_intervention_cost(seed_agi):
+    base = GrowthConfig(n_nodes=300, seed_agi=seed_agi, seed_dci=1, rng_seed=7)
+    boost = intervention_cost(base, 0.5, horizon=300, replicates=40)
+    assert repr(boost) == GOLDEN_COST[seed_agi]
+
+
+def test_golden_estimate_lockin():
+    # seeds 2:1 leave the DCI camp a bare node, so the bootstrap weight is pinned too
+    config = GrowthConfig(n_nodes=600, m=2, seed_agi=2, seed_dci=1, mode=MODE_DEGREE_PA, rng_seed=7)
+    assert repr(estimate_lockin(config, 60, 0.9)) == GOLDEN_LOCKIN
