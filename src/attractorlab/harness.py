@@ -528,12 +528,28 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _listed_files(manifest_path: str) -> set[str]:
+    """Data file names an existing manifest lists (bare names only); empty
+    when there is no readable manifest."""
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            files = json.load(fh)["files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    if not isinstance(files, dict):
+        return set()
+    return {name for name in files
+            if name == os.path.basename(name) and name not in ("", ".", "..", "manifest.json")}
+
+
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str, SummaryStats], RunManifest]:
     """Run all replicates, write data files then the manifest.
 
-    Partial outputs are removed when anything fails mid-run.  Results are
-    gathered in replicate order regardless of ``jobs``, so parallel runs
-    emit the same bytes as serial ones.
+    Partial outputs are removed when anything fails mid-run.  Once the new
+    manifest is written, files that the directory's previous manifest listed
+    and this run did not write are deleted; no other file is touched.
+    Results are gathered in replicate order regardless of ``jobs``, so
+    parallel runs emit the same bytes as serial ones.
     """
     started = datetime.now(timezone.utc).isoformat()
     spec = KINDS[config.kind]
@@ -551,6 +567,8 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     metrics = spec.metrics(config.params, results)
     summary = {name: aggregate(series) for name, series in metrics.items()}
 
+    manifest_path = os.path.join(config.output_dir, "manifest.json")
+    previous = _listed_files(manifest_path)
     written: list[str] = []
     try:
         written.extend(write_outputs(results, config.output_dir))
@@ -574,7 +592,6 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
             files={os.path.basename(p): _sha256(p) for p in written},
             diagnostics=spec.diagnostics(results),
         )
-        manifest_path = os.path.join(config.output_dir, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
             json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -585,4 +602,9 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
             except OSError:
                 pass
         raise
+    for name in previous - manifest.files.keys():
+        try:
+            os.unlink(os.path.join(config.output_dir, name))
+        except FileNotFoundError:
+            pass
     return results, summary, manifest

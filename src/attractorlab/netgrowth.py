@@ -5,17 +5,18 @@ Camp choice follows ``P(AGI) = k_agi / (k_agi + boost * k_dci)`` where the
 camp weights are node counts in ``urn`` mode (one implicit edge per node,
 the minimal reading, and an exact Polya urn: the AGI share is a martingale
 with a random limit) or degree sums in ``degree_pa`` mode, where each
-arrival then wires ``m`` edges to in-camp endpoints drawn proportionally to
-degree (with replacement, so parallel edges may occur).
+arrival wires ``m`` edges to nodes of the camp it joins.
 
 ``dci_boost`` is the intervention lever: a multiplicative weight on the DCI
 camp, with 1 the plain attachment rule.  ``intervention_cost`` searches for
 the smallest boost that drags the mean final DCI share up to a target.
 
 Seed nodes in ``degree_pa`` mode are wired as a ring (three or more nodes),
-a single edge (two) or left bare (one); a camp whose degree sum is still 0
-weighs in with its node count and resolves endpoints uniformly until it
-gains real degree (bootstrap convention).
+a single edge (two) or left bare (one); a bare one-node camp weighs in with
+its node count, 1, until its first join (bootstrap convention).  Every edge
+stays inside one camp, so a camp's weight follows from its join count alone
+(``2m`` degree per join) and which endpoints an arrival wires to never
+affects camp choice: endpoints are neither simulated nor observable.
 """
 
 from __future__ import annotations
@@ -37,10 +38,14 @@ DEFAULT_TAU = 0.9
 DEFAULT_COST_REPLICATES = 200
 MAX_BOOST = 1024.0
 
+# uniforms drawn per block by _final_shares, over all replicates (512 KB)
+_BLOCK_DRAWS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class CampDegrees:
-    """Total degree held by each camp's nodes."""
+    """Camp weights: node counts (urn) or degree sums (degree_pa, where a
+    bare one-node camp weighs 1)."""
 
     k_agi: int
     k_dci: int
@@ -128,60 +133,38 @@ def _grow_urn(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
     return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
-def _seed_wiring(ids: list[int]) -> list[int]:
-    """Founding wiring of one camp as a repeated-endpoint list (2 entries
-    per edge): ring for >= 3 nodes, single edge for 2, nothing for 1."""
-    k = len(ids)
-    if k == 1:
-        return []
-    if k == 2:
-        return [ids[0], ids[1]]
-    rep: list[int] = []
-    for i in range(k):
-        rep.append(ids[i])
-        rep.append(ids[(i + 1) % k])
-    return rep
+def _camp_weight(config: GrowthConfig, seeds: int, joins):
+    """Weight of a camp founded by ``seeds`` nodes after ``joins`` arrivals
+    joined it; elementwise on an array of join counts.
+
+    urn: the node count.  degree_pa: the degree sum, i.e. the seed wiring
+    (a ring on three or more nodes, one edge on two, none on one) plus ``2m``
+    per join; a bare one-node camp weighs 1 until its first join.
+    """
+    if config.mode == MODE_URN:
+        return seeds + joins
+    weight = (2 * seeds if seeds > 2 else 2 * seeds - 2) + 2 * config.m * joins
+    return weight + (weight == 0)
 
 
 def _grow_degree_pa(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
     n = config.n_nodes
-    m = config.m
     boost = config.dci_boost
     sa, sd = config.seed_agi, config.seed_dci
-
-    agi_nodes = list(range(sa))
-    dci_nodes = list(range(sa, sa + sd))
-    rep_agi = _seed_wiring(agi_nodes)
-    rep_dci = _seed_wiring(dci_nodes)
-
-    us_choice = rng.random(n).tolist()
-    us_edge = rng.random(n * m).tolist()
-
-    n_agi = sa
+    us = rng.random(n).tolist()
+    j_agi = j_dci = 0
     agi_counts = []
-    for i in range(n):
-        w_agi = float(len(rep_agi)) if rep_agi else float(len(agi_nodes))
-        w_dci = float(len(rep_dci)) if rep_dci else float(len(dci_nodes))
-        join_agi = us_choice[i] * (w_agi + boost * w_dci) < w_agi
-        nodes, rep = (agi_nodes, rep_agi) if join_agi else (dci_nodes, rep_dci)
-
-        new_id = sa + sd + i
-        for j in range(m):
-            u = us_edge[i * m + j]
-            if rep:
-                endpoint = rep[int(u * len(rep))]
-            else:
-                endpoint = nodes[int(u * len(nodes))]
-            rep.append(endpoint)
-            rep.append(new_id)
-        nodes.append(new_id)
-        if join_agi:
-            n_agi += 1
-        agi_counts.append(n_agi)
-
+    for u in us:
+        a = _camp_weight(config, sa, j_agi)
+        d = _camp_weight(config, sd, j_dci)
+        if u * (a + boost * d) < a:
+            j_agi += 1
+        else:
+            j_dci += 1
+        agi_counts.append(sa + j_agi)
     totals = sa + sd + np.arange(1, n + 1, dtype=float)
     shares = np.asarray(agi_counts, dtype=float) / totals
-    degrees = CampDegrees(len(rep_agi), len(rep_dci))
+    degrees = CampDegrees(_camp_weight(config, sa, j_agi), _camp_weight(config, sd, j_dci))
     return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
@@ -199,11 +182,28 @@ def grow(config: GrowthConfig) -> GrowthTrace:
 
 
 def _final_shares(config: GrowthConfig, replicates: int) -> np.ndarray:
-    out = np.empty(replicates)
-    for i in range(replicates):
-        trace = grow(replace(config, rng_seed=mix64(config.rng_seed, i)))
-        out[i] = trace.shares[-1]
-    return out
+    """Final AGI share of replicates ``0..replicates-1``, all stepped
+    together; byte-identical to each replicate's ``grow(...).shares[-1]``.
+
+    Replicate ``i`` draws from its own ``mix64(rng_seed, i)`` stream, in
+    blocks of ``_BLOCK_DRAWS // replicates`` arrivals (at least one).
+    """
+    config.validate()
+    n = config.n_nodes
+    boost = config.dci_boost
+    gens = [make_generator(mix64(config.rng_seed, i)) for i in range(replicates)]
+    joins = np.arange(n + 1.0)
+    w_agi = _camp_weight(config, config.seed_agi, joins)
+    w_dci = _camp_weight(config, config.seed_dci, joins)
+    j_agi = np.zeros(replicates, dtype=np.int64)
+    block = max(1, _BLOCK_DRAWS // replicates)
+    for start in range(0, n, block):
+        us = np.stack([g.random(min(block, n - start)) for g in gens], axis=1)
+        for t, u in enumerate(us, start):
+            a = w_agi[j_agi]
+            d = w_dci[t - j_agi]
+            j_agi += u * (a + boost * d) < a
+    return (config.seed_agi + j_agi) / float(config.seed_agi + config.seed_dci + n)
 
 
 def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockInEstimate:

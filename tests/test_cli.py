@@ -180,6 +180,19 @@ def test_jobs_flag_reproduces_serial_bytes(tmp_path):
     assert dir_bytes(out_serial) == dir_bytes(out_pool)
 
 
+def test_rerun_with_fewer_replicates_removes_stale_files(tmp_path):
+    # files the previous manifest listed go; a file no manifest listed stays
+    out = tmp_path / "ng"
+    base = ["netgrowth", "--seeds", "1,1", "--nodes", "50", "--seed", "5", "--out", str(out),
+            "--quiet"]
+    assert main(base + ["--replicates", "5"]) == 0
+    (out / "notes.txt").write_text("mine\n")
+    assert main(base + ["--replicates", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == ["shares_0000.csv", "shares_0001.csv", "summary.csv"]
+    assert sorted(os.listdir(out)) == sorted([*manifest["files"], "manifest.json", "notes.txt"])
+
+
 def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
     # an out-of-range node id and an isolated node both exit 1 before any run
     cases = {"range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),

@@ -3,14 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from attractorlab import netgrowth
 from attractorlab.netgrowth import (
     CampDegrees,
     GrowthConfig,
     attach_probability,
     estimate_lockin,
+    _final_shares,
     grow,
     intervention_cost,
 )
@@ -146,6 +149,48 @@ def test_locked_in_flag():
     assert trace.locked_in == "dci"
     trace = grow(GrowthConfig(n_nodes=10, seed_agi=5, seed_dci=5, tau=0.99, rng_seed=2))
     assert trace.locked_in is None
+
+
+# ---------------------------------------------------------------------------
+# Replicate-batched final shares
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["urn", "degree_pa"]),
+    m=st.integers(1, 3),
+    seed_agi=st.integers(1, 4),
+    seed_dci=st.integers(1, 4),
+    boost=st.sampled_from([0.0, 1.0, 3.7, 1024.0]),
+    n=st.integers(1, 60),
+    replicates=st.integers(1, 7),
+    block_draws=st.sampled_from([1, 5, 16, 2 ** 16]),
+)
+@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=1, boost=1.0, n=40, replicates=1,
+         block_draws=16)
+def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, n, replicates,
+                                       block_draws):
+    # small draw blocks split the run mid-way: block = max(1, block_draws // replicates)
+    config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
+                          dci_boost=boost, rng_seed=n * 31 + replicates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
+        batched = _final_shares(config, replicates)
+    assert batched.tobytes() == final_shares(config, replicates).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["urn", "degree_pa"])
+def test_final_shares_match_grow_across_default_blocks(mode):
+    # 7 replicates draw 2**16 // 7 = 9362 arrivals per block: three blocks, the last partial
+    config = GrowthConfig(n_nodes=20_000, m=2, seed_agi=2, seed_dci=1, mode=mode,
+                          dci_boost=1.3, rng_seed=41)
+    assert _final_shares(config, 7).tobytes() == final_shares(config, 7).tobytes()
+
+
+def test_final_shares_urn_polya_limit():
+    # urn(2, 1) final AGI shares follow Beta(2, 1) in the large-n limit
+    finals = _final_shares(GrowthConfig(n_nodes=2000, seed_agi=2, seed_dci=1, rng_seed=1), 500)
+    assert stats.kstest(finals, stats.beta(2, 1).cdf).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
