@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Map the bistable family: fixed-point sweep plus quasi-static loops.
 
-Writes bifurcation.csv and hysteresis.csv for a bistable (theta=1) and a
-monostable (theta=-1) run under --out, then prints the jump locations and
-loop areas next to the closed-form fold prediction.
+Runs a bistable (theta=1) and a monostable (theta=-1) family, each kind into
+its own directory, ``<out>/<bistable|monostable>/<bifurcation|hysteresis>/``
+(every run replaces its directory's files), then prints the jump locations
+and loop areas next to the closed-form fold prediction.
 """
 
 import argparse
@@ -38,17 +39,20 @@ def main():
     print(f"closed-form folds for theta=1: lambda = +/-{fold:.6f}")
 
     for theta, label in ((1.0, "bistable"), (-1.0, "monostable")):
-        out = os.path.join(args.out, label)
-        run_scenario(load_config(json.dumps(scenario("bifurcation", out, theta, args.step))))
-        traces, summary, _ = run_scenario(
-            load_config(json.dumps(scenario("hysteresis", out, theta, args.step)))
-        )
-        loop = traces[0]
+        written = []
+        for kind in ("bifurcation", "hysteresis"):
+            out = os.path.join(args.out, label, kind)
+            traces, _, manifest = run_scenario(
+                load_config(json.dumps(scenario(kind, out, theta, args.step)))
+            )
+            written += [os.path.join(out, name) for name in manifest.files]
+        loop = traces[0]  # the hysteresis run came last
         print(
             f"theta={theta:+.0f}: jumps_up={list(loop.jumps_up)} "
             f"jumps_down={list(loop.jumps_down)} loop_area={loop.loop_area:.4f}"
         )
-        print(f"  wrote {out}/bifurcation.csv and {out}/hysteresis.csv")
+        for path in written:
+            print(f"  wrote {path}")
 
 
 if __name__ == "__main__":

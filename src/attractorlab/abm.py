@@ -162,6 +162,19 @@ class Fermi:
 UpdateRule = ProportionalImitation | Fermi
 
 
+def check_x0(*x0s: float) -> None:
+    """Each initial cooperator fraction lies in [0, 1]."""
+    for x0 in x0s:
+        if not 0.0 <= x0 <= 1.0:
+            raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+
+
+def check_thresholds(s_c: float, s_d: float) -> None:
+    """Outcome thresholds satisfy 0 <= s_c < s_d <= 1."""
+    if not 0.0 <= s_c < s_d <= 1.0:
+        raise ValueError(f"need 0 <= s_c < s_d <= 1, got s_c={s_c}, s_d={s_d}")
+
+
 @dataclass(frozen=True)
 class AbmConfig:
     n: int
@@ -176,8 +189,7 @@ class AbmConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 agents, got n={self.n}")
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
+        check_x0(self.x0)
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
         if self.rounds < 0:
@@ -384,8 +396,7 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator) ->
 
 def attractor_classify(final_x: float, s_c: float, s_d: float) -> str:
     """Label a final cooperator fraction by the threshold pair (s_c, s_d)."""
-    if not (0.0 <= s_c < s_d <= 1.0):
-        raise ValueError(f"need 0 <= s_c < s_d <= 1, got s_c={s_c}, s_d={s_d}")
+    check_thresholds(s_c, s_d)
     if final_x <= s_c:
         return OUTCOME_AGI
     if final_x >= s_d:
@@ -399,8 +410,10 @@ def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -
     Exactly ``round(x0 * n)`` cooperators are placed by a seeded shuffle, so
     the first trace entry is the realized initial fraction.  An imported
     graph is compiled here once unless the config carries it compiled.
+    Config and thresholds are checked before the first round.
     """
     config.validate()
+    check_thresholds(s_c, s_d)
     rng = make_generator(config.rng_seed)
     n = config.n
     k = round(config.x0 * n)
@@ -461,11 +474,13 @@ def basin_experiment(
     s_d: float = DEFAULT_S_D,
 ) -> dict[float, dict[str, int]]:
     """Outcome counts per initial fraction over seeded replicates (see
-    ``basin_replicate`` for the stream of each cell)."""
+    ``basin_replicate`` for the stream of each cell).  Every x0 is checked
+    before the first cell runs."""
     if not x0_list:
         raise ValueError("x0_list must be non-empty")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    check_x0(*x0_list)
     counts = {
         float(x0): {OUTCOME_AGI: 0, OUTCOME_DCI: 0, OUTCOME_UNDECIDED: 0}
         for x0 in x0_list

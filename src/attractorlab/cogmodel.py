@@ -17,8 +17,8 @@ Four graph operations cover use:
 Minds pair a graph with a fitness triple (current, target, projected) and
 an append-only transform log.  The regulatory operations (adapt, bridge,
 decompose, stability and fitness tracking) carry minimal deterministic
-reference semantics; the fitness functional is a seam (default: edge
-density of layer 1) so richer policies can slot in.
+reference semantics; fitness is the edge density of layer 1
+(:func:`connectivity_ratio`).
 
 All operations are functional: inputs are never mutated.
 """
@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Callable, Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -118,6 +119,26 @@ def _check_payload(payload: str | None) -> None:
         raise GraphError("payloads must be non-empty, single-line strings")
 
 
+def _check_nodes(graph: ConceptGraph, ids: Iterable[str], what: str) -> None:
+    missing = sorted(x for x in ids if x not in graph.nodes)
+    if missing:
+        raise UnknownIdError(f"{what} references missing nodes {missing}")
+
+
+def _check_edge(graph: ConceptGraph, depth: int, edge_id: str, members: frozenset[str]) -> None:
+    """Id hygiene, no empty edges, order-1 arity 2, and every member
+    present in the layer below."""
+    _check_id(edge_id)
+    if not members:
+        raise GraphError(f"edge {edge_id} is empty")
+    if depth == 1 and len(members) != 2:
+        raise GraphError(f"order-1 edge {edge_id} must connect exactly 2 distinct nodes")
+    below = graph.nodes if depth == 1 else graph.layers[depth - 2]
+    for m in members:
+        if m not in below:
+            raise DanglingMemberError(f"edge {edge_id} (order {depth}) references missing {m!r}")
+
+
 def validate_graph(graph: ConceptGraph) -> None:
     """Full validator: id hygiene plus layer soundness (every edge's
     members exist in the layer below, no empty edges, order-1 arity 2)."""
@@ -127,18 +148,8 @@ def validate_graph(graph: ConceptGraph) -> None:
         _check_id(node_id)
         _check_payload(payload)
     for depth, layer in enumerate(graph.layers, start=1):
-        below = graph.nodes.keys() if depth == 1 else graph.layers[depth - 2].keys()
         for edge_id, members in layer.items():
-            _check_id(edge_id)
-            if not members:
-                raise GraphError(f"edge {edge_id} is empty")
-            if depth == 1 and len(members) != 2:
-                raise GraphError(f"order-1 edge {edge_id} must have exactly 2 members")
-            for m in members:
-                if m not in below:
-                    raise DanglingMemberError(
-                        f"edge {edge_id} (order {depth}) references missing {m!r}"
-                    )
+            _check_edge(graph, depth, edge_id, members)
 
 
 def _all_edge_ids(graph: ConceptGraph) -> dict[str, int]:
@@ -190,16 +201,8 @@ def store(graph: ConceptGraph, item: Node | Edge) -> tuple[ConceptGraph, str]:
             "use lift to add a layer"
         )
     members = frozenset(item.members)
-    if not members:
-        raise GraphError("edges need at least one member")
-    if order == 1 and len(members) != 2:
-        raise GraphError("order-1 edges connect exactly 2 distinct nodes")
-    below = graph.nodes.keys() if order == 1 else graph.layers[order - 2].keys()
-    for m in members:
-        if m not in below:
-            raise DanglingMemberError(f"edge member {m!r} not present in layer below")
     edge_id = item.id if item.id is not None else _fresh_id(graph.layers[order - 1], f"e{order}_")
-    _check_id(edge_id)
+    _check_edge(graph, order, edge_id, members)
     if edge_id in graph.layers[order - 1]:
         raise DuplicateIdError(f"edge id {edge_id!r} already stored in layer {order}")
     return _with_layer(graph, order, {**graph.layers[order - 1], edge_id: members}), edge_id
@@ -308,9 +311,7 @@ class ProblemSpec:
             raise GraphError(f"max_depth must be >= 1, got {self.max_depth}")
 
     def check_ids(self, graph: ConceptGraph) -> None:
-        missing = [x for x in [self.goal, *self.premises] if x not in graph.nodes]
-        if missing:
-            raise UnknownIdError(f"problem references missing nodes {sorted(missing)}")
+        _check_nodes(graph, [self.goal, *self.premises], "problem")
 
 
 def reason_s2(graph: ConceptGraph, problem: ProblemSpec) -> tuple[str, ...] | None:
@@ -433,11 +434,8 @@ class AgentMind:
     transform_log: tuple[str, ...] = ()
 
 
-FitnessFunctional = Callable[[ConceptGraph], float]
-
-
 def connectivity_ratio(graph: ConceptGraph) -> float:
-    """Default fitness functional: layer-1 edge density
+    """Fitness of a graph: layer-1 edge density
     ``2 |edges| / (|nodes| (|nodes| - 1))``, 0 below two nodes."""
     n = len(graph.nodes)
     if n < 2:
@@ -445,13 +443,9 @@ def connectivity_ratio(graph: ConceptGraph) -> float:
     return 2.0 * len(graph.layers[0]) / (n * (n - 1))
 
 
-def new_mind(
-    graph: ConceptGraph | None = None,
-    target_fitness: float = 0.5,
-    functional: FitnessFunctional = connectivity_ratio,
-) -> AgentMind:
+def new_mind(graph: ConceptGraph | None = None, target_fitness: float = 0.5) -> AgentMind:
     g = graph if graph is not None else ConceptGraph.empty()
-    f_c = functional(g)
+    f_c = connectivity_ratio(g)
     return AgentMind(g, FitnessTriple(f_c, target_fitness, f_c))
 
 
@@ -459,26 +453,21 @@ Action = tuple  # ("noop",) | ("store", item) | ("remove", id)
 #               | ("adapt", EnvSignal) | ("bridge", ids_a, ids_b)
 
 
-def _first_unlinked_pair(graph: ConceptGraph, ids: list[str]) -> tuple[str, str] | None:
+def _link_first(graph: ConceptGraph, pairs: Iterable[tuple[str, str]]) -> tuple[ConceptGraph, str]:
+    """Store a layer-1 edge for the first of ``pairs`` not already linked;
+    a no-op when every pair is linked."""
     linked = set(map(frozenset, graph.layers[0].values()))
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if frozenset((a, b)) not in linked:
-                return a, b
-    return None
+    for pair in map(frozenset, pairs):
+        if pair not in linked:
+            new, edge_id = store(graph, Edge(order=1, members=pair))
+            return new, f"added {edge_id}"
+    return graph, "noop"
 
 
 def _adapt_graph(graph: ConceptGraph, env: EnvSignal) -> tuple[ConceptGraph, str]:
-    missing = [x for x in env.affected if x not in graph.nodes]
-    if missing:
-        raise UnknownIdError(f"signal references missing nodes {sorted(missing)}")
-    ids = sorted(env.affected)
+    _check_nodes(graph, env.affected, "signal")
     if env.pressure > 0.0:
-        pair = _first_unlinked_pair(graph, ids)
-        if pair is None:
-            return graph, "noop"
-        new, edge_id = store(graph, Edge(order=1, members=frozenset(pair)))
-        return new, f"added {edge_id}"
+        return _link_first(graph, combinations(sorted(env.affected), 2))
     if env.pressure < 0.0:
         # pinned edges (referenced by a higher layer) are skipped
         pinned = set()
@@ -513,15 +502,11 @@ def _apply_action(graph: ConceptGraph, action: Action) -> ConceptGraph:
     raise UnsupportedActionError(f"unsupported action {kind!r}")
 
 
-def fitness_eval(
-    mind: AgentMind,
-    action: Action,
-    functional: FitnessFunctional = connectivity_ratio,
-) -> FitnessTriple:
+def fitness_eval(mind: AgentMind, action: Action) -> FitnessTriple:
     """(current, target, projected) fitness; the projection applies the
     action to a scratch copy, so the mind itself is untouched."""
-    f_c = functional(mind.graph)
-    f_p = functional(_apply_action(mind.graph, action))
+    f_c = connectivity_ratio(mind.graph)
+    f_p = connectivity_ratio(_apply_action(mind.graph, action))
     return FitnessTriple(f_c, mind.fitness.f_t, f_p)
 
 
@@ -532,11 +517,7 @@ def sustainable(triple: FitnessTriple, eps: float) -> bool:
     return abs(triple.f_p - triple.f_t) <= eps
 
 
-def adapt(
-    mind: AgentMind,
-    env: EnvSignal,
-    functional: FitnessFunctional = connectivity_ratio,
-) -> AgentMind:
+def adapt(mind: AgentMind, env: EnvSignal) -> AgentMind:
     """Structural response to fitness pressure (reference policy).
 
     Positive pressure links the first lexicographic unlinked pair of
@@ -544,7 +525,7 @@ def adapt(
     incident to them; no applicable change is a logged no-op.
     """
     graph, note = _adapt_graph(mind.graph, env)
-    f_c = functional(graph)
+    f_c = connectivity_ratio(graph)
     log = mind.transform_log + (f"adapt({env.pressure:+g}): {note}",)
     return AgentMind(graph, FitnessTriple(f_c, mind.fitness.f_t, f_c), log)
 
@@ -565,33 +546,22 @@ def _check_bridge_sets(graph: ConceptGraph, a: frozenset[str], b: frozenset[str]
         raise GraphError("bridge domains must be non-empty")
     if a & b:
         raise OverlapError(f"bridge domains overlap on {sorted(a & b)}")
-    missing = [x for x in (a | b) if x not in graph.nodes]
-    if missing:
-        raise UnknownIdError(f"bridge references missing nodes {sorted(missing)}")
+    _check_nodes(graph, a | b, "bridge")
 
 
 def _bridge_graph(
     graph: ConceptGraph, a: frozenset[str], b: frozenset[str]
 ) -> tuple[ConceptGraph, str]:
     _check_bridge_sets(graph, a, b)
-    pair = frozenset((min(a), min(b)))
-    if pair in set(map(frozenset, graph.layers[0].values())):
-        return graph, "noop"
-    new, edge_id = store(graph, Edge(order=1, members=pair))
-    return new, f"added {edge_id}"
+    return _link_first(graph, [(min(a), min(b))])
 
 
-def bridge(
-    mind: AgentMind,
-    domain_a: Iterable[str],
-    domain_b: Iterable[str],
-    functional: FitnessFunctional = connectivity_ratio,
-) -> AgentMind:
+def bridge(mind: AgentMind, domain_a: Iterable[str], domain_b: Iterable[str]) -> AgentMind:
     """Link the lowest-id nodes of two disjoint domains (no-op when the
     edge already exists); logged either way."""
     a, b = frozenset(domain_a), frozenset(domain_b)
     graph, note = _bridge_graph(mind.graph, a, b)
-    f_c = functional(graph)
+    f_c = connectivity_ratio(graph)
     log = mind.transform_log + (f"bridge({min(a)},{min(b)}): {note}",)
     return AgentMind(graph, FitnessTriple(f_c, mind.fitness.f_t, f_c), log)
 

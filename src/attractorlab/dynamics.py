@@ -18,6 +18,9 @@ Custom right-hand sides enter either as plain callables or via
 Integration is classic fixed-step fourth-order Runge-Kutta (fixed step
 keeps runs bit-reproducible).  All operations are pure functions of their
 inputs.
+
+The sweep parameter rules live here, in :func:`check_bifurcation` and
+:func:`check_hysteresis`; each sweep and the scenario loader call them.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from .abm import GameMatrix
-
 ROOT_TOL = 1e-10
 STABILITY_FD_STEP = 1e-6
 MARGINAL_BAND = 1e-8
@@ -38,6 +39,7 @@ DEFAULT_GRID_N = 1024
 DEFAULT_RELAX_T = 50.0
 DEFAULT_RELAX_DT = 1e-2
 DEFAULT_JUMP_TOL = 0.5
+RELAX_CAP_FACTOR = 100.0
 SETTLE_TOL = 1e-9
 EQUILIBRATION_TOL = 1e-6
 
@@ -70,7 +72,7 @@ class PayoffSpec:
     mode: str  # "constant" | "matrix"
     p_c: float = 0.0
     p_d: float = 0.0
-    game: GameMatrix | None = None
+    game: object = None  # anything with r, sg, t, pu (abm.GameMatrix)
 
     def __post_init__(self):
         if self.mode == "constant":
@@ -87,7 +89,7 @@ class PayoffSpec:
         return cls(mode="constant", p_c=float(p_c), p_d=float(p_d))
 
     @classmethod
-    def from_game(cls, game: GameMatrix) -> "PayoffSpec":
+    def from_game(cls, game) -> "PayoffSpec":
         return cls(mode="matrix", game=game)
 
     def effective(self, x: float) -> tuple[float, float]:
@@ -111,9 +113,18 @@ def replicator_rhs(x: float, payoffs: PayoffSpec) -> float:
     return x * (1.0 - x) * (p_c - p_d)
 
 
+def _cusp(lam: float, theta: float):
+    """Cusp rate at fixed (lam, theta), bound as default arguments (fast locals)."""
+
+    def f(s, lam=lam, theta=theta):
+        return lam + theta * s - s ** 3
+
+    return f
+
+
 def cusp_rhs(s: float, params: ControlParams) -> float:
     """Rate ``lam + theta s - s**3`` of the bistable family."""
-    return params.lam + params.theta * s - s ** 3
+    return _cusp(params.lam, params.theta)(s)
 
 
 def closed_form_logistic(x0: float, c: float, t: float) -> float:
@@ -179,8 +190,7 @@ class OdeSpec:
     t_end: float = 0.0
 
     def validate(self) -> None:
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        _check_positive(dt=self.dt)
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not math.isfinite(self.x0):
@@ -308,7 +318,6 @@ def find_fixed_points(
     lo: float,
     hi: float,
     grid_n: int = DEFAULT_GRID_N,
-    root_tol: float = ROOT_TOL,
 ) -> FixedPointReport:
     """Grid-scan [lo, hi] for sign changes of ``rhs`` and refine by bisection.
 
@@ -333,7 +342,7 @@ def find_fixed_points(
         if fa == 0.0 or fb == 0.0:
             continue
         if (fa < 0.0) != (fb < 0.0):
-            locations.append(_bisect(rhs, float(xs[i]), float(xs[i + 1]), fa, fb, root_tol))
+            locations.append(_bisect(rhs, float(xs[i]), float(xs[i + 1]), fa, fb, ROOT_TOL))
 
     locations.sort()
     merged: list[float] = []
@@ -360,8 +369,6 @@ def find_fixed_points(
 
 
 def _param_grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
     count = int(math.floor((hi - lo) / step + 1e-9))
     return [lo + k * step for k in range(count + 1)]
 
@@ -369,6 +376,22 @@ def _param_grid(lo: float, hi: float, step: float) -> list[float]:
 def _cusp_bracket(theta: float, lo: float, hi: float) -> float:
     # Cauchy bound on roots of s**3 - theta*s - lam over the swept lam range
     return max(1.0, abs(theta) + max(abs(lo), abs(hi))) + 0.5
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_bifurcation(theta: float, lambda_lo: float, lambda_hi: float, step: float, grid_n: int) -> None:
+    """Rules of ``sweep_bifurcation``: finite theta, lambda_lo < lambda_hi and step > 0;
+    grid_n >= 2."""
+    if not (math.isfinite(theta) and -math.inf < lambda_lo < lambda_hi < math.inf):
+        raise ValueError(f"need finite theta and lambda_lo < lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
+    _check_positive(step=step)
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
 
 
 def sweep_bifurcation(
@@ -379,31 +402,27 @@ def sweep_bifurcation(
     grid_n: int = DEFAULT_GRID_N,
 ) -> list[tuple[float, FixedPointReport]]:
     """Fixed-point report of the cusp family at each lam on a regular grid."""
-    if not lambda_lo < lambda_hi:
-        raise ValueError(f"need lambda_lo < lambda_hi, got [{lambda_lo}, {lambda_hi}]")
+    check_bifurcation(theta, lambda_lo, lambda_hi, step, grid_n)
     bound = _cusp_bracket(theta, lambda_lo, lambda_hi)
-    out = []
-    for lam in _param_grid(lambda_lo, lambda_hi, step):
-        def f(s, lam=lam, theta=theta):
-            return lam + theta * s - s ** 3
-
-        out.append((lam, find_fixed_points(f, -bound, bound, grid_n)))
-    return out
+    return [
+        (lam, find_fixed_points(_cusp(lam, theta), -bound, bound, grid_n))
+        for lam in _param_grid(lambda_lo, lambda_hi, step)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Hysteresis
 # ---------------------------------------------------------------------------
 
-def _relax(f, s: float, relax_t: float, dt: float, cap_factor: float) -> tuple[float, bool]:
-    """Integrate until |f(s)| < SETTLE_TOL, spending at most cap_factor * relax_t.
+def _relax(f, s: float, relax_t: float, dt: float) -> tuple[float, bool]:
+    """Integrate until |f(s)| < SETTLE_TOL, spending at most RELAX_CAP_FACTOR * relax_t.
 
     Early exit once settled is equivalent to running out the clock (the
     state stops moving at that tolerance); the budget extension past
     relax_t lets fold transits complete inside a single sweep step instead
     of being smeared across several.
     """
-    budget = relax_t * cap_factor
+    budget = relax_t * RELAX_CAP_FACTOR
     t = 0.0
     while True:
         if abs(f(s)) < SETTLE_TOL:
@@ -416,6 +435,17 @@ def _relax(f, s: float, relax_t: float, dt: float, cap_factor: float) -> tuple[f
             raise NumericalDivergenceError(f"relaxation diverged at t={t:.3f}")
 
 
+def check_hysteresis(
+    theta: float, lambda_lo: float, lambda_hi: float, step: float,
+    relax_t: float, relax_dt: float, jump_tol: float,
+) -> None:
+    """Rules of ``hysteresis_loop``: finite theta and lambda_lo <= lambda_hi; finite
+    step, relax_t, relax_dt and jump_tol, each > 0."""
+    if not (math.isfinite(theta) and -math.inf < lambda_lo <= lambda_hi < math.inf):
+        raise ValueError(f"need finite theta and lambda_lo <= lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
+    _check_positive(step=step, relax_t=relax_t, relax_dt=relax_dt, jump_tol=jump_tol)
+
+
 def hysteresis_loop(
     theta: float,
     lambda_lo: float,
@@ -424,7 +454,6 @@ def hysteresis_loop(
     relax_t: float = DEFAULT_RELAX_T,
     relax_dt: float = DEFAULT_RELAX_DT,
     jump_tol: float = DEFAULT_JUMP_TOL,
-    relax_cap_factor: float = 100.0,
 ) -> HysteresisReport:
     """Quasi-static double sweep of lam with settled-state tracking.
 
@@ -433,10 +462,7 @@ def hysteresis_loop(
     settled-state change larger than ``jump_tol`` between adjacent lam;
     ``loop_area`` is the trapezoidal area enclosed between the branches.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
-    if lambda_lo > lambda_hi:
-        raise ValueError(f"need lambda_lo <= lambda_hi, got [{lambda_lo}, {lambda_hi}]")
+    check_hysteresis(theta, lambda_lo, lambda_hi, step, relax_t, relax_dt, jump_tol)
     if lambda_lo == lambda_hi:
         return HysteresisReport((), (), (), (), 0.0)
 
@@ -444,13 +470,7 @@ def hysteresis_loop(
     bound = _cusp_bracket(theta, lambda_lo, lambda_hi)
     stuck: list[float] = []
 
-    def rhs_at(lam):
-        def f(s, lam=lam, theta=theta):
-            return lam + theta * s - s ** 3
-
-        return f
-
-    start = find_fixed_points(rhs_at(lams[0]), -bound, bound)
+    start = find_fixed_points(_cusp(lams[0], theta), -bound, bound)
     stable = [r.location for r in start.roots if r.stability == STABLE]
     s = min(stable) if stable else -bound
 
@@ -458,8 +478,8 @@ def hysteresis_loop(
         branch = []
         s = s0
         for lam in values:
-            f = rhs_at(lam)
-            s, settled = _relax(f, s, relax_t, relax_dt, relax_cap_factor)
+            f = _cusp(lam, theta)
+            s, settled = _relax(f, s, relax_t, relax_dt)
             if not settled and abs(f(s)) > EQUILIBRATION_TOL:
                 stuck.append(lam)
             branch.append((lam, s))

@@ -8,11 +8,11 @@ this loader (taken from the model modules) and are filled in at load time,
 so a loaded config is fully explicit.
 
 Each scenario kind is one entry of ``KINDS``: its params schema, the build
-step that turns params into validated model objects, the replicate runner,
-metrics, CSV writer, seed streams per replicate and whether the kind is
-deterministic.  The build step runs once, when a config is created; an
-imported graph is read, validated and compiled there, and every replicate
-reuses it.
+step, the replicate runner, metrics, CSV writer, seed streams per
+replicate and whether the kind is deterministic.  A build step only
+constructs model objects, whose modules own and check the value rules; it
+runs whenever a config is created, so an imported graph is read, validated
+and compiled there once, and every replicate reuses it.
 
 Replicate ``i`` draws from the stream seeded by ``mix64(master_seed, i)``;
 the ``basin`` kind consumes one stream per (replicate, x0) cell, indexed
@@ -71,9 +71,9 @@ class RunManifest:
 class ScenarioConfig:
     """A validated scenario.
 
-    ``model`` is the params built into model objects, made once when the
-    config is created and carried over by ``dataclasses.replace``.  It takes
-    no part in equality and is never serialized.
+    ``model`` is the params built into model objects.  It is built whenever
+    a config is created, ``dataclasses.replace`` included, so it always
+    matches ``params``; it takes no part in equality and is never serialized.
     """
 
     kind: str
@@ -81,7 +81,7 @@ class ScenarioConfig:
     replicates: int
     output_dir: str
     params: dict
-    model: object = field(default=None, compare=False, repr=False)
+    model: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.master_seed <= _MAX_SEED:
@@ -91,12 +91,11 @@ class ScenarioConfig:
         spec = KINDS[self.kind]
         if spec.deterministic and self.replicates != 1:
             raise ConfigError(f"{self.kind} scenarios are deterministic; use replicates=1")
-        if self.model is None:
-            try:
-                model = spec.build(self.params)
-            except (ValueError, TypeError) as exc:  # ConfigError included
-                raise ConfigError(f"invalid {self.kind} params: {exc}") from None
-            object.__setattr__(self, "model", model)
+        try:
+            model = spec.build(self.params)
+        except (ValueError, TypeError) as exc:  # ConfigError included
+            raise ConfigError(f"invalid {self.kind} params: {exc}") from None
+        object.__setattr__(self, "model", model)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +223,6 @@ def _build_replicator(params: dict) -> dynamics.OdeSpec:
     return spec
 
 
-def _check_bifurcation(params: dict) -> dict:
-    if params["step"] <= 0 or params["lambda_lo"] >= params["lambda_hi"]:
-        raise ConfigError("need step > 0 and lambda_lo < lambda_hi")
-    if params["grid_n"] < 2:
-        raise ConfigError("grid_n must be >= 2")
-    return params
-
-
-def _check_hysteresis(params: dict) -> dict:
-    if params["step"] <= 0 or params["lambda_lo"] > params["lambda_hi"]:
-        raise ConfigError("need step > 0 and lambda_lo <= lambda_hi")
-    if params["relax_t"] <= 0 or params["relax_dt"] <= 0 or params["jump_tol"] <= 0:
-        raise ConfigError("relax_t, relax_dt and jump_tol must be > 0")
-    return params
-
-
 def _build_growth(params: dict) -> netgrowth.GrowthConfig:
     cfg = netgrowth.GrowthConfig(**params)
     cfg.validate()
@@ -273,15 +256,12 @@ def _build_abm(params: dict) -> tuple[abm.AbmConfig, float, float]:
         rounds=params["rounds"],
     )
     cfg.validate()
-    if not 0.0 <= params["s_c"] < params["s_d"] <= 1.0:
-        raise ConfigError("thresholds must satisfy 0 <= s_c < s_d <= 1")
+    abm.check_thresholds(params["s_c"], params["s_d"])
     return cfg, params["s_c"], params["s_d"]
 
 
 def _build_basin(params: dict) -> tuple[abm.AbmConfig, float, float, tuple[float, ...]]:
-    for x0 in params["x0_list"]:
-        if not 0.0 <= x0 <= 1.0:
-            raise ConfigError(f"x0_list entries must lie in [0, 1], got {x0}")
+    abm.check_x0(*params["x0_list"])
     cfg, s_c, s_d = _build_abm({**params, "x0": params["x0_list"][0]})
     return cfg, s_c, s_d, tuple(params["x0_list"])
 
@@ -322,10 +302,9 @@ class _Kind:
     """Everything the harness knows about one scenario kind."""
 
     schema: dict  # params key -> (cast, default), see ``_take``
-    build: Callable  # params -> validated model object; runs once per config
+    build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate index) -> result
     metrics: Callable  # (params, results) -> {metric name: per-replicate series}
-    result: type  # type of one replicate's result
     write: Callable | None  # (result, index) -> (file name, header, rows)
     streams: Callable = lambda params: 1  # seed streams per replicate
     deterministic: bool = False  # replicates must be 1
@@ -370,7 +349,6 @@ KINDS: dict[str, _Kind] = {
         build=_build_replicator,
         run=lambda spec, master_seed, index: dynamics.integrate(spec),
         metrics=lambda params, results: {"final_x": [float(t.states[-1]) for t in results]},
-        result=dynamics.Trajectory,
         write=lambda t, i: (
             f"trajectory_{i:04d}.csv", "t,x",
             ((_fmt(time), _fmt(x)) for time, x in zip(t.times, t.states)),
@@ -378,13 +356,12 @@ KINDS: dict[str, _Kind] = {
     ),
     "bifurcation": _Kind(
         schema={**_SWEEP, "grid_n": (_as_int, dynamics.DEFAULT_GRID_N)},
-        build=_check_bifurcation,
+        build=lambda params: dynamics.check_bifurcation(**params) or params,
         run=lambda params, master_seed, index: dynamics.sweep_bifurcation(**params),
         metrics=lambda params, results: {
             "max_stable_roots": [float(max(rep.stable_count() for _, rep in results[0]))],
             "min_stable_roots": [float(min(rep.stable_count() for _, rep in results[0]))],
         },
-        result=list,
         write=lambda sweep, i: (
             "bifurcation.csv", "lambda,root,stability",
             [(_fmt(lam), _fmt(root.location), root.stability)
@@ -399,14 +376,13 @@ KINDS: dict[str, _Kind] = {
             "relax_dt": (_as_float, dynamics.DEFAULT_RELAX_DT),
             "jump_tol": (_as_float, dynamics.DEFAULT_JUMP_TOL),
         },
-        build=_check_hysteresis,
+        build=lambda params: dynamics.check_hysteresis(**params) or params,
         run=lambda params, master_seed, index: dynamics.hysteresis_loop(**params),
         metrics=lambda params, results: {
             "loop_area": [results[0].loop_area],
             "jumps_up": [float(len(results[0].jumps_up))],
             "jumps_down": [float(len(results[0].jumps_down))],
         },
-        result=dynamics.HysteresisReport,
         write=lambda report, i: (
             "hysteresis.csv", "sweep,lambda,state",
             [(sweep, _fmt(lam), _fmt(state))
@@ -435,7 +411,6 @@ KINDS: dict[str, _Kind] = {
             "agi_lockin": _indicator(results, lambda t: t.locked_in == netgrowth.LOCKED_AGI),
             "dci_lockin": _indicator(results, lambda t: t.locked_in == netgrowth.LOCKED_DCI),
         },
-        result=netgrowth.GrowthTrace,
         write=lambda t, i: (
             f"shares_{i:04d}.csv", "step,agi_share",
             ((str(s + 1), _fmt(v)) for s, v in enumerate(t.shares)),
@@ -446,7 +421,6 @@ KINDS: dict[str, _Kind] = {
         build=_build_abm,
         run=_run_abm,
         metrics=_abm_metrics,
-        result=abm.AbmTrace,
         write=lambda t, i: (
             f"abm_{i:04d}.csv", "round,coop_fraction",
             ((str(r), _fmt(v)) for r, v in enumerate(t.coop_fraction)),
@@ -458,13 +432,10 @@ KINDS: dict[str, _Kind] = {
         build=_build_basin,
         run=_run_basin,
         metrics=_basin_metrics,
-        result=tuple,
         write=None,
         streams=lambda params: len(params["x0_list"]),
     ),
 }
-
-_WRITERS = {spec.result: spec.write for spec in KINDS.values()}
 
 
 def _replicate(kind: str, model, master_seed: int, index: int):
@@ -500,19 +471,15 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def write_outputs(traces, out_dir: str) -> list[str]:
-    """Emit one CSV per trace (schema by trace type); returns paths written.
+def write_outputs(kind: str, traces, out_dir: str) -> list[str]:
+    """Emit one CSV per trace in the schema of ``kind``; returns paths written.
 
     Basin outcome rows have no trace file, they only feed summary.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
+    write = KINDS[kind].write
     paths: list[str] = []
-    for i, item in enumerate(traces):
-        if type(item) not in _WRITERS:
-            raise TypeError(f"no output schema for {type(item).__name__}")
-        write = _WRITERS[type(item)]
-        if write is None:
-            continue
+    for i, item in enumerate(traces if write else ()):
         name, header, rows = write(item, i)
         path = os.path.join(out_dir, name)
         _write_csv(path, header, rows)
@@ -548,8 +515,10 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     Partial outputs are removed when anything fails mid-run.  Once the new
     manifest is written, files that the directory's previous manifest listed
     and this run did not write are deleted; no other file is touched.
-    Results are gathered in replicate order regardless of ``jobs``, so
-    parallel runs emit the same bytes as serial ones.
+    At most ``jobs`` worker processes run, and never more than the
+    replicates or the cores.  Results are gathered in replicate order
+    regardless of ``jobs``, so parallel runs emit the same bytes as serial
+    ones.
     """
     started = datetime.now(timezone.utc).isoformat()
     spec = KINDS[config.kind]
@@ -558,8 +527,9 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     seeds = tuple(mix64(config.master_seed, i) for i in range(n_streams))
 
     args = (repeat(config.kind), repeat(config.model), repeat(config.master_seed), range(n_rep))
-    if jobs > 1 and n_rep > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_rep)) as pool:
+    workers = min(jobs, n_rep, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, *args, chunksize=1))
     else:
         results = list(map(_replicate, *args))
@@ -571,7 +541,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     previous = _listed_files(manifest_path)
     written: list[str] = []
     try:
-        written.extend(write_outputs(results, config.output_dir))
+        written.extend(write_outputs(config.kind, results, config.output_dir))
         summary_path = os.path.join(config.output_dir, "summary.csv")
         _write_csv(
             summary_path,

@@ -37,6 +37,7 @@ LOCKED_DCI = "dci"
 DEFAULT_TAU = 0.9
 DEFAULT_COST_REPLICATES = 200
 MAX_BOOST = 1024.0
+COST_LOG2_TOL = 0.05
 
 # uniforms drawn per block by _final_shares, over all replicates (512 KB)
 _BLOCK_DRAWS = 2 ** 16
@@ -232,12 +233,11 @@ def intervention_cost(
     target_dci_share: float,
     horizon: int,
     replicates: int = DEFAULT_COST_REPLICATES,
-    log2_tol: float = 0.05,
 ) -> float:
     """Minimal dci_boost in [1, 1024] whose mean final DCI share reaches the
     target at the horizon, or +inf when 1024 is not enough.
 
-    Bisection runs on log2(boost) down to ``log2_tol``; every boost is
+    Bisection runs on log2(boost) down to ``COST_LOG2_TOL``; every boost is
     evaluated on the same replicate streams (common random numbers), so the
     probed mean is a deterministic, effectively monotone function of boost.
     """
@@ -261,7 +261,7 @@ def intervention_cost(
         return math.inf
 
     lo, hi = 0.0, math.log2(MAX_BOOST)  # lo fails, hi passes
-    while hi - lo > log2_tol:
+    while hi - lo > COST_LOG2_TOL:
         mid = 0.5 * (lo + hi)
         if mean_dci(2.0 ** mid) >= target_dci_share:
             hi = mid

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from attractorlab import abm as abm_mod
 from attractorlab.abm import (
     AbmConfig,
     Fermi,
@@ -232,6 +233,28 @@ def test_basin_flip_across_interior_point():
     counts = basin_experiment(tmpl, [0.4, 0.6], replicates=10)
     assert counts[0.4]["agi_first"] >= 9
     assert counts[0.6]["dci_first"] >= 9
+
+
+@pytest.mark.parametrize("s_c, s_d", [(0.9, 0.1), (0.5, 0.5), (-0.1, 0.9), (0.1, 1.1)])
+def test_run_checks_thresholds_before_any_round(monkeypatch, s_c, s_d):
+    calls = []
+    real_step = abm_mod.step
+    monkeypatch.setattr(abm_mod, "step", lambda *args: calls.append(1) or real_step(*args))
+    cfg = AbmConfig(n=10, x0=0.5, game=COORDINATION, rounds=5)
+    with pytest.raises(ValueError, match="s_c"):
+        run(cfg, s_c, s_d)
+    assert calls == []
+    run(cfg)
+    assert len(calls) == 5
+
+
+def test_basin_checks_every_x0_before_any_cell(monkeypatch):
+    calls = []
+    monkeypatch.setattr(abm_mod, "run", lambda *args: calls.append(args))
+    tmpl = AbmConfig(n=10, x0=0.5, game=COORDINATION, rounds=1)
+    with pytest.raises(ValueError, match="1.5"):
+        basin_experiment(tmpl, [0.2, 0.5, 1.5], replicates=2)
+    assert calls == []
 
 
 def test_basin_validates():

@@ -11,7 +11,6 @@ import os
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 from scipy.stats import kstest
@@ -43,7 +42,7 @@ from attractorlab.dynamics import (
     sweep_bifurcation,
 )
 from attractorlab.harness import load_config, run_scenario
-from attractorlab.netgrowth import GrowthConfig, grow, intervention_cost
+from attractorlab.netgrowth import GrowthConfig, _final_shares, intervention_cost
 from attractorlab.rng import make_generator, mix64
 
 FOLD = 2.0 / (3.0 * math.sqrt(3.0))  # closed-form fold location for theta=1
@@ -63,10 +62,9 @@ def criterion(num, description, limit_s):
 
 
 def urn_final_shares(config, replicates):
-    return np.array(
-        [grow(replace(config, rng_seed=mix64(config.rng_seed, i))).shares[-1]
-         for i in range(replicates)]
-    )
+    # replicate i grows from mix64(config.rng_seed, i); the batched kernel
+    # gives the same bytes as grow(...).shares[-1] per replicate
+    return _final_shares(config, replicates)
 
 
 def test_criterion_01_replicator_integrator_vs_closed_form():

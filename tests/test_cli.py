@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from attractorlab.cli import SEED_ENV, main
 
 
@@ -243,3 +245,29 @@ def test_hysteresis_default_relaxation_has_no_warning(tmp_path, capsys):
     diagnostics, err = _hysteresis_run(tmp_path, capsys)
     assert diagnostics == {"non_equilibrated": 0}
     assert "warning" not in err
+
+
+_SWEEP_ARGS = ["--theta", "1", "--lambda-lo", "-0.2", "--lambda-hi", "0.2", "--step", "0.1"]
+_POPULATION_ARGS = ["--n", "20", "--game", "1,0,0,1", "--rounds", "2"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bifurcate", *_SWEEP_ARGS, "--step", "0"], "step"),
+    (["bifurcate", *_SWEEP_ARGS, "--lambda-hi", "-0.2"], "lambda_lo"),
+    (["bifurcate", *_SWEEP_ARGS, "--grid-n", "1"], "grid_n"),
+    (["bifurcate", *_SWEEP_ARGS, "--theta", "nan"], "theta"),
+    (["hysteresis", *_SWEEP_ARGS, "--lambda-hi", "-0.3"], "lambda_lo"),
+    (["hysteresis", *_SWEEP_ARGS, "--step", "-0.1"], "step"),
+    (["hysteresis", *_SWEEP_ARGS, "--relax-t", "0"], "relax_t"),
+    (["hysteresis", *_SWEEP_ARGS, "--relax-dt", "0"], "relax_dt"),
+    (["hysteresis", *_SWEEP_ARGS, "--jump-tol", "-1"], "jump_tol"),
+    (["abm", *_POPULATION_ARGS, "--x0", "0.5", "--sc", "0.9", "--sd", "0.1"], "s_c"),
+    (["abm", *_POPULATION_ARGS, "--x0", "0.5", "--sc", "0.5", "--sd", "0.5"], "s_c"),
+    (["basin", *_POPULATION_ARGS, "--x0-list", "0.5", "--sd", "1.5"], "s_d"),
+    (["basin", *_POPULATION_ARGS, "--x0-list", "0.2,0.5,1.5"], "x0"),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
+def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()

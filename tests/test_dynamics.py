@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attractorlab import dynamics
 from attractorlab.abm import GameMatrix
 from attractorlab.dynamics import (
     ControlParams,
@@ -289,6 +290,37 @@ def test_hysteresis_degenerate_sweep():
     assert rep.up_branch == ()
     assert rep.down_branch == ()
     assert rep.loop_area == 0.0
+
+
+@pytest.mark.parametrize("bad", [
+    {"relax_dt": 0.0}, {"relax_dt": -0.01}, {"relax_t": 0.0}, {"relax_t": math.nan},
+    {"jump_tol": 0.0}, {"jump_tol": -0.5}, {"step": 0.0}, {"step": math.inf},
+    {"lambda_lo": 0.7}, {"lambda_hi": math.inf}, {"theta": math.nan},
+])
+def test_hysteresis_rules_raise_before_relaxing(bad, monkeypatch):
+    # a zero relax_dt never advances the relaxation clock, so the rule must
+    # fire before the first relaxation; the stub keeps this test bounded
+    def no_relax(*args):
+        raise AssertionError("relaxation started")
+
+    monkeypatch.setattr(dynamics, "_relax", no_relax)
+    args = {"theta": 1.0, "lambda_lo": -0.6, "lambda_hi": 0.6, "step": 0.1, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        hysteresis_loop(**args)
+
+
+@pytest.mark.parametrize("bad", [
+    {"step": 0.0}, {"step": -1.0}, {"lambda_hi": -0.6}, {"lambda_lo": -math.inf}, {"grid_n": 1},
+    {"theta": math.inf},
+])
+def test_bifurcation_rules_raise_before_scanning(bad, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(dynamics, "find_fixed_points", no_scan)
+    args = {"theta": 1.0, "lambda_lo": -0.6, "lambda_hi": 0.6, "step": 0.1, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        sweep_bifurcation(**args)
 
 
 def test_tabulated_rhs_hook():

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attractorlab import harness
 from attractorlab.harness import (
     ConfigError,
     ScenarioConfig,
@@ -241,7 +243,7 @@ def test_data_files_have_documented_schemas(tmp_path):
 
 
 def test_write_outputs_empty_traces(tmp_path):
-    assert write_outputs([], str(tmp_path / "empty")) == []
+    assert write_outputs("netgrowth", [], str(tmp_path / "empty")) == []
 
 
 def test_replicator_game_mode_matches_constant_payoffs(tmp_path):
@@ -335,3 +337,40 @@ def test_imported_graph_read_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == 1
     # the compiled graph stays out of the config echo
     assert json.loads(serialize_config(config))["params"]["topology"] == doc["params"]["topology"]
+
+
+def test_replace_rebuilds_the_model(tmp_path):
+    config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "a"), replicates=1, n_nodes=50)))
+    smaller = replace(config, params={**config.params, "n_nodes": 5})
+    traces, _, manifest = run_scenario(smaller)
+    assert len(traces[0].shares) == 5
+    assert manifest.config["params"]["n_nodes"] == 5
+    with pytest.raises(ConfigError, match="n_nodes"):
+        replace(config, params={**config.params, "n_nodes": 0})
+
+
+def test_worker_count_capped_by_cores_and_replicates(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "x"), replicates=5, n_nodes=20)))
+    for cores, jobs in ((3, 5000), (3, 2), (8, 5000), (3, 1), (None, 4)):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda cores=cores: cores)
+        run_scenario(config, jobs=jobs)
+    # capped at the cores, then at the replicates; one worker runs in-process
+    assert started == [3, 2, 5]
