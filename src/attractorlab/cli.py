@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 Diagnostics go to stderr; data files never contain log lines.  A run whose
 manifest reports a non-zero numerical diagnostic prints a warning to stderr,
 also under ``--quiet``.  The env var ``ATTRACTORLAB_SEED`` overrides the
-config's master seed, and an explicit ``--seed`` flag overrides both.
+config's master seed, and an explicit ``--seed`` flag overrides both; the
+seed and ``--out`` are applied to the config document before its one load.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 from typing import NamedTuple
 
-from .harness import KINDS, ConfigError, load_config, run_scenario
+from .harness import KINDS, ConfigError, load_config, parse_json, run_scenario
 
 SEED_ENV = "ATTRACTORLAB_SEED"
 
@@ -188,7 +188,14 @@ def _resolve_seed(flag_value, fallback: int) -> int:
     return fallback
 
 
-def _execute(args, config) -> int:
+def _execute(args, doc) -> int:
+    """Apply the seed override and ``--out`` to a config document, load and run it."""
+    if isinstance(doc, dict):  # the loader rejects anything else
+        if "master_seed" in doc:
+            doc["master_seed"] = _resolve_seed(args.seed, doc["master_seed"])
+        if args.out is not None:
+            doc["output_dir"] = args.out
+    config = load_config(json.dumps(doc))
     _info(args, f"running {config.kind} ({config.replicates} replicate(s)) -> {config.output_dir}")
     _, _, manifest = run_scenario(config, jobs=max(1, args.jobs))
     for name in manifest.files:
@@ -206,13 +213,7 @@ def _cmd_run(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
-    config = load_config(text)
-    config = replace(
-        config,
-        master_seed=_resolve_seed(args.seed, config.master_seed),
-        output_dir=config.output_dir if args.out is None else args.out,
-    )
-    return _execute(args, config)
+    return _execute(args, parse_json(text))
 
 
 def _cmd_shortcut(args) -> int:
@@ -228,13 +229,11 @@ def _cmd_shortcut(args) -> int:
             params[flag.key] = value
     doc = {
         "kind": shortcut.kind,
-        "master_seed": _resolve_seed(args.seed, 0),
+        "master_seed": 0,
         "replicates": args.replicates,
         "params": params,
     }
-    if args.out is not None:
-        doc["output_dir"] = args.out
-    return _execute(args, load_config(json.dumps(doc)))
+    return _execute(args, doc)
 
 
 def _cmd_report(args) -> int:

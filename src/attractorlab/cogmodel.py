@@ -12,7 +12,7 @@ Four graph operations cover use:
 * :func:`store` / :func:`remove` - encode and retract nodes or edges,
 * :func:`recall` - exact-id or payload-pattern lookup,
 * :func:`reason_s1` - spreading activation (decaying breadth-first flood),
-* :func:`reason_s2` - deterministic iterative-deepening path search.
+* :func:`reason_s2` - deterministic shortest-path search.
 
 Minds pair a graph with a fitness triple (current, target, projected) and
 an append-only transform log.  The regulatory operations (adapt, bridge,
@@ -317,8 +317,10 @@ class ProblemSpec:
 def reason_s2(graph: ConceptGraph, problem: ProblemSpec) -> tuple[str, ...] | None:
     """Shortest layer-1 path from any premise to the goal within max_depth.
 
-    Deterministic iterative-deepening search, ties broken by lexicographic
-    id order (premises and neighbor expansions are explored sorted).
+    Hop counts to the goal come from one breadth-first pass.  The path
+    starts at the nearest premise and steps each time to a neighbor one hop
+    closer, ties broken by lexicographic id order, so it is the smallest
+    shortest path in id order.
     Returns the node sequence, an empty tuple when the goal is already a
     premise, or None when no path exists within the depth bound.
     """
@@ -326,33 +328,15 @@ def reason_s2(graph: ConceptGraph, problem: ProblemSpec) -> tuple[str, ...] | No
     if problem.goal in problem.premises:
         return ()
     adj = _adjacency(graph)
-
-    # breadth-first distance as an admissible floor for the deepening loop
-    dist = _hops(adj, problem.premises, problem.max_depth)
-    if problem.goal not in dist:
+    to_goal = _hops(adj, [problem.goal], problem.max_depth)
+    reached = sorted((to_goal[p], p) for p in problem.premises if p in to_goal)
+    if not reached:
         return None
-
-    def dfs(node: str, path: list[str], limit: int) -> tuple[str, ...] | None:
-        if node == problem.goal:
-            return tuple(path)
-        if limit == 0:
-            return None
-        for nbr in adj[node]:
-            if nbr in path:
-                continue
-            path.append(nbr)
-            found = dfs(nbr, path, limit - 1)
-            if found is not None:
-                return found
-            path.pop()
-        return None
-
-    for depth in range(dist[problem.goal], problem.max_depth + 1):
-        for start in sorted(problem.premises):
-            found = dfs(start, [start], depth)
-            if found is not None:
-                return found
-    return None
+    path = [reached[0][1]]
+    while path[-1] != problem.goal:
+        hops = to_goal[path[-1]]
+        path.append(next(n for n in adj[path[-1]] if to_goal.get(n) == hops - 1))
+    return tuple(path)
 
 
 # ---------------------------------------------------------------------------

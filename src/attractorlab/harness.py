@@ -21,11 +21,13 @@ wall-clock timestamps live only in the manifest.
 
 Outputs are small CSV files (diff-able, golden-testable) plus a
 ``manifest.json`` carrying the config echo, per-replicate seeds, numerical
-diagnostics and sha256 digests of every emitted file.
+diagnostics and sha256 digests of every emitted file, taken from the bytes
+as they are written; a failed run cleans up by the rule in ``run_scenario``.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -168,16 +170,20 @@ def _norm_x0_list(raw, field: str) -> list:
     return [_as_float(v, field) for v in raw]
 
 
-def load_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a JSON scenario; defaults are filled in and
-    the params are built into model objects once."""
+def parse_json(text: str):
+    """JSON value of a config text; a syntax error names its line and column."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    top = _take(raw, {
+
+
+def load_config(text: str) -> ScenarioConfig:
+    """Parse and fully validate a JSON scenario; defaults are filled in and
+    the params are built into model objects once."""
+    top = _take(parse_json(text), {
         "kind": (_as_str, _REQUIRED),
         "master_seed": (_as_int, _REQUIRED),
         "replicates": (_as_int, _REQUIRED),
@@ -191,9 +197,13 @@ def load_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(kind, top["master_seed"], top["replicates"], top["output_dir"], params)
 
 
+def _config_doc(config: ScenarioConfig) -> dict:
+    """The config as plain data, a copy that shares nothing with the config."""
+    return copy.deepcopy({f.name: getattr(config, f.name) for f in fields(config) if f.name != "model"})
+
+
 def serialize_config(config: ScenarioConfig) -> str:
-    doc = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "model"}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_config_doc(config), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -464,35 +474,36 @@ def aggregate(values) -> SummaryStats:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_data(path: str, header: str, rows) -> str:
+    """Write one CSV file in a single call; returns the sha256 of its bytes."""
+    data = "".join([header + "\n", *(",".join(row) + "\n" for row in rows)]).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_outputs(kind: str, traces, out_dir: str) -> list[str]:
-    """Emit one CSV per trace in the schema of ``kind``; returns paths written.
+def write_outputs(kind: str, traces, out_dir: str) -> dict[str, str]:
+    """Emit one CSV per trace in the schema of ``kind``; returns the sha256
+    of each file written, keyed by its path.
 
     Basin outcome rows have no trace file, they only feed summary.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     write = KINDS[kind].write
-    paths: list[str] = []
+    digests: dict[str, str] = {}
     for i, item in enumerate(traces if write else ()):
         name, header, rows = write(item, i)
         path = os.path.join(out_dir, name)
-        _write_csv(path, header, rows)
-        paths.append(path)
-    return paths
+        digests[path] = _write_data(path, header, rows)
+    return digests
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _unlink(path: str) -> None:
+    """Remove a file; a name that is gone or is not a removable file stays."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def _listed_files(manifest_path: str) -> set[str]:
@@ -512,9 +523,10 @@ def _listed_files(manifest_path: str) -> set[str]:
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str, SummaryStats], RunManifest]:
     """Run all replicates, write data files then the manifest.
 
-    Partial outputs are removed when anything fails mid-run.  Once the new
-    manifest is written, files that the directory's previous manifest listed
-    and this run did not write are deleted; no other file is touched.
+    If anything fails while writing, every file the run created, every file
+    the directory's previous manifest listed and ``manifest.json`` are
+    removed, and no other file.  Once the new manifest is written, files the
+    previous manifest listed and this run did not write are deleted.
     At most ``jobs`` worker processes run, and never more than the
     replicates or the cores.  Results are gathered in replicate order
     regardless of ``jobs``, so parallel runs emit the same bytes as serial
@@ -537,13 +549,14 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     metrics = spec.metrics(config.params, results)
     summary = {name: aggregate(series) for name, series in metrics.items()}
 
-    manifest_path = os.path.join(config.output_dir, "manifest.json")
+    out = config.output_dir
+    manifest_path = os.path.join(out, "manifest.json")
     previous = _listed_files(manifest_path)
-    written: list[str] = []
+    before = set(os.listdir(out)) if os.path.isdir(out) else set()
     try:
-        written.extend(write_outputs(config.kind, results, config.output_dir))
-        summary_path = os.path.join(config.output_dir, "summary.csv")
-        _write_csv(
+        digests = write_outputs(config.kind, results, out)
+        summary_path = os.path.join(out, "summary.csv")
+        digests[summary_path] = _write_data(
             summary_path,
             "metric,mean,std,min,max,ci95,n",
             (
@@ -551,30 +564,23 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
                 for name, s in summary.items()
             ),
         )
-        written.append(summary_path)
-
         manifest = RunManifest(
-            config=json.loads(serialize_config(config)),
+            config=_config_doc(config),
             version=__version__,
             started=started,
             finished=datetime.now(timezone.utc).isoformat(),
             replicate_seeds=seeds,
-            files={os.path.basename(p): _sha256(p) for p in written},
+            files={os.path.basename(p): digest for p, digest in digests.items()},
             diagnostics=spec.diagnostics(results),
         )
         with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
             json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        created = (set(os.listdir(out)) if os.path.isdir(out) else set()) - before
+        for name in created | previous | {"manifest.json"}:
+            _unlink(os.path.join(out, name))
         raise
     for name in previous - manifest.files.keys():
-        try:
-            os.unlink(os.path.join(config.output_dir, name))
-        except FileNotFoundError:
-            pass
+        _unlink(os.path.join(out, name))
     return results, summary, manifest

@@ -210,17 +210,16 @@ def _final_shares(config: GrowthConfig, replicates: int) -> np.ndarray:
 def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockInEstimate:
     """Lock-in frequencies over independently seeded growths.
 
-    Lock-in to AGI counts final shares >= tau, to DCI shares <= 1 - tau.
-    The reported halfwidth is the larger of the two proportions' 95% normal
-    approximations.
+    Each final share is labelled by the rule of ``GrowthTrace.locked_in``
+    (AGI at >= tau, DCI at <= 1 - tau).  The reported halfwidth is the
+    larger of the two proportions' 95% normal approximations.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if not 0.5 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0.5, 1], got {tau}")
-    finals = _final_shares(config, replicates)
-    p_agi = float(np.mean(finals >= tau))
-    p_dci = float(np.mean(finals <= 1.0 - tau))
+    finals = _final_shares(replace(config, tau=tau), replicates)  # validates tau
+    labels = [_lockin_label(share, tau) for share in finals.tolist()]
+    p_agi = labels.count(LOCKED_AGI) / replicates
+    p_dci = labels.count(LOCKED_DCI) / replicates
     se = max(
         math.sqrt(p_agi * (1.0 - p_agi) / replicates),
         math.sqrt(p_dci * (1.0 - p_dci) / replicates),

@@ -220,6 +220,42 @@ def test_run_seed_override_is_validated(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_config_reads_an_imported_graph_once(tmp_path, monkeypatch):
+    # --seed and --out are applied before the one load of the config
+    from attractorlab import abm
+
+    edges = tmp_path / "ring.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+    calls = []
+    load = abm.load_edge_list
+    monkeypatch.setattr(abm, "load_edge_list", lambda text: calls.append(1) or load(text))
+    path = tmp_path / "abm.json"
+    path.write_text(json.dumps({
+        "kind": "abm", "master_seed": 1, "replicates": 2, "output_dir": str(tmp_path / "unused"),
+        "params": {"n": 4, "x0": 0.5, "rounds": 2, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1},
+                   "topology": {"kind": "imported", "path": str(edges)}},
+    }))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--seed", "4", "--out", str(out), "--quiet"]) == 0
+    assert len(calls) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["master_seed"] == 4
+    assert manifest["config"]["output_dir"] == str(out)
+    assert not (tmp_path / "unused").exists()
+
+
+def test_run_config_errors_keep_the_loader_messages(tmp_path, capsys):
+    cases = {"syntax": ('{"kind": "netgrowth",\n  oops}', "line 2, column 3"),
+             "list": ("[1, 2]", "config must be an object")}
+    for name, (text, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        out = tmp_path / f"out_{name}"
+        assert main(["run", "--config", str(path), "--seed", "3", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _hysteresis_run(tmp_path, capsys, **params):
     from test_acceptance import DETERMINISM_DOCS
 

@@ -236,6 +236,42 @@ def test_reason_s2_matches_bfs_oracle(data):
         assert len(path) - 1 == oracle[goal]
 
 
+def simple_paths(adj, start, goal, limit):
+    """Every simple path from start to goal with at most ``limit`` hops."""
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == goal:
+            yield path
+        elif len(path) <= limit:
+            stack.extend(path + (n,) for n in adj[path[-1]] if n not in path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reason_s2_is_the_smallest_shortest_path(data):
+    # brute-force oracle: the shortest simple path, ties by id order
+    n = data.draw(st.integers(2, 8))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = data.draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+        max_size=16,
+    ))
+    edges = [(ids[a], ids[b]) for a, b in pairs]
+    goal = data.draw(st.sampled_from(ids))
+    premises = frozenset(data.draw(st.sets(st.sampled_from(ids), min_size=1, max_size=3)))
+    max_depth = data.draw(st.integers(1, n))
+    adj = {v: set() for v in ids}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    paths = [p for s in premises for p in simple_paths(adj, s, goal, max_depth)]
+    expected = min(paths, key=lambda p: (len(p), p), default=None)
+    if goal in premises:
+        expected = ()
+    assert reason_s2(build_graph(ids, edges), ProblemSpec(goal, premises, max_depth)) == expected
+
+
 # ---------------------------------------------------------------------------
 # Lift and project
 # ---------------------------------------------------------------------------

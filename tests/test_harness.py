@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -17,6 +19,7 @@ from attractorlab.harness import (
     write_outputs,
 )
 from attractorlab.rng import mix64
+from test_acceptance import DETERMINISM_DOCS
 
 
 def netgrowth_doc(out, replicates=4, master_seed=42, **params):
@@ -203,16 +206,29 @@ def test_run_scenario_single_replicate_zero_std(tmp_path):
     assert summary["final_x"].std == 0.0
 
 
-def test_manifest_digests_match_files(tmp_path):
-    import hashlib
-
-    doc = netgrowth_doc(str(tmp_path / "digest"), replicates=2)
+@pytest.mark.parametrize("kind", sorted(DETERMINISM_DOCS))
+def test_manifest_digests_match_files(tmp_path, kind):
+    # digests are taken from the bytes in memory; they must equal the files
+    overrides = DETERMINISM_DOCS[kind]
+    out = str(tmp_path / "digest")
+    doc = {"kind": kind, "master_seed": 1234, "replicates": overrides.get("replicates", 2),
+           "output_dir": out, "params": overrides["params"]}
     _, _, manifest = run_scenario(load_config(json.dumps(doc)))
+    assert sorted(os.listdir(out)) == sorted([*manifest.files, "manifest.json"])
     for name, digest in manifest.files.items():
-        data = read(os.path.join(doc["output_dir"], name))
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert hashlib.sha256(read(os.path.join(out, name))).hexdigest() == digest
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["files"] == manifest.files
     # timestamps live only in the manifest
     assert manifest.started <= manifest.finished
+
+
+def test_manifest_config_echo_shares_nothing_with_the_config(tmp_path):
+    config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "echo"), replicates=1)))
+    _, _, manifest = run_scenario(config)
+    assert manifest.config == json.loads(serialize_config(config))
+    manifest.config["params"]["n_nodes"] = 7
+    assert config.params["n_nodes"] == 200
 
 
 def test_data_files_have_documented_schemas(tmp_path):
@@ -243,7 +259,42 @@ def test_data_files_have_documented_schemas(tmp_path):
 
 
 def test_write_outputs_empty_traces(tmp_path):
-    assert write_outputs("netgrowth", [], str(tmp_path / "empty")) == []
+    assert write_outputs("netgrowth", [], str(tmp_path / "empty")) == {}
+
+
+@pytest.mark.parametrize("finished", [False, True], ids=["fresh", "finished"])
+@pytest.mark.parametrize("error", [
+    lambda: OSError(errno.ENOSPC, "No space left on device"),
+    KeyboardInterrupt,
+], ids=["enospc", "interrupt"])
+@pytest.mark.parametrize("fail_at", [
+    "shares_0000.csv", "shares_0002.csv", "summary.csv", "manifest.json",
+])
+def test_failed_write_removes_what_the_run_wrote(tmp_path, monkeypatch, finished, error, fail_at):
+    out = tmp_path / "run"
+    if finished:
+        # a finished 4-replicate run, plus a file no manifest lists
+        run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=4, n_nodes=50))))
+        (out / "notes.txt").write_text("mine\n")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        """Creates the file, then fails as a full disk or an interrupt would."""
+        fh = open(path, mode, *args, **kwargs)
+        if "r" not in mode and os.path.basename(path) == fail_at:
+            fh.close()
+            raise error()
+        return fh
+
+    monkeypatch.setattr(harness, "open", failing_open, raising=False)
+    doc = netgrowth_doc(str(out), replicates=3, n_nodes=50, master_seed=7)
+    with pytest.raises((OSError, KeyboardInterrupt)):
+        run_scenario(load_config(json.dumps(doc)))
+    # nothing this run created stays, and neither does a manifest whose files
+    # or digests no longer hold; the unlisted notes.txt is untouched
+    left = sorted(os.listdir(out)) if out.exists() else []
+    assert left == (["notes.txt"] if finished else [])
+    if finished:
+        assert (out / "notes.txt").read_text() == "mine\n"
 
 
 def test_replicator_game_mode_matches_constant_payoffs(tmp_path):
