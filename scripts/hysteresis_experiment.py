@@ -3,8 +3,9 @@
 
 Runs a bistable (theta=1) and a monostable (theta=-1) family, each kind into
 its own directory, ``<out>/<bistable|monostable>/<bifurcation|hysteresis>/``
-(every run replaces its directory's files), then prints the jump locations
-and loop areas next to the closed-form fold prediction.
+(every run replaces its directory's files), then prints the jump locations,
+found in the written ``hysteresis.csv``, and the loop areas next to the
+closed-form fold prediction.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from attractorlab.dynamics import find_jumps  # noqa: E402
 from attractorlab.harness import load_config, run_scenario  # noqa: E402
 
 
@@ -27,6 +29,17 @@ def scenario(kind, out, theta, step):
         "output_dir": out,
         "params": params,
     }
+
+
+def branches(path):
+    """The up and down ``(lambda, state)`` branches of a hysteresis.csv."""
+    out = {"up": [], "down": []}
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # header
+        for line in fh:
+            sweep, lam, state = line.rstrip("\n").split(",")
+            out[sweep].append((float(lam), float(state)))
+    return out["up"], out["down"]
 
 
 def main():
@@ -42,14 +55,16 @@ def main():
         written = []
         for kind in ("bifurcation", "hysteresis"):
             out = os.path.join(args.out, label, kind)
-            traces, _, manifest = run_scenario(
-                load_config(json.dumps(scenario(kind, out, theta, args.step)))
-            )
+            config = load_config(json.dumps(scenario(kind, out, theta, args.step)))
+            _, summary, manifest = run_scenario(config)
             written += [os.path.join(out, name) for name in manifest.files]
-        loop = traces[0]  # the hysteresis run came last
+        # the hysteresis run came last; repr floats read back exactly
+        up, down = branches(os.path.join(out, "hysteresis.csv"))
+        tol = config.params["jump_tol"]
         print(
-            f"theta={theta:+.0f}: jumps_up={list(loop.jumps_up)} "
-            f"jumps_down={list(loop.jumps_down)} loop_area={loop.loop_area:.4f}"
+            f"theta={theta:+.0f}: jumps_up={list(find_jumps(up, tol))} "
+            f"jumps_down={list(find_jumps(down, tol))} "
+            f"loop_area={summary['loop_area'].mean:.4f}"
         )
         for path in written:
             print(f"  wrote {path}")

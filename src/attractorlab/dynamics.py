@@ -446,6 +446,16 @@ def check_hysteresis(
     _check_positive(step=step, relax_t=relax_t, relax_dt=relax_dt, jump_tol=jump_tol)
 
 
+def find_jumps(branch, jump_tol: float) -> tuple[float, ...]:
+    """Lambdas of a ``(lambda, state)`` sweep branch where the settled state
+    moved by more than ``jump_tol`` from the previous point."""
+    return tuple(
+        branch[i][0]
+        for i in range(1, len(branch))
+        if abs(branch[i][1] - branch[i - 1][1]) > jump_tol
+    )
+
+
 def hysteresis_loop(
     theta: float,
     lambda_lo: float,
@@ -488,13 +498,6 @@ def hysteresis_loop(
     up_branch, s = sweep(lams, s)
     down_branch, _ = sweep(list(reversed(lams)), s)
 
-    def jumps(branch):
-        return tuple(
-            branch[i][0]
-            for i in range(1, len(branch))
-            if abs(branch[i][1] - branch[i - 1][1]) > jump_tol
-        )
-
     down_aligned = list(reversed(down_branch))
     gaps = [abs(u[1] - d[1]) for u, d in zip(up_branch, down_aligned)]
     area = 0.0
@@ -505,8 +508,8 @@ def hysteresis_loop(
     return HysteresisReport(
         up_branch=tuple(up_branch),
         down_branch=tuple(down_branch),
-        jumps_up=jumps(up_branch),
-        jumps_down=jumps(down_branch),
+        jumps_up=find_jumps(up_branch, jump_tol),
+        jumps_down=find_jumps(down_branch, jump_tol),
         loop_area=area,
         non_equilibrated=tuple(stuck),
     )

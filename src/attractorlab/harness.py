@@ -22,15 +22,23 @@ wall-clock timestamps live only in the manifest.
 Outputs are small CSV files (diff-able, golden-testable) plus a
 ``manifest.json`` carrying the config echo, per-replicate seeds, numerical
 diagnostics and sha256 digests of every emitted file, taken from the bytes
-as they are written; a failed run cleans up by the rule in ``run_scenario``.
+as they are written.  The process that runs a replicate also formats, hashes
+and writes its file, under a temporary name, and hands the parent only a
+``ReplicateRecord`` (metric values, diagnostic counts, digests), so memory
+does not grow with the traces.  Files are renamed to their final names only
+once all are written, then the manifest is written; a failed run cleans up
+by the rule in ``run_scenario``.
 """
 
 from __future__ import annotations
 
 import copy
+import errno
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -287,24 +295,31 @@ def _run_basin(model, master_seed: int, index: int) -> tuple[str, ...]:
     return tuple(abm.basin_replicate(template, x0_list, index, s_c, s_d))
 
 
-def _indicator(results, label) -> list[float]:
-    return [1.0 if label(r) else 0.0 for r in results]
-
-
-def _abm_metrics(params: dict, results: list) -> dict[str, list[float]]:
-    out = {"final_coop_fraction": [float(t.coop_fraction[-1]) for t in results]}
+def _abm_metrics(params: dict, trace) -> dict[str, float]:
+    out = {"final_coop_fraction": float(trace.coop_fraction[-1])}
     for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
-        out[f"outcome_{outcome}"] = _indicator(results, lambda t: t.outcome == outcome)
+        out[f"outcome_{outcome}"] = float(trace.outcome == outcome)
     return out
 
 
-def _basin_metrics(params: dict, results: list) -> dict[str, list[float]]:
-    # indicator series per (outcome, x0) cell
+def _basin_metrics(params: dict, row) -> dict[str, float]:
+    # one indicator per (outcome, x0) cell
     out = {}
-    for i, x0 in enumerate(params["x0_list"]):
+    for x0, cell in zip(params["x0_list"], row):
         for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
-            out[f"{outcome}[x0={float(x0)!r}]"] = _indicator(results, lambda row: row[i] == outcome)
+            out[f"{outcome}[x0={float(x0)!r}]"] = float(cell == outcome)
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _counter(start: int, n: int) -> tuple[str, ...]:
+    """``"<start>,"`` .. ``"<start+n-1>,"``: an integer column, built once per process."""
+    return tuple(f"{i}," for i in range(start, start + n))
+
+
+def _counted(start: int, values) -> map:
+    """Lines ``"<i>,<repr(v)>"`` of a float array, ``i`` counting from ``start``."""
+    return map(operator.add, _counter(start, len(values)), map(repr, values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -314,11 +329,11 @@ class _Kind:
     schema: dict  # params key -> (cast, default), see ``_take``
     build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate index) -> result
-    metrics: Callable  # (params, results) -> {metric name: per-replicate series}
-    write: Callable | None  # (result, index) -> (file name, header, rows)
+    metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
+    write: Callable | None  # (result, index) -> (file name, header, CSV lines)
     streams: Callable = lambda params: 1  # seed streams per replicate
     deterministic: bool = False  # replicates must be 1
-    diagnostics: Callable = lambda results: {}  # results -> counts for the manifest
+    diagnostics: Callable = lambda result: {}  # result -> counts, same keys for every result
 
 
 _SWEEP = {
@@ -358,23 +373,23 @@ KINDS: dict[str, _Kind] = {
         },
         build=_build_replicator,
         run=lambda spec, master_seed, index: dynamics.integrate(spec),
-        metrics=lambda params, results: {"final_x": [float(t.states[-1]) for t in results]},
+        metrics=lambda params, t: {"final_x": float(t.states[-1])},
         write=lambda t, i: (
             f"trajectory_{i:04d}.csv", "t,x",
-            ((_fmt(time), _fmt(x)) for time, x in zip(t.times, t.states)),
+            map("%r,%r".__mod__, zip(t.times.tolist(), t.states.tolist())),
         ),
     ),
     "bifurcation": _Kind(
         schema={**_SWEEP, "grid_n": (_as_int, dynamics.DEFAULT_GRID_N)},
         build=lambda params: dynamics.check_bifurcation(**params) or params,
         run=lambda params, master_seed, index: dynamics.sweep_bifurcation(**params),
-        metrics=lambda params, results: {
-            "max_stable_roots": [float(max(rep.stable_count() for _, rep in results[0]))],
-            "min_stable_roots": [float(min(rep.stable_count() for _, rep in results[0]))],
+        metrics=lambda params, sweep: {
+            "max_stable_roots": float(max(rep.stable_count() for _, rep in sweep)),
+            "min_stable_roots": float(min(rep.stable_count() for _, rep in sweep)),
         },
         write=lambda sweep, i: (
             "bifurcation.csv", "lambda,root,stability",
-            [(_fmt(lam), _fmt(root.location), root.stability)
+            [f"{_fmt(lam)},{_fmt(root.location)},{root.stability}"
              for lam, rep in sweep for root in rep.roots],
         ),
         deterministic=True,
@@ -388,19 +403,19 @@ KINDS: dict[str, _Kind] = {
         },
         build=lambda params: dynamics.check_hysteresis(**params) or params,
         run=lambda params, master_seed, index: dynamics.hysteresis_loop(**params),
-        metrics=lambda params, results: {
-            "loop_area": [results[0].loop_area],
-            "jumps_up": [float(len(results[0].jumps_up))],
-            "jumps_down": [float(len(results[0].jumps_down))],
+        metrics=lambda params, report: {
+            "loop_area": report.loop_area,
+            "jumps_up": float(len(report.jumps_up)),
+            "jumps_down": float(len(report.jumps_down)),
         },
         write=lambda report, i: (
             "hysteresis.csv", "sweep,lambda,state",
-            [(sweep, _fmt(lam), _fmt(state))
+            [f"{sweep},{_fmt(lam)},{_fmt(state)}"
              for sweep, branch in (("up", report.up_branch), ("down", report.down_branch))
              for lam, state in branch],
         ),
         deterministic=True,
-        diagnostics=lambda results: {"non_equilibrated": len(results[0].non_equilibrated)},
+        diagnostics=lambda report: {"non_equilibrated": len(report.non_equilibrated)},
     ),
     "netgrowth": _Kind(
         schema={
@@ -416,25 +431,19 @@ KINDS: dict[str, _Kind] = {
         run=lambda cfg, master_seed, index: netgrowth.grow(
             replace(cfg, rng_seed=mix64(master_seed, index))
         ),
-        metrics=lambda params, results: {
-            "final_agi_share": [float(t.shares[-1]) for t in results],
-            "agi_lockin": _indicator(results, lambda t: t.locked_in == netgrowth.LOCKED_AGI),
-            "dci_lockin": _indicator(results, lambda t: t.locked_in == netgrowth.LOCKED_DCI),
+        metrics=lambda params, t: {
+            "final_agi_share": float(t.shares[-1]),
+            "agi_lockin": float(t.locked_in == netgrowth.LOCKED_AGI),
+            "dci_lockin": float(t.locked_in == netgrowth.LOCKED_DCI),
         },
-        write=lambda t, i: (
-            f"shares_{i:04d}.csv", "step,agi_share",
-            ((str(s + 1), _fmt(v)) for s, v in enumerate(t.shares)),
-        ),
+        write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share", _counted(1, t.shares)),
     ),
     "abm": _Kind(
         schema={**_POPULATION, "x0": (_as_float, _REQUIRED)},
         build=_build_abm,
         run=_run_abm,
         metrics=_abm_metrics,
-        write=lambda t, i: (
-            f"abm_{i:04d}.csv", "round,coop_fraction",
-            ((str(r), _fmt(v)) for r, v in enumerate(t.coop_fraction)),
-        ),
+        write=lambda t, i: (f"abm_{i:04d}.csv", "round,coop_fraction", _counted(0, t.coop_fraction)),
     ),
     # basin outcome rows have no trace file, they only feed summary.csv
     "basin": _Kind(
@@ -448,9 +457,29 @@ KINDS: dict[str, _Kind] = {
 }
 
 
-def _replicate(kind: str, model, master_seed: int, index: int):
-    """One replicate's result; top-level so process pools can pickle it."""
-    return KINDS[kind].run(model, master_seed, index)
+@dataclass(frozen=True, slots=True)
+class ReplicateRecord:
+    """What the parent keeps of one replicate: its metric values, its
+    diagnostic counts and the sha256 of each data file it wrote."""
+
+    metrics: dict[str, float]
+    diagnostics: dict[str, int]
+    files: dict[str, str]  # file name -> sha256
+
+
+def _replicate(config: ScenarioConfig, index: int, suffix: str) -> ReplicateRecord:
+    """Run one replicate and write its data file under its name plus
+    ``suffix``; top-level so process pools can pickle it.  The result is
+    dropped here, so no trace outlives its file."""
+    spec = KINDS[config.kind]
+    result = spec.run(config.model, config.master_seed, index)
+    written = write_outputs(config.kind, [result], config.output_dir, index, suffix)
+    return ReplicateRecord(
+        metrics=spec.metrics(config.params, result),
+        diagnostics=spec.diagnostics(result),
+        files={os.path.basename(path).removesuffix(suffix): digest
+               for path, digest in written.items()},
+    )
 
 
 def aggregate(values) -> SummaryStats:
@@ -474,27 +503,28 @@ def aggregate(values) -> SummaryStats:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _write_data(path: str, header: str, rows) -> str:
+def _write_data(path: str, header: str, lines) -> str:
     """Write one CSV file in a single call; returns the sha256 of its bytes."""
-    data = "".join([header + "\n", *(",".join(row) + "\n" for row in rows)]).encode()
+    data = "\n".join([header, *lines, ""]).encode()
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()
 
 
-def write_outputs(kind: str, traces, out_dir: str) -> dict[str, str]:
-    """Emit one CSV per trace in the schema of ``kind``; returns the sha256
-    of each file written, keyed by its path.
+def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str = "") -> dict[str, str]:
+    """Emit one CSV per trace in the schema of ``kind``, numbered from
+    ``start``, each named with ``suffix`` appended; returns the sha256 of
+    each file written, keyed by the path written.
 
     Basin outcome rows have no trace file, they only feed summary.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     write = KINDS[kind].write
     digests: dict[str, str] = {}
-    for i, item in enumerate(traces if write else ()):
-        name, header, rows = write(item, i)
-        path = os.path.join(out_dir, name)
-        digests[path] = _write_data(path, header, rows)
+    for i, item in enumerate(traces if write else (), start):
+        name, header, lines = write(item, i)
+        path = os.path.join(out_dir, name + suffix)
+        digests[path] = _write_data(path, header, lines)
     return digests
 
 
@@ -520,17 +550,26 @@ def _listed_files(manifest_path: str) -> set[str]:
             if name == os.path.basename(name) and name not in ("", ".", "..", "manifest.json")}
 
 
-def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str, SummaryStats], RunManifest]:
-    """Run all replicates, write data files then the manifest.
+def run_scenario(
+    config: ScenarioConfig, jobs: int = 1
+) -> tuple[list[ReplicateRecord], dict[str, SummaryStats], RunManifest]:
+    """Run all replicates, commit their data files, then write the manifest.
 
-    If anything fails while writing, every file the run created, every file
-    the directory's previous manifest listed and ``manifest.json`` are
-    removed, and no other file.  Once the new manifest is written, files the
-    previous manifest listed and this run did not write are deleted.
-    At most ``jobs`` worker processes run, and never more than the
-    replicates or the cores.  Results are gathered in replicate order
-    regardless of ``jobs``, so parallel runs emit the same bytes as serial
-    ones.
+    Each replicate writes and hashes its own file under a temporary name in
+    the output directory, in the process that computed it, and returns only
+    a ``ReplicateRecord``.  Once every data file and ``summary.csv`` is
+    written, each is renamed over its final name, and then the manifest is
+    written.  Until the renames, no file that was in the directory is
+    changed.
+
+    If anything fails, simulation included, every file the run created
+    (temporary files too), every file the directory's previous manifest
+    listed and ``manifest.json`` are removed, and no other file.  Once the
+    new manifest is written, files the previous manifest listed and this run
+    did not write are deleted.  At most ``jobs`` worker processes run, and
+    never more than the replicates or the cores.  Records are gathered in
+    replicate order regardless of ``jobs``, so parallel runs emit the same
+    bytes as serial ones.
     """
     started = datetime.now(timezone.utc).isoformat()
     spec = KINDS[config.kind]
@@ -538,40 +577,47 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
     n_streams = n_rep * spec.streams(config.params)
     seeds = tuple(mix64(config.master_seed, i) for i in range(n_streams))
 
-    args = (repeat(config.kind), repeat(config.model), repeat(config.master_seed), range(n_rep))
-    workers = min(jobs, n_rep, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate, *args, chunksize=1))
-    else:
-        results = list(map(_replicate, *args))
-
-    metrics = spec.metrics(config.params, results)
-    summary = {name: aggregate(series) for name, series in metrics.items()}
-
     out = config.output_dir
     manifest_path = os.path.join(out, "manifest.json")
     previous = _listed_files(manifest_path)
     before = set(os.listdir(out)) if os.path.isdir(out) else set()
+    suffix = f".tmp{os.getpid()}"
+    args = (repeat(config), range(n_rep), repeat(suffix))
+    workers = min(jobs, n_rep, os.cpu_count() or 1)
     try:
-        digests = write_outputs(config.kind, results, out)
-        summary_path = os.path.join(out, "summary.csv")
-        digests[summary_path] = _write_data(
-            summary_path,
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_replicate, *args, chunksize=1))
+        else:
+            records = list(map(_replicate, *args))
+
+        summary = {name: aggregate([r.metrics[name] for r in records])
+                   for name in records[0].metrics}
+        diagnostics = {name: sum(r.diagnostics[name] for r in records)
+                       for name in records[0].diagnostics}
+        files = {name: digest for r in records for name, digest in r.files.items()}
+        files["summary.csv"] = _write_data(
+            os.path.join(out, "summary.csv" + suffix),
             "metric,mean,std,min,max,ci95,n",
-            (
-                (name, _fmt(s.mean), _fmt(s.std), _fmt(s.min), _fmt(s.max), _fmt(s.ci95), str(s.n))
-                for name, s in summary.items()
-            ),
+            (f"{name},{_fmt(s.mean)},{_fmt(s.std)},{_fmt(s.min)},{_fmt(s.max)},{_fmt(s.ci95)},{s.n}"
+             for name, s in summary.items()),
         )
+
+        # a directory in the way fails the run before any file is replaced
+        for name in files:
+            path = os.path.join(out, name)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for name in files:
+            os.replace(os.path.join(out, name + suffix), os.path.join(out, name))
         manifest = RunManifest(
             config=_config_doc(config),
             version=__version__,
             started=started,
             finished=datetime.now(timezone.utc).isoformat(),
             replicate_seeds=seeds,
-            files={os.path.basename(p): digest for p, digest in digests.items()},
-            diagnostics=spec.diagnostics(results),
+            files=files,
+            diagnostics=diagnostics,
         )
         with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
             json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
@@ -583,4 +629,4 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> tuple[list, dict[str,
         raise
     for name in previous - manifest.files.keys():
         _unlink(os.path.join(out, name))
-    return results, summary, manifest
+    return records, summary, manifest

@@ -195,6 +195,19 @@ def test_rerun_with_fewer_replicates_removes_stale_files(tmp_path):
     assert sorted(os.listdir(out)) == sorted([*manifest["files"], "manifest.json", "notes.txt"])
 
 
+def test_exit_two_run_keeps_an_unlisted_file_it_would_replace(tmp_path, capsys):
+    # no manifest; a directory named summary.csv fails the run after every
+    # trace is written, and the unlisted shares_0000.csv keeps its bytes
+    out = tmp_path / "ng"
+    (out / "summary.csv").mkdir(parents=True)
+    (out / "shares_0000.csv").write_text("mine\n")
+    assert main(["netgrowth", "--seeds", "2,1", "--nodes", "50", "--replicates", "3",
+                 "--out", str(out), "--quiet"]) == 2
+    assert "summary.csv" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["shares_0000.csv", "summary.csv"]
+    assert (out / "shares_0000.csv").read_text() == "mine\n"
+
+
 def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
     # an out-of-range node id and an isolated node both exit 1 before any run
     cases = {"range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),

@@ -2,11 +2,14 @@ import errno
 import hashlib
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attractorlab import harness
 from attractorlab.harness import (
@@ -178,14 +181,77 @@ def test_run_scenario_reproducible_bytes(tmp_path):
         assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name))
 
 
-def test_run_scenario_jobs_match_serial(tmp_path):
-    out_a, out_b = str(tmp_path / "serial"), str(tmp_path / "pool")
-    _, _, manifest = run_scenario(load_config(json.dumps(netgrowth_doc(out_a))), jobs=1)
-    run_scenario(load_config(json.dumps(netgrowth_doc(out_b))), jobs=2)
-    for name in manifest.files:
-        if name == "manifest.json":
-            continue
-        assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name))
+@pytest.mark.parametrize("kind", ["netgrowth", "abm", "replicator"])
+def test_run_scenario_jobs_match_serial(tmp_path, kind):
+    # every kind that writes trace files; the workers write them
+    overrides = DETERMINISM_DOCS[kind]
+    digests = []
+    for jobs in (1, 2):
+        out = str(tmp_path / f"jobs{jobs}")
+        doc = {"kind": kind, "master_seed": 42, "replicates": max(3, overrides.get("replicates", 2)),
+               "output_dir": out, "params": overrides["params"]}
+        _, _, manifest = run_scenario(load_config(json.dumps(doc)), jobs=jobs)
+        assert sorted(os.listdir(out)) == sorted([*manifest.files, "manifest.json"])
+        digests.append({name: hashlib.sha256(read(os.path.join(out, name))).hexdigest()
+                        for name in manifest.files})
+        assert digests[-1] == manifest.files
+    assert digests[0] == digests[1]
+
+
+def test_run_scenario_memory_does_not_grow_with_traces(tmp_path):
+    # the parent keeps a small record per replicate, never its trace
+    n_nodes = 2000
+
+    def peak(replicates):
+        doc = netgrowth_doc(str(tmp_path / f"r{replicates}"), replicates=replicates, n_nodes=n_nodes)
+        config = load_config(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations and per-process caches
+    small, large = peak(25), peak(400)
+    traces = (400 - 25) * n_nodes * 8  # float64 shares of the extra replicates
+    assert large - small < 0.1 * traces, (small, large)
+
+
+def _old_rows(start, values):
+    """Row bytes of the per-row formatter that the bulk writers replace."""
+    return "".join(",".join((str(s + start), harness._fmt(v))) + "\n" for s, v in enumerate(values))
+
+
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 1e-4, 9.999999999999999e-05, 1e-5, -3.3e-7, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e16, 1e22, -1.7976931348623157e308,
+    0.1, 2.0 / 3.0, 123456789.123, float("inf"), float("-inf"), float("nan"),
+])
+_FLOAT64 = arrays(np.float64, st.integers(0, 40),
+                  elements=st.one_of(_EDGE_FLOATS, st.floats(width=64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FLOAT64, st.integers(0, 2))
+def test_bulk_lines_match_row_formatting(values, start):
+    assert "".join(line + "\n" for line in harness._counted(start, values)) == _old_rows(start, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FLOAT64)
+def test_trace_writers_match_row_formatting(values):
+    from attractorlab import abm, dynamics, netgrowth
+
+    header_rows = {
+        "netgrowth": (netgrowth.GrowthTrace(values, None, None), "step,agi_share", _old_rows(1, values)),
+        "abm": (abm.AbmTrace(values, abm.OUTCOME_UNDECIDED), "round,coop_fraction", _old_rows(0, values)),
+        "replicator": (dynamics.Trajectory(values[::-1], values), "t,x", "".join(
+            f"{harness._fmt(t)},{harness._fmt(x)}\n" for t, x in zip(values[::-1], values))),
+    }
+    for kind, (trace, header, rows) in header_rows.items():
+        _, got_header, lines = harness.KINDS[kind].write(trace, 0)
+        assert (got_header, "".join(line + "\n" for line in lines)) == (header, rows)
 
 
 def test_run_scenario_martingale_summary(tmp_path):
@@ -278,9 +344,10 @@ def test_failed_write_removes_what_the_run_wrote(tmp_path, monkeypatch, finished
         (out / "notes.txt").write_text("mine\n")
 
     def failing_open(path, mode="r", *args, **kwargs):
-        """Creates the file, then fails as a full disk or an interrupt would."""
+        """Creates the file, then fails as a full disk or an interrupt would;
+        a data file is written under a temporary name that starts with its own."""
         fh = open(path, mode, *args, **kwargs)
-        if "r" not in mode and os.path.basename(path) == fail_at:
+        if "r" not in mode and os.path.basename(path).startswith(fail_at):
             fh.close()
             raise error()
         return fh
@@ -295,6 +362,28 @@ def test_failed_write_removes_what_the_run_wrote(tmp_path, monkeypatch, finished
     assert left == (["notes.txt"] if finished else [])
     if finished:
         assert (out / "notes.txt").read_text() == "mine\n"
+
+
+@pytest.mark.parametrize("blocker", ["enospc", "directory"])
+def test_failed_run_keeps_the_bytes_of_an_unlisted_file(tmp_path, monkeypatch, blocker):
+    # no manifest lists shares_0000.csv; the failed run would have replaced it
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "shares_0000.csv").write_text("mine\n")
+    if blocker == "directory":
+        (out / "summary.csv").mkdir()  # in the way of the last file committed
+    else:
+        def failing_open(path, mode="r", *args, **kwargs):
+            if "r" not in mode and os.path.basename(path).startswith("summary.csv"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+    before = sorted(os.listdir(out))
+    with pytest.raises(OSError):
+        run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=3, n_nodes=50))))
+    assert sorted(os.listdir(out)) == before
+    assert (out / "shares_0000.csv").read_text() == "mine\n"
 
 
 def test_replicator_game_mode_matches_constant_payoffs(tmp_path):
@@ -393,8 +482,9 @@ def test_imported_graph_read_once_per_run(tmp_path, monkeypatch):
 def test_replace_rebuilds_the_model(tmp_path):
     config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "a"), replicates=1, n_nodes=50)))
     smaller = replace(config, params={**config.params, "n_nodes": 5})
-    traces, _, manifest = run_scenario(smaller)
-    assert len(traces[0].shares) == 5
+    _, _, manifest = run_scenario(smaller)
+    rows = read(os.path.join(smaller.output_dir, "shares_0000.csv")).decode().splitlines()
+    assert len(rows) == 1 + 5
     assert manifest.config["params"]["n_nodes"] == 5
     with pytest.raises(ConfigError, match="n_nodes"):
         replace(config, params={**config.params, "n_nodes": 0})
