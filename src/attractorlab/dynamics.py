@@ -16,8 +16,9 @@ Custom right-hand sides enter either as plain callables or via
 :class:`TabulatedRhs`, a piecewise-linear table.
 
 Integration is classic fixed-step fourth-order Runge-Kutta (fixed step
-keeps runs bit-reproducible).  All operations are pure functions of their
-inputs.
+keeps runs bit-reproducible).  The hysteresis relaxation inlines the step on
+the cusp rate in Python floats, which numpy's ``x**3`` would not match bit
+for bit.  All operations are pure functions of their inputs.
 
 The sweep parameter rules live here, in :func:`check_bifurcation` and
 :func:`check_hysteresis`; each sweep and the scenario loader call them.
@@ -324,7 +325,8 @@ def find_fixed_points(
     Tangency (double) roots leave no sign change and are missed by design;
     fold locations come from the closed-form condition, not this scanner.
     Stability is the sign of a centered finite difference (step 1e-6) with a
-    1e-8 dead band labelled marginal.
+    1e-8 dead band labelled marginal.  The grid scan runs on arrays; the
+    bisection and the difference call ``rhs`` on Python floats.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -333,16 +335,11 @@ def find_fixed_points(
     xs = np.linspace(lo, hi, grid_n + 1)
     vals = _eval_grid(rhs, xs)
 
-    locations: list[float] = []
-    for i in range(grid_n + 1):
-        if vals[i] == 0.0:
-            locations.append(float(xs[i]))
-    for i in range(grid_n):
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0 or fb == 0.0:
-            continue
-        if (fa < 0.0) != (fb < 0.0):
-            locations.append(_bisect(rhs, float(xs[i]), float(xs[i + 1]), fa, fb, ROOT_TOL))
+    # exact zeros, then brackets with nonzero ends of opposite sign; NaN counts as > 0
+    locations: list[float] = xs[vals == 0.0].tolist()
+    neg, nonzero = vals < 0.0, vals != 0.0
+    for i in np.flatnonzero((neg[:-1] != neg[1:]) & nonzero[:-1] & nonzero[1:]).tolist():
+        locations.append(_bisect(rhs, float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1]), ROOT_TOL))
 
     locations.sort()
     merged: list[float] = []
@@ -414,22 +411,33 @@ def sweep_bifurcation(
 # Hysteresis
 # ---------------------------------------------------------------------------
 
-def _relax(f, s: float, relax_t: float, dt: float) -> tuple[float, bool]:
-    """Integrate until |f(s)| < SETTLE_TOL, spending at most RELAX_CAP_FACTOR * relax_t.
+def _relax(lam: float, theta: float, s: float, relax_t: float, dt: float) -> tuple[float, bool]:
+    """Integrate the cusp rate at (lam, theta) until |rate(s)| < SETTLE_TOL,
+    spending at most RELAX_CAP_FACTOR * relax_t.
 
     Early exit once settled is equivalent to running out the clock (the
     state stops moving at that tolerance); the budget extension past
     relax_t lets fold transits complete inside a single sweep step instead
-    of being smeared across several.
+    of being smeared across several.  The RK4 step is ``_rk4_step`` on
+    ``_cusp`` inlined bit for bit, with the settle test's rate as its k1, in
+    Python floats: numpy's ``x**3`` differs in the last bit for about 2.7% of inputs.
     """
     budget = relax_t * RELAX_CAP_FACTOR
+    h, w = 0.5 * dt, dt / 6.0
     t = 0.0
     while True:
-        if abs(f(s)) < SETTLE_TOL:
+        k1 = lam + theta * s - s ** 3
+        if abs(k1) < SETTLE_TOL:
             return s, True
         if t >= budget:
             return s, False
-        s = _rk4_step(f, s, dt)
+        x = s + h * k1
+        k2 = lam + theta * x - x ** 3
+        x = s + h * k2
+        k3 = lam + theta * x - x ** 3
+        x = s + dt * k3
+        k4 = lam + theta * x - x ** 3
+        s = s + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         if not math.isfinite(s):
             raise NumericalDivergenceError(f"relaxation diverged at t={t:.3f}")
@@ -488,9 +496,8 @@ def hysteresis_loop(
         branch = []
         s = s0
         for lam in values:
-            f = _cusp(lam, theta)
-            s, settled = _relax(f, s, relax_t, relax_dt)
-            if not settled and abs(f(s)) > EQUILIBRATION_TOL:
+            s, settled = _relax(lam, theta, s, relax_t, relax_dt)
+            if not settled and abs(_cusp(lam, theta)(s)) > EQUILIBRATION_TOL:
                 stuck.append(lam)
             branch.append((lam, s))
         return branch, s

@@ -40,6 +40,7 @@ import json
 import math
 import operator
 import os
+import re
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -566,10 +567,11 @@ def run_scenario(
     (temporary files too), every file the directory's previous manifest
     listed and ``manifest.json`` are removed, and no other file.  Once the
     new manifest is written, files the previous manifest listed and this run
-    did not write are deleted.  At most ``jobs`` worker processes run, and
-    never more than the replicates or the cores.  Records are gathered in
-    replicate order regardless of ``jobs``, so parallel runs emit the same
-    bytes as serial ones.
+    did not write are deleted, and so are the ``<name>.tmp<digits>`` files
+    that runs killed before their commit left.  At most ``jobs`` worker
+    processes run, and never more than the replicates or the cores.  Records
+    are gathered in replicate order regardless of ``jobs``, so parallel runs
+    emit the same bytes as serial ones.
     """
     started = datetime.now(timezone.utc).isoformat()
     spec = KINDS[config.kind]
@@ -580,7 +582,11 @@ def run_scenario(
     out = config.output_dir
     manifest_path = os.path.join(out, "manifest.json")
     previous = _listed_files(manifest_path)
-    before = set(os.listdir(out)) if os.path.isdir(out) else set()
+    before, stale = set(), []  # stale: temporary files of runs that never committed
+    for name in os.listdir(out) if os.path.isdir(out) else ():
+        before.add(name)
+        if re.fullmatch(r".+\.tmp[0-9]+", name):
+            stale.append(name)
     suffix = f".tmp{os.getpid()}"
     args = (repeat(config), range(n_rep), repeat(suffix))
     workers = min(jobs, n_rep, os.cpu_count() or 1)
@@ -627,6 +633,6 @@ def run_scenario(
         for name in created | previous | {"manifest.json"}:
             _unlink(os.path.join(out, name))
         raise
-    for name in previous - manifest.files.keys():
+    for name in (previous - manifest.files.keys()).union(stale):
         _unlink(os.path.join(out, name))
     return records, summary, manifest

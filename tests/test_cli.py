@@ -208,6 +208,22 @@ def test_exit_two_run_keeps_an_unlisted_file_it_would_replace(tmp_path, capsys):
     assert (out / "shares_0000.csv").read_text() == "mine\n"
 
 
+def test_finished_run_removes_temporary_files_a_killed_run_left(tmp_path):
+    # a run killed before its commit leaves <name>.tmp<pid> files; the next
+    # run that finishes removes them and keeps every other unlisted file
+    out = tmp_path / "ng"
+    out.mkdir()
+    kept = {"notes.txt": "mine\n", "shares_0003.csv.bak": "backup\n"}
+    for name, text in {**kept, "shares_0003.csv.tmp99999": "partial"}.items():
+        (out / name).write_text(text)
+    assert main(["netgrowth", "--seeds", "2,1", "--nodes", "50", "--replicates", "2",
+                 "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(os.listdir(out)) == sorted([*manifest["files"], "manifest.json", *kept])
+    for name, text in kept.items():
+        assert (out / name).read_text() == text
+
+
 def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
     # an out-of-range node id and an isolated node both exit 1 before any run
     cases = {"range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from attractorlab import dynamics
@@ -330,3 +331,162 @@ def test_tabulated_rhs_hook():
     assert report.roots[0].stability == "stable"
     traj = integrate(OdeSpec(table, x0=1.0, dt=0.01, t_end=5.0))
     assert abs(traj.states[-1]) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracles: the fast kernels against the scalar code they replaced
+# ---------------------------------------------------------------------------
+
+def reference_relax(lam, theta, s, relax_t, dt):
+    """The relaxation kernel before inlining: ``_rk4_step`` on ``_cusp`` with
+    a separate settle test."""
+    f = dynamics._cusp(lam, theta)
+    budget = relax_t * dynamics.RELAX_CAP_FACTOR
+    t = 0.0
+    while True:
+        if abs(f(s)) < dynamics.SETTLE_TOL:
+            return s, True
+        if t >= budget:
+            return s, False
+        s = dynamics._rk4_step(f, s, dt)
+        t += dt
+        if not math.isfinite(s):
+            raise NumericalDivergenceError(f"relaxation diverged at t={t:.3f}")
+
+
+def relax_outcome(relax, *args):
+    """Bits of the state and the settled flag, or the error type and message."""
+    try:
+        s, settled = relax(*args)
+    except (NumericalDivergenceError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return struct.pack("<d", s), settled
+
+
+def assert_relax_matches(lam, theta, s0, relax_t, dt):
+    args = (lam, theta, s0, relax_t, dt)
+    expected = relax_outcome(reference_relax, *args)
+    assert relax_outcome(dynamics._relax, *args) == expected
+    return expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(-1, 1), theta=st.floats(-2, 2), s0=st.floats(-2, 2),
+       relax_t=st.floats(1.0, 5.0), dt=st.floats(0.01, 0.05))
+def test_relax_settles_like_the_reference(lam, theta, s0, relax_t, dt):
+    _, settled = assert_relax_matches(lam, theta, s0, relax_t, dt)
+    assume(settled)  # near a fold or at theta = lam = 0 the budget may run out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(-1, 1), theta=st.floats(-2, 2), s0=st.floats(-2, 2),
+       relax_t=st.floats(1e-4, 1e-2), dt=st.floats(1e-3, 0.05))
+def test_relax_runs_out_of_budget_like_the_reference(lam, theta, s0, relax_t, dt):
+    _, settled = assert_relax_matches(lam, theta, s0, relax_t, dt)
+    assume(not settled)  # a start on an equilibrium settles at once
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(-1, 1),
+       theta=st.floats(1e300, 1e308) | st.floats(-1e308, -1e300),
+       s0=st.floats(1e9, 1e100) | st.floats(-1e100, -1e9)
+       | st.sampled_from([math.inf, -math.inf, math.nan]),
+       dt=st.floats(0.1, 2.0))
+def test_relax_diverges_like_the_reference(lam, theta, s0, dt):
+    # theta * s0 overflows to inf, or s0 is not finite: the first step turns
+    # the state non-finite without any cube overflowing
+    outcome = assert_relax_matches(lam, theta, s0, 1.0, dt)
+    assert outcome == (NumericalDivergenceError, f"relaxation diverged at t={dt:.3f}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(-1, 1), theta=st.floats(-2, 2),
+       s0=st.floats(1e3, 1e100) | st.floats(-1e100, -1e3), dt=st.floats(0.1, 2.0))
+def test_relax_overflows_like_the_reference(lam, theta, s0, dt):
+    # a large |s0| with a coarse step overshoots further each stage until a
+    # Python float cube overflows and raises OverflowError (or a stage sum
+    # overflows to inf first); both kernels fail the same way
+    outcome = assert_relax_matches(lam, theta, s0, 1.0, dt)
+    assert outcome[0] in (OverflowError, NumericalDivergenceError)
+
+
+def reference_fixed_points(rhs, lo, hi, grid_n):
+    """``find_fixed_points`` before vectorizing: the grid scanned one index at a time."""
+    xs = np.linspace(lo, hi, grid_n + 1)
+    vals = dynamics._eval_grid(rhs, xs)
+    locations = []
+    for i in range(grid_n + 1):
+        if vals[i] == 0.0:
+            locations.append(float(xs[i]))
+    for i in range(grid_n):
+        fa, fb = float(vals[i]), float(vals[i + 1])
+        if fa == 0.0 or fb == 0.0:
+            continue
+        if (fa < 0.0) != (fb < 0.0):
+            locations.append(dynamics._bisect(rhs, float(xs[i]), float(xs[i + 1]), fa, fb,
+                                              dynamics.ROOT_TOL))
+    locations.sort()
+    merged = []
+    min_sep = (hi - lo) * 1e-12
+    for x in locations:
+        if merged and abs(x - merged[-1]) <= min_sep:
+            continue
+        merged.append(x)
+    roots = []
+    h = dynamics.STABILITY_FD_STEP
+    for r in merged:
+        left, right = max(lo, r - h), min(hi, r + h)
+        d = (float(rhs(right)) - float(rhs(left))) / (right - left)
+        if abs(d) < dynamics.MARGINAL_BAND:
+            label = dynamics.MARGINAL
+        elif d < 0.0:
+            label = dynamics.STABLE
+        else:
+            label = dynamics.UNSTABLE
+        roots.append((struct.pack("<d", r), label))
+    return roots
+
+
+def assert_scan_matches(rhs, lo, hi, grid_n):
+    report = find_fixed_points(rhs, lo, hi, grid_n)
+    assert [(struct.pack("<d", r.location), r.stability) for r in report.roots] == \
+        reference_fixed_points(rhs, lo, hi, grid_n)
+
+
+# grid values drawn from few levels, so exact zeros (of both signs), runs of
+# zeros and NaN are common
+grid_levels = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -3.0, math.nan]) | st.floats(-5, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(grid_levels, min_size=3, max_size=40),
+       lo=st.floats(-3, 0), width=st.floats(0.5, 4))
+@example(values=[0.0, 1.0, -1.0, 0.0], lo=-1.0, width=2.0)  # roots on both bracket edges
+@example(values=[1.0, 0.0, 0.0, -1.0, math.nan, 1.0, -1.0], lo=0.0, width=1.0)
+def test_scan_of_a_table_matches_the_scalar_scan(values, lo, width):
+    # the table's knots are the scan grid, so each grid value is a drawn level
+    grid_n = len(values) - 1
+    hi = lo + width
+    knots = tuple(np.linspace(lo, hi, grid_n + 1).tolist())
+    assert_scan_matches(TabulatedRhs(knots, tuple(values)), lo, hi, grid_n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_n=st.integers(2, 40), root_at=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+       nan_above=st.none() | st.floats(-1, 1))
+@example(grid_n=4, root_at=[0, 1, 4], nan_above=None)  # adjacent zeros, both bracket edges
+def test_scan_of_a_callable_matches_the_scalar_scan(grid_n, root_at, nan_above):
+    # a cubic whose roots sit on grid points, NaN above ``nan_above``; with
+    # NaN the callable does not broadcast and the grid is evaluated point by point
+    xs = np.linspace(-1.0, 1.0, grid_n + 1).tolist()
+    roots = [xs[min(i, grid_n)] for i in root_at]
+
+    def rhs(x):
+        if nan_above is not None and x > nan_above:
+            return math.nan
+        value = -1.0
+        for r in roots:
+            value *= x - r
+        return value
+
+    assert_scan_matches(rhs, -1.0, 1.0, grid_n)
