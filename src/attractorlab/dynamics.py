@@ -50,7 +50,7 @@ MARGINAL = "marginal"
 
 
 class NumericalDivergenceError(RuntimeError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state or overflowed."""
 
 
 @dataclass(frozen=True)
@@ -425,22 +425,26 @@ def _relax(lam: float, theta: float, s: float, relax_t: float, dt: float) -> tup
     budget = relax_t * RELAX_CAP_FACTOR
     h, w = 0.5 * dt, dt / 6.0
     t = 0.0
-    while True:
-        k1 = lam + theta * s - s ** 3
-        if abs(k1) < SETTLE_TOL:
-            return s, True
-        if t >= budget:
-            return s, False
-        x = s + h * k1
-        k2 = lam + theta * x - x ** 3
-        x = s + h * k2
-        k3 = lam + theta * x - x ** 3
-        x = s + dt * k3
-        k4 = lam + theta * x - x ** 3
-        s = s + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if not math.isfinite(s):
-            raise NumericalDivergenceError(f"relaxation diverged at t={t:.3f}")
+    try:
+        while True:
+            k1 = lam + theta * s - s ** 3
+            if abs(k1) < SETTLE_TOL:
+                return s, True
+            if t >= budget:
+                return s, False
+            x = s + h * k1
+            k2 = lam + theta * x - x ** 3
+            x = s + h * k2
+            k3 = lam + theta * x - x ** 3
+            x = s + dt * k3
+            k4 = lam + theta * x - x ** 3
+            s = s + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            if not math.isfinite(s):
+                raise NumericalDivergenceError(f"relaxation diverged at t={t:.3f}")
+    except OverflowError:  # a Python float cube past about 5.6e102
+        raise NumericalDivergenceError(
+            f"relaxation overflowed at lambda={lam!r}, t={t:.3f}; reduce relax_dt") from None
 
 
 def check_hysteresis(

@@ -1,7 +1,7 @@
 """Scenario configs, seeded replication, aggregation and persistence.
 
 A scenario is a JSON document with required keys ``kind``, ``master_seed``
-and ``replicates``, an optional ``output_dir`` (default ``out``) and a
+and ``replicates``, an optional non-empty ``output_dir`` (default ``out``) and a
 ``params`` block holding exactly the target model's parameters.  Unknown
 keys are rejected so experiment typos fail loudly.  Defaults live only in
 this loader (taken from the model modules) and are filled in at load time,
@@ -99,6 +99,8 @@ class ScenarioConfig:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty path")
         spec = KINDS[self.kind]
         if spec.deterministic and self.replicates != 1:
             raise ConfigError(f"{self.kind} scenarios are deterministic; use replicates=1")

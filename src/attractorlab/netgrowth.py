@@ -17,6 +17,10 @@ its node count, 1, until its first join (bootstrap convention).  Every edge
 stays inside one camp, so a camp's weight follows from its join count alone
 (``2m`` degree per join) and which endpoints an arrival wires to never
 affects camp choice: endpoints are neither simulated nor observable.
+
+A camp's weight steps evenly after its first join (by 1 in urn mode, by
+``2m`` in degree_pa mode, where only a bare camp's first join adds less),
+so ``grow`` is one loop for both modes.
 """
 
 from __future__ import annotations
@@ -115,25 +119,6 @@ def _lockin_label(final_share: float, tau: float) -> str | None:
     return None
 
 
-def _grow_urn(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
-    n = config.n_nodes
-    boost = config.dci_boost
-    us = rng.random(n).tolist()
-    a = float(config.seed_agi)
-    d = float(config.seed_dci)
-    agi_counts = []
-    for u in us:
-        if u * (a + boost * d) < a:
-            a += 1.0
-        else:
-            d += 1.0
-        agi_counts.append(a)
-    totals = config.seed_agi + config.seed_dci + np.arange(1, n + 1, dtype=float)
-    shares = np.asarray(agi_counts) / totals
-    degrees = CampDegrees(int(a), int(d))
-    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
-
-
 def _camp_weight(config: GrowthConfig, seeds: int, joins):
     """Weight of a camp founded by ``seeds`` nodes after ``joins`` arrivals
     joined it; elementwise on an array of join counts.
@@ -148,38 +133,37 @@ def _camp_weight(config: GrowthConfig, seeds: int, joins):
     return weight + (weight == 0)
 
 
-def _grow_degree_pa(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
-    n = config.n_nodes
-    boost = config.dci_boost
-    sa, sd = config.seed_agi, config.seed_dci
-    us = rng.random(n).tolist()
-    j_agi = j_dci = 0
-    agi_counts = []
-    for u in us:
-        a = _camp_weight(config, sa, j_agi)
-        d = _camp_weight(config, sd, j_dci)
-        if u * (a + boost * d) < a:
-            j_agi += 1
-        else:
-            j_dci += 1
-        agi_counts.append(sa + j_agi)
-    totals = sa + sd + np.arange(1, n + 1, dtype=float)
-    shares = np.asarray(agi_counts, dtype=float) / totals
-    degrees = CampDegrees(_camp_weight(config, sa, j_agi), _camp_weight(config, sd, j_dci))
-    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
-
-
 def grow(config: GrowthConfig) -> GrowthTrace:
     """Simulate ``config.n_nodes`` arrivals; deterministic given rng_seed.
 
     The trace records the AGI node share after every arrival and the final
     camp weights (node counts in urn mode, degree sums in degree_pa mode).
+    One loop serves both modes, with every weight from ``_camp_weight``: a
+    camp's weight steps evenly after its first join, so the loop adds the
+    first step on that join and the even step on every later one.
     """
     config.validate()
-    rng = make_generator(config.rng_seed)
-    if config.mode == MODE_URN:
-        return _grow_urn(config, rng)
-    return _grow_degree_pa(config, rng)
+    n = config.n_nodes
+    boost = config.dci_boost
+    sa, sd = config.seed_agi, config.seed_dci
+    a0, a1, a2 = _camp_weight(config, sa, np.arange(3.0)).tolist()
+    d, d1 = _camp_weight(config, sd, np.arange(2.0)).tolist()
+    step = a2 - a1
+    a, step_a, step_d = a0, a1 - a0, d1 - d
+    weights = []
+    for u in make_generator(config.rng_seed).random(n).tolist():
+        if u * (a + boost * d) < a:
+            a += step_a
+            step_a = step
+        else:
+            d += step_d
+            step_d = step
+        weights.append(a)
+    # j joins weigh a0 + first step + (j - 1) * step, with 0 < first step <= step
+    agi_nodes = sa + np.ceil((np.fromiter(weights, float, n) - a0) / step)
+    shares = agi_nodes / (sa + sd + np.arange(1, n + 1, dtype=float))
+    degrees = CampDegrees(int(a), int(d))
+    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
 def _final_shares(config: GrowthConfig, replicates: int) -> np.ndarray:

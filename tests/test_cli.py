@@ -224,6 +224,36 @@ def test_finished_run_removes_temporary_files_a_killed_run_left(tmp_path):
         assert (out / name).read_text() == text
 
 
+def test_empty_out_exits_one_and_keeps_the_run_in_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    # an empty output_dir is a config error, raised before anything is read
+    # or removed; joined with "" the cleanup would unlink files in the cwd
+    monkeypatch.chdir(tmp_path)
+    base = ["netgrowth", "--seeds", "1,1", "--nodes", "5", "--replicates", "2", "--quiet"]
+    assert main(base + ["--out", "."]) == 0
+    before = {name: read(name) for name in os.listdir(".")}
+    assert "manifest.json" in before and "summary.csv" in before
+    capsys.readouterr()
+    assert main(base + ["--out", ""]) == 1
+    assert "output_dir" in capsys.readouterr().err
+    assert {name: read(name) for name in os.listdir(".")} == before
+
+
+def test_relaxation_overflow_exits_two_and_leaves_the_directory(tmp_path, capsys):
+    # a coarse relax_dt overshoots until a Python float cube overflows; the
+    # run fails as a named divergence and removes only what it wrote
+    out = tmp_path / "h"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    assert main(["hysteresis", "--theta", "1", "--lambda-lo", "-0.6", "--lambda-hi", "0.6",
+                 "--step", "0.1", "--relax-dt", "5", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "OverflowError" not in err
+    assert "NumericalDivergenceError" in err and "relax_dt" in err
+    assert os.listdir(out) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
 def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
     # an out-of-range node id and an isolated node both exit 1 before any run
     cases = {"range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),

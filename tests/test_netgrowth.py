@@ -9,15 +9,19 @@ from scipy import stats
 
 from attractorlab import netgrowth
 from attractorlab.netgrowth import (
+    MODE_URN,
     CampDegrees,
     GrowthConfig,
+    GrowthTrace,
     attach_probability,
     estimate_lockin,
+    _camp_weight,
     _final_shares,
+    _lockin_label,
     grow,
     intervention_cost,
 )
-from attractorlab.rng import mix64
+from attractorlab.rng import make_generator, mix64
 
 
 def final_shares(config, replicates):
@@ -149,6 +153,84 @@ def test_locked_in_flag():
     assert trace.locked_in == "dci"
     trace = grow(GrowthConfig(n_nodes=10, seed_agi=5, seed_dci=5, tau=0.99, rng_seed=2))
     assert trace.locked_in is None
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracle: the one growth loop against the two per-mode loops it replaced
+# ---------------------------------------------------------------------------
+
+def _grow_urn(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
+    n = config.n_nodes
+    boost = config.dci_boost
+    us = rng.random(n).tolist()
+    a = float(config.seed_agi)
+    d = float(config.seed_dci)
+    agi_counts = []
+    for u in us:
+        if u * (a + boost * d) < a:
+            a += 1.0
+        else:
+            d += 1.0
+        agi_counts.append(a)
+    totals = config.seed_agi + config.seed_dci + np.arange(1, n + 1, dtype=float)
+    shares = np.asarray(agi_counts) / totals
+    degrees = CampDegrees(int(a), int(d))
+    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+
+
+def _grow_degree_pa(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
+    n = config.n_nodes
+    boost = config.dci_boost
+    sa, sd = config.seed_agi, config.seed_dci
+    us = rng.random(n).tolist()
+    j_agi = j_dci = 0
+    agi_counts = []
+    for u in us:
+        a = _camp_weight(config, sa, j_agi)
+        d = _camp_weight(config, sd, j_dci)
+        if u * (a + boost * d) < a:
+            j_agi += 1
+        else:
+            j_dci += 1
+        agi_counts.append(sa + j_agi)
+    totals = sa + sd + np.arange(1, n + 1, dtype=float)
+    shares = np.asarray(agi_counts, dtype=float) / totals
+    degrees = CampDegrees(_camp_weight(config, sa, j_agi), _camp_weight(config, sd, j_dci))
+    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+
+
+def reference_grow(config: GrowthConfig) -> GrowthTrace:
+    """``grow`` before the merge: one loop per mode, the degree_pa loop
+    looking up both camp weights on every arrival."""
+    config.validate()
+    rng = make_generator(config.rng_seed)
+    if config.mode == MODE_URN:
+        return _grow_urn(config, rng)
+    return _grow_degree_pa(config, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["urn", "degree_pa"]),
+    m=st.integers(1, 3),
+    seed_agi=st.sampled_from([1, 2, 3, 5]),
+    seed_dci=st.sampled_from([1, 2, 4]),
+    boost=st.sampled_from([0.0, 0.5, 1.0, 3.7]),
+    n=st.integers(1, 300),
+    rng_seed=st.integers(0, 2 ** 64 - 1),
+)
+@example(mode="degree_pa", m=1, seed_agi=1, seed_dci=1, boost=1.0, n=300, rng_seed=3)
+@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=2, boost=0.0, n=1, rng_seed=0)
+@example(mode="degree_pa", m=3, seed_agi=2, seed_dci=1, boost=0.0, n=40, rng_seed=5)
+@example(mode="urn", m=1, seed_agi=1, seed_dci=1, boost=0.0, n=1, rng_seed=0)
+def test_grow_matches_the_per_mode_loops(mode, m, seed_agi, seed_dci, boost, n, rng_seed):
+    # bare one-node camps step by 2m - 1 on their first join and by 2m after it
+    config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
+                          dci_boost=boost, rng_seed=rng_seed)
+    got, expected = grow(config), reference_grow(config)
+    assert got.shares.tobytes() == expected.shares.tobytes()
+    assert got.final_degrees == expected.final_degrees
+    assert got.locked_in == expected.locked_in
 
 
 # ---------------------------------------------------------------------------
