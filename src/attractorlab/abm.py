@@ -9,6 +9,10 @@ per round equals one step of the replicator flow
 ``dx/dt = x (1 - x) (P_C - P_D)`` of size ``1 / span(game)``; the Fermi rule
 is provided for robustness checks.
 
+Each rule is written once: ``step`` takes every agent's payoff from
+``_payoffs_by_strategy`` (``payoff_of`` reads one entry) and its chance to
+imitate from ``adoption_probability``.
+
 All randomness flows through a Philox generator seeded per run, so a config
 determines its trace exactly.
 """
@@ -49,11 +53,6 @@ class GameMatrix:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"game matrix entry {name} must be finite")
 
-    def payoff(self, mine: bool, other: bool) -> float:
-        if mine:
-            return self.r if other else self.sg
-        return self.t if other else self.pu
-
     def span(self) -> float:
         """Largest minus smallest matrix entry (payoff normalization)."""
         entries = (self.r, self.sg, self.t, self.pu)
@@ -82,11 +81,7 @@ class _Adjacency:
 
 
 def _compile_edges(edges: tuple[tuple[int, int], ...], n: int) -> _Adjacency:
-    """Validate a simple graph on nodes 0..n-1 and build its CSR arrays.
-
-    Raises ValueError naming the first offending node or edge; a node
-    without neighbors raises IsolatedAgentError.
-    """
+    """Validate a simple graph on nodes 0..n-1 and build its CSR arrays."""
     try:
         flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     except OverflowError:
@@ -124,20 +119,19 @@ def _compile_edges(edges: tuple[tuple[int, int], ...], n: int) -> _Adjacency:
 
 @dataclass(frozen=True)
 class Imported:
-    """Simple undirected graph given as an edge tuple.
+    """Simple undirected graph on nodes 0..n-1, given as an edge tuple.
 
-    ``compile(n)`` validates the graph for n agents and returns a copy that
-    carries its neighbor arrays; simulations of a compiled graph never
-    rebuild them, while an uncompiled one is compiled on each use.
+    Building one validates the graph (ValueError naming the first bad node
+    or edge, IsolatedAgentError for a node without neighbors) and compiles
+    its neighbor arrays, ``adjacency``, which every simulation on it reuses.
     """
 
     edges: tuple[tuple[int, int], ...]
-    adjacency: _Adjacency | None = field(default=None, compare=False, repr=False)
+    n: int
+    adjacency: _Adjacency = field(init=False, compare=False, repr=False)
 
-    def compile(self, n: int) -> Imported:
-        if self.adjacency is not None and self.adjacency.degree.size == n:
-            return self
-        return replace(self, adjacency=_compile_edges(self.edges, n))
+    def __post_init__(self):
+        object.__setattr__(self, "adjacency", _compile_edges(self.edges, self.n))
 
 
 Topology = WellMixed | RingLattice | Imported
@@ -163,10 +157,13 @@ UpdateRule = ProportionalImitation | Fermi
 
 
 def check_x0(*x0s: float) -> None:
-    """Each initial cooperator fraction lies in [0, 1]."""
-    for x0 in x0s:
+    """Each initial cooperator fraction lies in [0, 1], and no two are equal
+    (a basin keys its counts by x0, so a repeat would merge two cells)."""
+    for i, x0 in enumerate(x0s):
         if not 0.0 <= x0 <= 1.0:
             raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+        if x0 in x0s[:i]:
+            raise ValueError(f"x0={x0} is repeated; the initial fractions must be distinct")
 
 
 def check_thresholds(s_c: float, s_d: float) -> None:
@@ -202,8 +199,8 @@ class AbmConfig:
                 raise ValueError(f"ring lattice degree must be even and >= 2, got {k}")
             if k >= self.n:
                 raise ValueError(f"ring lattice degree k={k} must be < n={self.n}")
-        if isinstance(self.topology, Imported):
-            self.topology.compile(self.n)
+        if isinstance(self.topology, Imported) and self.topology.n != self.n:
+            raise ValueError(f"imported graph was built for {self.topology.n} nodes, not n={self.n}")
 
 
 @dataclass
@@ -271,45 +268,29 @@ def _ring_offsets(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def payoff_of(agent: int, population: Population, game: GameMatrix) -> float:
-    """Mean game payoff of ``agent`` against its interaction neighbors.
+    """Mean game payoff of ``agent`` against its interaction neighbors: its
+    entry of the payoffs ``step`` uses.
 
     Well-mixed populations play against the strategy mix excluding self.
     """
-    strat = population.strategies
-    n = population.n
-    topo = population.topology
-    mine = bool(strat[agent])
-    if isinstance(topo, WellMixed):
-        if n < 2:
-            raise IsolatedAgentError("well-mixed payoff needs at least 2 agents")
-        nc = int(strat.sum()) - (1 if mine else 0)
-        nd = (n - 1) - nc
-        return (nc * game.payoff(mine, True) + nd * game.payoff(mine, False)) / (n - 1)
-    if isinstance(topo, RingLattice):
-        offsets = _ring_offsets(topo.k)
-        total = 0.0
-        for o in offsets:
-            total += game.payoff(mine, bool(strat[(agent + int(o)) % n]))
-        return total / topo.k
-    adj = topo.compile(n).adjacency
-    nbrs = adj.indices[adj.indptr[agent]:adj.indptr[agent + 1]]
-    total = 0.0
-    for j in nbrs:
-        total += game.payoff(mine, bool(strat[int(j)]))
-    return total / nbrs.size
+    if isinstance(population.topology, WellMixed) and population.n < 2:
+        raise IsolatedAgentError("well-mixed payoff needs at least 2 agents")
+    pi_c, pi_d = _payoffs_by_strategy(population, game)
+    return float(np.where(population.strategies, pi_c, pi_d)[agent])
 
 
-def adoption_probability(update: UpdateRule, payoff_gap: float, payoff_span: float) -> float:
-    """Probability of copying a sampled neighbor, given the payoff gap.
+def adoption_probability(update: UpdateRule, payoff_gap, payoff_span: float) -> np.ndarray:
+    """Probability of copying a sampled neighbor, elementwise over the gaps
+    (neighbor's payoff minus one's own), a scalar or an array.
 
     With a degenerate game (span 0) proportional imitation never switches.
     """
     if isinstance(update, ProportionalImitation):
         if payoff_span <= 0.0:
-            return 0.0
-        return max(0.0, payoff_gap / payoff_span)
-    z = min(700.0, max(-700.0, update.beta * payoff_gap))
-    return 1.0 / (1.0 + math.exp(-z))
+            return np.zeros_like(payoff_gap, dtype=np.float64)
+        return np.maximum(0.0, payoff_gap) / payoff_span
+    z = np.clip(update.beta * payoff_gap, -700.0, 700.0)
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _payoffs_by_strategy(pop: Population, game: GameMatrix) -> tuple:
@@ -333,7 +314,7 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix) -> tuple:
         for o in _ring_offsets(deg):
             ncn += np.roll(coop, -int(o))
     else:
-        adj = pop.topology.compile(n).adjacency
+        adj = pop.topology.adjacency
         coop = strat.astype(np.float64)
         ncn = np.add.reduceat(coop[adj.indices], adj.indptr[:-1])
         deg = adj.degree.astype(np.float64)
@@ -371,22 +352,14 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator) ->
             picks = rng.integers(0, offsets.size, size=n)
             nbr_idx = (np.arange(n) + offsets[picks]) % n
         else:
-            adj = population.topology.compile(n).adjacency
+            adj = population.topology.adjacency
             u = rng.random(n)
             picks = (u * adj.degree).astype(np.int64)
             nbr_idx = adj.indices[adj.indptr[:-1] + picks]
         nbr_strat = strat[nbr_idx]
         pi_nbr = pi[nbr_idx]
 
-    gap = pi_nbr - pi
-    if isinstance(config.update, ProportionalImitation):
-        span = game.span()
-        prob = np.maximum(0.0, gap) / span if span > 0.0 else np.zeros(n)
-    else:
-        z = np.clip(config.update.beta * gap, -700.0, 700.0)
-        prob = 1.0 / (1.0 + np.exp(-z))
-
-    adopt = rng.random(n) < prob
+    adopt = rng.random(n) < adoption_probability(config.update, pi_nbr - pi, game.span())
     new = np.where(adopt, nbr_strat, strat)
     if config.noise > 0.0:
         flips = rng.random(n) < config.noise
@@ -409,7 +382,7 @@ def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -
 
     Exactly ``round(x0 * n)`` cooperators are placed by a seeded shuffle, so
     the first trace entry is the realized initial fraction.  An imported
-    graph is compiled here once unless the config carries it compiled.
+    graph brings the neighbor arrays it compiled when it was built.
     Config and thresholds are checked before the first round.
     """
     config.validate()
@@ -420,10 +393,7 @@ def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -
     order = rng.permutation(n)
     strat = np.zeros(n, dtype=bool)
     strat[order[:k]] = True
-    topology = config.topology
-    if isinstance(topology, Imported):
-        topology = topology.compile(n)
-    pop = Population(strat, topology)
+    pop = Population(strat, config.topology)
 
     fractions = np.empty(config.rounds + 1)
     fractions[0] = k / n

@@ -260,7 +260,7 @@ def _build_topology(topo: dict, n: int) -> abm.Topology:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read topology file {topo['path']!r}: {exc}") from None
-    return abm.Imported(abm.load_edge_list(text)).compile(n)
+    return abm.Imported(abm.load_edge_list(text), n)
 
 
 def _build_abm(params: dict) -> tuple[abm.AbmConfig, float, float]:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,79 @@ def population(bits, topology=None):
     return Population(np.array(bits, dtype=bool), topology or WellMixed())
 
 
+def reference_game_payoff(game, mine, other):
+    """``GameMatrix.payoff`` as it was before ``payoff_of`` was vectorized."""
+    if mine:
+        return game.r if other else game.sg
+    return game.t if other else game.pu
+
+
+def reference_payoff(agent, population, game):
+    """The scalar ``payoff_of`` loop that ``_payoffs_by_strategy`` replaced;
+    only its graph lookup reads the arrays an ``Imported`` now compiles when
+    it is built."""
+    strat = population.strategies
+    n = population.n
+    topo = population.topology
+    mine = bool(strat[agent])
+    if isinstance(topo, WellMixed):
+        if n < 2:
+            raise IsolatedAgentError("well-mixed payoff needs at least 2 agents")
+        nc = int(strat.sum()) - (1 if mine else 0)
+        nd = (n - 1) - nc
+        return (nc * reference_game_payoff(game, mine, True)
+                + nd * reference_game_payoff(game, mine, False)) / (n - 1)
+    if isinstance(topo, RingLattice):
+        offsets = abm_mod._ring_offsets(topo.k)
+        total = 0.0
+        for o in offsets:
+            total += reference_game_payoff(game, mine, bool(strat[(agent + int(o)) % n]))
+        return total / topo.k
+    adj = topo.adjacency
+    nbrs = adj.indices[adj.indptr[agent]:adj.indptr[agent + 1]]
+    total = 0.0
+    for j in nbrs:
+        total += reference_game_payoff(game, mine, bool(strat[int(j)]))
+    return total / nbrs.size
+
+
+def reference_adoption(update, payoff_gap, payoff_span):
+    """The scalar ``adoption_probability`` that the array version replaced."""
+    if isinstance(update, ProportionalImitation):
+        if payoff_span <= 0.0:
+            return 0.0
+        return max(0.0, payoff_gap / payoff_span)
+    z = min(700.0, max(-700.0, update.beta * payoff_gap))
+    return 1.0 / (1.0 + math.exp(-z))
+
+
+entries = st.floats(-1e3, 1e3, allow_nan=False)
+games = st.builds(GameMatrix, entries, entries, entries, entries)
+
+
+@st.composite
+def populations(draw):
+    """A strategy vector on a well-mixed, ring (even k < n) or imported
+    topology; an imported graph is a random simple graph in which every
+    node that drew no edge is joined to one drawn partner."""
+    kind = draw(st.sampled_from(["well_mixed", "ring", "imported"]))
+    n = draw(st.integers(2, 24) if kind != "ring" else st.integers(3, 24))
+    bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if kind == "well_mixed":
+        return population(bits)
+    if kind == "ring":
+        return population(bits, RingLattice(2 * draw(st.integers(1, (n - 1) // 2))))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {p for p in pairs if draw(st.booleans())}
+    for node in range(n):
+        if not any(node in e for e in edges):
+            partner = draw(st.integers(0, n - 2))
+            partner += partner >= node
+            edges.add((min(node, partner), max(node, partner)))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+    return population(bits, Imported(tuple(draw(st.permutations(edges))), n))
+
+
 # ---------------------------------------------------------------------------
 # Payoffs
 # ---------------------------------------------------------------------------
@@ -59,16 +133,31 @@ def test_payoff_ring_center_defector():
 
 def test_payoff_imported_matches_adjacency():
     edges = ((0, 1), (1, 2))
-    pop = population([1, 0, 1], Imported(edges))
+    pop = population([1, 0, 1], Imported(edges, 3))
     game = GameMatrix(r=3, sg=1, t=5, pu=0)
     assert payoff_of(1, pop, game) == pytest.approx(5.0)  # two C neighbors
     assert payoff_of(0, pop, game) == pytest.approx(1.0)  # one D neighbor
 
 
 def test_payoff_isolated_agent_rejected():
-    pop = population([1, 0, 1], Imported(((0, 1),)))  # node 2 isolated
+    # the graph is checked when it is built, before any payoff is asked for
+    with pytest.raises(IsolatedAgentError, match="node 2"):
+        Imported(((0, 1),), 3)
     with pytest.raises(IsolatedAgentError):
-        payoff_of(2, pop, GameMatrix(1, 1, 1, 1))
+        payoff_of(0, population([1]), GameMatrix(1, 1, 1, 1))
+
+
+@given(pop=populations(), game=games)
+def test_payoff_of_matches_the_scalar_loop(pop, game):
+    # exact where both sum the same counts; elsewhere the two differ only in
+    # summation order, so the bound is relative to the largest game entry
+    scale = max(abs(game.r), abs(game.sg), abs(game.t), abs(game.pu))
+    for agent in range(pop.n):
+        got, want = payoff_of(agent, pop, game), reference_payoff(agent, pop, game)
+        if isinstance(pop.topology, WellMixed):
+            assert got == want
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +185,31 @@ def test_adoption_probability_bounds(gap, span, beta):
     for rule in (ProportionalImitation(), Fermi(beta)):
         p = adoption_probability(rule, gap, span)
         assert 0.0 <= p <= 1.0
+
+
+rules = st.one_of(st.just(ProportionalImitation()), st.builds(Fermi, st.floats(0, 1e3)))
+gaps = st.floats(-2e3, 2e3, allow_nan=False)
+
+
+def assert_adoption_matches(rule, got, want):
+    # numpy's exp and math.exp may differ in the last two bits, so the Fermi
+    # rule is held to 1e-15; proportional imitation must match exactly
+    rtol = 0.0 if isinstance(rule, ProportionalImitation) else 1e-15
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@given(rule=rules, gap=gaps, span=st.sampled_from([0.0, 0.5, 1.0, 3.7, 2e3]))
+def test_adoption_probability_matches_the_scalar_rule_on_a_scalar(rule, gap, span):
+    got = adoption_probability(rule, gap, span)
+    assert np.shape(got) == ()
+    assert_adoption_matches(rule, got, reference_adoption(rule, gap, span))
+
+
+@given(rule=rules, gap=st.lists(gaps, max_size=20), span=st.sampled_from([0.0, 1.0, 3.7]))
+def test_adoption_probability_matches_the_scalar_rule_elementwise(rule, gap, span):
+    got = adoption_probability(rule, np.array(gap, dtype=np.float64), span)
+    assert got.shape == (len(gap),) and got.dtype == np.float64
+    assert_adoption_matches(rule, got, [reference_adoption(rule, g, span) for g in gap])
 
 
 def test_step_absorbing_states():
@@ -257,6 +371,16 @@ def test_basin_checks_every_x0_before_any_cell(monkeypatch):
     assert calls == []
 
 
+def test_basin_rejects_a_repeated_x0_before_any_cell(monkeypatch):
+    # counts are keyed by x0, so a repeat would merge two cells' outcomes
+    calls = []
+    monkeypatch.setattr(abm_mod, "run", lambda *args: calls.append(args))
+    tmpl = AbmConfig(n=10, x0=0.5, game=COORDINATION, rounds=1)
+    with pytest.raises(ValueError, match="x0=0.5 is repeated"):
+        basin_experiment(tmpl, [0.5, 0.2, 0.5], replicates=4)
+    assert calls == []
+
+
 def test_basin_validates():
     tmpl = AbmConfig(n=10, x0=0.5, game=COORDINATION, rounds=1)
     with pytest.raises(ValueError):
@@ -290,14 +414,13 @@ def test_load_edge_list_rejects_self_loops_and_garbage():
 
 def test_imported_compile_builds_sorted_neighbors():
     edges = ((0, 2), (1, 2), (0, 1), (3, 2))
-    compiled = Imported(edges).compile(4)
+    compiled = Imported(edges, 4)
     adj = compiled.adjacency
     for i in range(4):
         expected = sorted({v for u, v in edges if u == i} | {u for u, v in edges if v == i})
         assert adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist() == expected
         assert adj.degree[i] == len(expected)
-    assert compiled == Imported(edges)  # compiled arrays take no part in equality
-    assert compiled.compile(4) is compiled
+    assert compiled == Imported(edges, 4)  # compiled arrays take no part in equality
 
 
 @pytest.mark.parametrize("edges, n, match", [
@@ -309,4 +432,13 @@ def test_imported_compile_builds_sorted_neighbors():
 ])
 def test_imported_compile_names_the_bad_node(edges, n, match):
     with pytest.raises(ValueError, match=match):
-        Imported(edges).compile(n)
+        Imported(edges, n)
+
+
+def test_config_rejects_a_graph_built_for_another_n():
+    ring = tuple((i, (i + 1) % 12) for i in range(12))
+    cfg = AbmConfig(n=20, x0=0.5, game=COORDINATION, topology=Imported(ring, 12), rounds=1)
+    with pytest.raises(ValueError, match=r"12 nodes, not n=20"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=r"12 nodes, not n=20"):
+        run(cfg)

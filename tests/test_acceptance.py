@@ -7,10 +7,10 @@ deterministic.
 
 import json
 import math
-import os
 import time
 from collections import deque
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import kstest
@@ -309,7 +309,7 @@ def test_criterion_10_determinism_all_kinds(tmp_path):
                 }
                 _, _, manifest = run_scenario(load_config(json.dumps(doc)))
                 data = {
-                    name: open(os.path.join(out, name), "rb").read()
+                    name: Path(out, name).read_bytes()
                     for name in manifest.files
                     if name != "manifest.json"
                 }

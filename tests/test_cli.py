@@ -366,3 +366,13 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
     assert main([*argv, "--out", str(out), "--quiet"]) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repeated_x0_exits_one_and_writes_nothing(tmp_path, capsys):
+    # summary and metrics are keyed by x0, so a repeat would silently merge
+    # two cells; the config is rejected before any replicate runs
+    out = tmp_path / "b"
+    assert main(["basin", "--n", "50", "--x0-list", "0.5,0.5", "--game", "1,0,0,1",
+                 "--rounds", "3", "--replicates", "4", "--out", str(out), "--quiet"]) == 1
+    assert "x0=0.5 is repeated" in capsys.readouterr().err
+    assert not out.exists()
