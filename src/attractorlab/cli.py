@@ -7,7 +7,9 @@ same loader, so flag runs and file runs with equal values emit identical
 bytes.  Each shortcut is one row of ``_SHORTCUTS``: its flags and the
 params key each one sets.  A flag left out leaves its key out, and the
 loader fills in the default, so every default lives in the loader only.
-``report`` pretty-prints a run directory's summary.csv.
+``report`` checks every file a run directory's manifest lists against its
+sha256, then pretty-prints summary.csv and every non-zero diagnostic; a
+missing or changed file fails it with exit code 1.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 Diagnostics go to stderr; data files never contain log lines.  A run whose
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -236,10 +239,36 @@ def _cmd_shortcut(args) -> int:
     return _execute(args, doc)
 
 
+def _verified_manifest(run_dir: str) -> dict:
+    """A run directory's manifest, once every file it lists is re-hashed
+    and matches its digest."""
+    path = os.path.join(run_dir, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        files = manifest["files"]
+        if not isinstance(files, dict):
+            raise TypeError("'files' is not an object")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"no readable manifest at {path!r}: {exc}") from None
+    for name, digest in files.items():
+        if name != os.path.basename(name):
+            raise ConfigError(f"manifest {path!r} lists {name!r}, which is not a file of the run")
+        try:
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                data = fh.read()
+        except OSError:
+            raise ConfigError(f"{name} is listed in {path!r} but missing") from None
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise ConfigError(f"{name} does not match its digest in {path!r}")
+    return manifest
+
+
 def _cmd_report(args) -> int:
     path = os.path.join(args.dir, "summary.csv")
     if not os.path.exists(path):
         raise ConfigError(f"no summary at {path!r}")
+    manifest = _verified_manifest(args.dir)
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -247,6 +276,9 @@ def _cmd_report(args) -> int:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    for name, count in manifest.get("diagnostics", {}).items():
+        if count:
+            print(f"diagnostic {name} = {count}")
     return 0
 
 
@@ -278,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--replicates", type=int, default=1)
         sub.set_defaults(func=_cmd_shortcut, shortcut=shortcut)
 
-    sub = subs.add_parser("report", help="print a run's summary.csv as a table")
+    sub = subs.add_parser("report", help="verify a run's files, then print its summary.csv as a table")
     sub.add_argument("dir", help="run directory")
     sub.set_defaults(func=_cmd_report, quiet=True)
 

@@ -21,9 +21,16 @@ wall-clock timestamps live only in the manifest.
 
 Outputs are small CSV files (diff-able, golden-testable) plus a
 ``manifest.json`` carrying the config echo, per-replicate seeds, numerical
-diagnostics and sha256 digests of every emitted file, taken from the bytes
-as they are written.  The process that runs a replicate also formats, hashes
-and writes its file, under a temporary name, and hands the parent only a
+diagnostics, the environment (Python, numpy and orjson versions, platform,
+cores, workers) and sha256 digests of every emitted file, taken from the
+bytes as they are written.  Every float is spelled as ``repr`` spells it.
+The trace writers format a whole file in one orjson call, whose digits
+equal ``repr``'s on finite values with 1e-4 <= |v| < 1e16 and on +-0.0;
+a file with any float outside that range is formatted value by value with
+``repr`` instead (``_rows``), so the bytes never depend on the path taken.
+
+The process that runs a replicate also formats, hashes and writes its
+file, under a temporary name, and hands the parent only a
 ``ReplicateRecord`` (metric values, diagnostic counts, digests), so memory
 does not grow with the traces.  Files are renamed to their final names only
 once all are written, then the manifest is written; a failed run cleans up
@@ -34,18 +41,19 @@ from __future__ import annotations
 
 import copy
 import errno
-import functools
 import hashlib
 import json
 import math
-import operator
 import os
+import platform
 import re
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
+
+import numpy as np
 
 from . import __version__, abm, dynamics, netgrowth
 from .rng import mix64
@@ -76,6 +84,7 @@ class RunManifest:
     replicate_seeds: tuple[int, ...]
     files: dict[str, str]
     diagnostics: dict[str, int] = field(default_factory=dict)
+    env: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -314,15 +323,24 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _counter(start: int, n: int) -> tuple[str, ...]:
-    """``"<start>,"`` .. ``"<start+n-1>,"``: an integer column, built once per process."""
-    return tuple(f"{i}," for i in range(start, start + n))
+def _rows(first, second) -> bytes:
+    """CSV rows ``"<a>,<b>"`` of two equal-length numeric columns (each a
+    ``range`` or a float64 array), every value spelled as ``repr`` spells it.
 
-
-def _counted(start: int, values) -> map:
-    """Lines ``"<i>,<repr(v)>"`` of a float array, ``i`` counting from ``start``."""
-    return map(operator.add, _counter(start, len(values)), map(repr, values.tolist()))
+    orjson writes the same shortest round-trip digits as ``repr``, and on
+    finite values with 1e-4 <= |v| < 1e16, and on +-0.0, the same bytes.
+    Outside that range it spells them differently (``1e16`` for ``1e+16``,
+    ``0.00009999999999999999`` for ``9.999999999999999e-05``, ``null`` for
+    nan and inf).  So one orjson call writes the rows only when every float
+    passes that range check (nan fails every comparison); any other pair of
+    columns is written value by value with ``repr``.
+    """
+    cols = [c if isinstance(c, range) else c.tolist() for c in (first, second)]
+    sizes = [abs(c) for c in (first, second) if not isinstance(c, range)]
+    if cols[0] and all(((a < 1e16) & ((a >= 1e-4) | (a == 0))).all() for a in sizes):
+        import orjson  # here, not at module level: it would add to every CLI call's start-up
+        return b"\n".join(orjson.dumps(list(zip(*cols)))[2:-2].split(b"],[")) + b"\n"
+    return "".join([f"{a!r},{b!r}\n" for a, b in zip(*cols)]).encode()
 
 
 @dataclass(frozen=True)
@@ -333,7 +351,7 @@ class _Kind:
     build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate index) -> result
     metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
-    write: Callable | None  # (result, index) -> (file name, header, CSV lines)
+    write: Callable | None  # (result, index) -> (file name, header, CSV rows as bytes)
     streams: Callable = lambda params: 1  # seed streams per replicate
     deterministic: bool = False  # replicates must be 1
     diagnostics: Callable = lambda result: {}  # result -> counts, same keys for every result
@@ -377,10 +395,7 @@ KINDS: dict[str, _Kind] = {
         build=_build_replicator,
         run=lambda spec, master_seed, index: dynamics.integrate(spec),
         metrics=lambda params, t: {"final_x": float(t.states[-1])},
-        write=lambda t, i: (
-            f"trajectory_{i:04d}.csv", "t,x",
-            map("%r,%r".__mod__, zip(t.times.tolist(), t.states.tolist())),
-        ),
+        write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", _rows(t.times, t.states)),
     ),
     "bifurcation": _Kind(
         schema={**_SWEEP, "grid_n": (_as_int, dynamics.DEFAULT_GRID_N)},
@@ -392,8 +407,8 @@ KINDS: dict[str, _Kind] = {
         },
         write=lambda sweep, i: (
             "bifurcation.csv", "lambda,root,stability",
-            [f"{_fmt(lam)},{_fmt(root.location)},{root.stability}"
-             for lam, rep in sweep for root in rep.roots],
+            "".join(f"{_fmt(lam)},{_fmt(root.location)},{root.stability}\n"
+                    for lam, rep in sweep for root in rep.roots).encode(),
         ),
         deterministic=True,
     ),
@@ -413,9 +428,9 @@ KINDS: dict[str, _Kind] = {
         },
         write=lambda report, i: (
             "hysteresis.csv", "sweep,lambda,state",
-            [f"{sweep},{_fmt(lam)},{_fmt(state)}"
-             for sweep, branch in (("up", report.up_branch), ("down", report.down_branch))
-             for lam, state in branch],
+            "".join(f"{sweep},{_fmt(lam)},{_fmt(state)}\n"
+                    for sweep, branch in (("up", report.up_branch), ("down", report.down_branch))
+                    for lam, state in branch).encode(),
         ),
         deterministic=True,
         diagnostics=lambda report: {"non_equilibrated": len(report.non_equilibrated)},
@@ -439,14 +454,16 @@ KINDS: dict[str, _Kind] = {
             "agi_lockin": float(t.locked_in == netgrowth.LOCKED_AGI),
             "dci_lockin": float(t.locked_in == netgrowth.LOCKED_DCI),
         },
-        write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share", _counted(1, t.shares)),
+        write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share",
+                            _rows(range(1, len(t.shares) + 1), t.shares)),
     ),
     "abm": _Kind(
         schema={**_POPULATION, "x0": (_as_float, _REQUIRED)},
         build=_build_abm,
         run=_run_abm,
         metrics=_abm_metrics,
-        write=lambda t, i: (f"abm_{i:04d}.csv", "round,coop_fraction", _counted(0, t.coop_fraction)),
+        write=lambda t, i: (f"abm_{i:04d}.csv", "round,coop_fraction",
+                            _rows(range(len(t.coop_fraction)), t.coop_fraction)),
     ),
     # basin outcome rows have no trace file, they only feed summary.csv
     "basin": _Kind(
@@ -506,9 +523,9 @@ def aggregate(values) -> SummaryStats:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _write_data(path: str, header: str, lines) -> str:
-    """Write one CSV file in a single call; returns the sha256 of its bytes."""
-    data = "\n".join([header, *lines, ""]).encode()
+def _write_data(path: str, header: str, rows: bytes) -> str:
+    """Write one CSV file (header, then rows) in one call; returns the sha256 of its bytes."""
+    data = header.encode() + b"\n" + rows
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()
@@ -519,16 +536,31 @@ def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str =
     ``start``, each named with ``suffix`` appended; returns the sha256 of
     each file written, keyed by the path written.
 
+    The numeric traces (netgrowth, abm, replicator) are formatted by
+    ``_rows``: one orjson call when every float is in the range where orjson
+    and ``repr`` agree, ``repr`` per value otherwise.  Hysteresis and
+    bifurcation rows hold strings and are formatted with ``repr`` per value.
+
     Basin outcome rows have no trace file, they only feed summary.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     write = KINDS[kind].write
     digests: dict[str, str] = {}
     for i, item in enumerate(traces if write else (), start):
-        name, header, lines = write(item, i)
+        name, header, rows = write(item, i)
         path = os.path.join(out_dir, name + suffix)
-        digests[path] = _write_data(path, header, lines)
+        digests[path] = _write_data(path, header, rows)
     return digests
+
+
+def _env(jobs: int) -> dict:
+    """What the data bytes may depend on besides the config: the versions
+    that compute and spell the numbers, the host, and the worker count."""
+    import orjson
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "orjson": orjson.__version__, "platform": platform.platform(),
+            "cpu_count": os.cpu_count(), "jobs": jobs}
 
 
 def _unlink(path: str) -> None:
@@ -607,8 +639,8 @@ def run_scenario(
         files["summary.csv"] = _write_data(
             os.path.join(out, "summary.csv" + suffix),
             "metric,mean,std,min,max,ci95,n",
-            (f"{name},{_fmt(s.mean)},{_fmt(s.std)},{_fmt(s.min)},{_fmt(s.max)},{_fmt(s.ci95)},{s.n}"
-             for name, s in summary.items()),
+            "".join(f"{name},{_fmt(s.mean)},{_fmt(s.std)},{_fmt(s.min)},{_fmt(s.max)},"
+                    f"{_fmt(s.ci95)},{s.n}\n" for name, s in summary.items()).encode(),
         )
 
         # a directory in the way fails the run before any file is replaced
@@ -626,6 +658,7 @@ def run_scenario(
             replicate_seeds=seeds,
             files=files,
             diagnostics=diagnostics,
+            env=_env(workers),
         )
         with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
             json.dump(asdict(manifest), fh, indent=2, sort_keys=True)

@@ -163,6 +163,67 @@ def test_report_missing_dir(tmp_path, capsys):
     assert "summary" in capsys.readouterr().err
 
 
+def _netgrowth_run(out):
+    assert main(["netgrowth", "--seeds", "2,1", "--nodes", "100", "--replicates", "2",
+                 "--seed", "1", "--out", str(out), "--quiet"]) == 0
+
+
+def test_report_rejects_a_changed_data_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    _netgrowth_run(out)
+    path = out / "shares_0000.csv"
+    data = bytearray(path.read_bytes())
+    data[-2] ^= 1  # one byte of the last share
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "shares_0000.csv" in captured.err and "digest" in captured.err
+    assert captured.out == ""
+
+
+def test_report_rejects_a_missing_listed_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    _netgrowth_run(out)
+    (out / "shares_0001.csv").unlink()
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "shares_0001.csv" in captured.err and "missing" in captured.err
+    assert captured.out == ""
+
+
+def test_report_rejects_a_run_without_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    _netgrowth_run(out)
+    (out / "manifest.json").unlink()
+    assert main(["report", str(out)]) == 1
+    assert "manifest" in capsys.readouterr().err
+
+
+def test_report_shows_non_equilibrated_points(tmp_path, capsys):
+    # too short a relaxation budget: points near the folds never settle
+    path = tmp_path / "hysteresis.json"
+    path.write_text(json.dumps({
+        "kind": "hysteresis", "master_seed": 0, "replicates": 1,
+        "params": {"theta": 1, "lambda_lo": -0.6, "lambda_hi": 0.6, "step": 1e-3, "relax_t": 0.05},
+    }))
+    out = str(tmp_path / "h")
+    assert main(["run", "--config", str(path), "--out", out, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["report", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["metric", "mean"]
+    assert lines[-1] == "diagnostic non_equilibrated = 416"
+
+
+def test_report_omits_zero_diagnostics(tmp_path, capsys):
+    out = str(tmp_path / "h")
+    assert main(["hysteresis", *_SWEEP_ARGS, "--out", out, "--quiet"]) == 0
+    assert main(["report", out]) == 0
+    assert "diagnostic" not in capsys.readouterr().out
+
+
 def test_imported_topology_via_file(tmp_path):
     edges = tmp_path / "ring.edges"
     edges.write_text("0 1\n1 2\n2 3\n3 0\n")

@@ -3,7 +3,9 @@ import hashlib
 import json
 import os
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,6 +200,27 @@ def test_run_scenario_jobs_match_serial(tmp_path, kind):
     assert digests[0] == digests[1]
 
 
+def test_manifest_records_the_environment(tmp_path):
+    import platform
+
+    import orjson
+
+    data = []
+    for jobs in (1, 2):
+        out = str(tmp_path / f"jobs{jobs}")
+        _, _, manifest = run_scenario(load_config(json.dumps(netgrowth_doc(out, replicates=3))), jobs=jobs)
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+            env = json.load(fh)["env"]
+        assert env == manifest.env
+        assert env == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "orjson": orjson.__version__, "platform": platform.platform(),
+            "cpu_count": os.cpu_count(), "jobs": min(jobs, 3, os.cpu_count() or 1),
+        }
+        data.append({name: read(os.path.join(out, name)) for name in manifest.files})
+    assert data[0] == data[1]
+
+
 def test_run_scenario_memory_does_not_grow_with_traces(tmp_path):
     # the parent keeps a small record per replicate, never its trace
     n_nodes = 2000
@@ -232,14 +255,72 @@ _FLOAT64 = arrays(np.float64, st.integers(0, 40),
                   elements=st.one_of(_EDGE_FLOATS, st.floats(width=64)))
 
 
+# finite floats that orjson spells as repr does: 1e-4 <= |v| < 1e16, and +-0.0
+_AGREEING = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 9999999999999998.0, -9999999999999998.0, 0.1, 2.0 / 3.0]),
+    st.floats(1e-4, 9999999999999998.0),
+    st.floats(-9999999999999998.0, -1e-4),
+)
+
+
+@st.composite
+def _agreeing_arrays(draw, max_size):
+    """Float arrays in the agreement range: hypothesis draws (edges included)
+    at about half the positions, seeded random digits from every decade of
+    the range at the others."""
+    values = draw(arrays(np.float64, st.integers(0, max_size), elements=_AGREEING))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    spread = 10.0 ** rng.uniform(-4, 16, values.size) * rng.choice([-1.0, 1.0], values.size)
+    spread[(np.abs(spread) < 1e-4) | (np.abs(spread) >= 1e16)] = 1e-4
+    mask = rng.random(values.size) < 0.5
+    values[mask] = spread[mask]
+    return values
+
+
+_OUT_OF_RANGE = [9.999999999999999e-05, -9.999999999999999e-05, 1e16, -1e16, float("nan"),
+                 float("inf"), float("-inf"), 5e-324]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_FLOAT64, st.integers(0, 2))
 def test_bulk_lines_match_row_formatting(values, start):
-    assert "".join(line + "\n" for line in harness._counted(start, values)) == _old_rows(start, values)
+    assert harness._rows(range(start, start + len(values)), values).decode() == _old_rows(start, values)
+
+
+@contextmanager
+def _orjson_spy():
+    import orjson
+
+    with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
+        yield spy
+
+
+@settings(max_examples=60, deadline=None)
+@given(_agreeing_arrays(10_000), st.integers(0, 2))
+def test_rows_in_the_agreement_range_match_repr(values, start):
+    with _orjson_spy() as spy:
+        rows = harness._rows(range(start, start + len(values)), values)
+    assert spy.called == (len(values) > 0)  # the one-orjson-call path
+    assert rows.decode() == _old_rows(start, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_agreeing_arrays(300).filter(len), st.sampled_from(_OUT_OF_RANGE),
+       st.data())
+def test_one_value_out_of_range_keeps_repr_bytes(values, bad, data):
+    values[data.draw(st.integers(0, len(values) - 1), label="position")] = bad
+    agreeing = np.linspace(0.0, 1.0, len(values))
+    with _orjson_spy() as spy:
+        assert harness._rows(range(1, len(values) + 1), values).decode() == _old_rows(1, values)
+        # two float columns, as the replicator writes them, with the bad value in either
+        for t, x in ((values, agreeing), (agreeing, values)):
+            assert harness._rows(t, x).decode() == "".join(
+                f"{harness._fmt(a)},{harness._fmt(b)}\n" for a, b in zip(t, x))
+    assert not spy.called
 
 
 @settings(max_examples=100, deadline=None)
-@given(_FLOAT64)
+@given(st.one_of(_FLOAT64, _agreeing_arrays(300)))
 def test_trace_writers_match_row_formatting(values):
     from attractorlab import abm, dynamics, netgrowth
 
@@ -250,8 +331,8 @@ def test_trace_writers_match_row_formatting(values):
             f"{harness._fmt(t)},{harness._fmt(x)}\n" for t, x in zip(values[::-1], values))),
     }
     for kind, (trace, header, rows) in header_rows.items():
-        _, got_header, lines = harness.KINDS[kind].write(trace, 0)
-        assert (got_header, "".join(line + "\n" for line in lines)) == (header, rows)
+        _, got_header, got_rows = harness.KINDS[kind].write(trace, 0)
+        assert (got_header, got_rows.decode()) == (header, rows)
 
 
 def test_run_scenario_martingale_summary(tmp_path):
