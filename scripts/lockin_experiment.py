@@ -14,17 +14,14 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from attractorlab.netgrowth import (  # noqa: E402
     GrowthConfig,
+    _final_shares,
     estimate_lockin,
-    grow,
     intervention_cost,
 )
-from attractorlab.rng import mix64  # noqa: E402
 
 
 def main():
@@ -37,10 +34,8 @@ def main():
 
     base = GrowthConfig(n_nodes=args.nodes, seed_agi=2, seed_dci=1,
                         tau=args.tau, rng_seed=args.seed)
-    finals = np.array(
-        [grow(replace(base, rng_seed=mix64(args.seed, i))).shares[-1]
-         for i in range(args.replicates)]
-    )
+    # replicate i's final share, byte-equal to its grow(...).shares[-1]
+    finals = _final_shares(base, args.replicates)
     print(f"urn seeds (2,1): mean final AGI share {finals.mean():.4f} "
           f"(martingale predicts {2 / 3:.4f}); run-to-run sd {finals.std():.3f}")
 

@@ -231,11 +231,12 @@ class AbmTrace:
 def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
     """Parse the edge-list interchange format: one ``u v`` pair per line.
 
-    Node ids are 0-based integers, edges undirected; duplicates (in either
-    orientation) and self-loops are rejected.
+    Node ids are 0-based integers, edges undirected and kept as written.
+    Only the syntax is checked here, naming the line; building an
+    ``Imported`` graph rejects ids out of range, self-loops and duplicates
+    (in either orientation).
     """
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -243,18 +244,9 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise ValueError(f"edge list line {lineno}: expected 'u v', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"edge list line {lineno}: non-integer node id in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"edge list line {lineno}: node ids must be >= 0")
-        if u == v:
-            raise ValueError(f"edge list line {lineno}: self-loop {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"edge list line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
     return tuple(edges)
 
 

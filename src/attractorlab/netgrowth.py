@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +44,11 @@ DEFAULT_COST_REPLICATES = 200
 MAX_BOOST = 1024.0
 COST_LOG2_TOL = 0.05
 
-# uniforms drawn per block by _final_shares, over all replicates (512 KB)
+# uniforms drawn per block by _final_shares, over all replicates; every boost
+# of a call steps against the same block (512 KB)
 _BLOCK_DRAWS = 2 ** 16
+# bisection levels whose midpoints one intervention_cost pass evaluates
+_COST_LEVELS_PER_PASS = 3
 
 
 @dataclass(frozen=True)
@@ -166,29 +170,50 @@ def grow(config: GrowthConfig) -> GrowthTrace:
     return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
-def _final_shares(config: GrowthConfig, replicates: int) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _replicate_generators(rng_seed: int, replicates: int) -> tuple[list, list]:
+    """Generators of replicates ``0..replicates-1`` under ``rng_seed``, with
+    their initial states: restoring a state replays a stream far faster than
+    building its generator again.  Not safe to share between threads."""
+    gens = [make_generator(mix64(rng_seed, i)) for i in range(replicates)]
+    return gens, [g.bit_generator.state for g in gens]
+
+
+def _final_shares(
+    config: GrowthConfig, replicates: int, boosts: list[float] | None = None
+) -> np.ndarray:
     """Final AGI share of replicates ``0..replicates-1``, all stepped
     together; byte-identical to each replicate's ``grow(...).shares[-1]``.
 
     Replicate ``i`` draws from its own ``mix64(rng_seed, i)`` stream, in
-    blocks of ``_BLOCK_DRAWS // replicates`` arrivals (at least one).
+    blocks of ``_BLOCK_DRAWS // replicates`` arrivals (at least one).  Given
+    a sequence of ``boosts``, the result has one row per boost in place of
+    ``config.dci_boost``: all rows step against the same uniforms, each with
+    the float64 operations of a one-boost call, so each row equals that
+    call's result byte for byte.
     """
     config.validate()
     n = config.n_nodes
-    boost = config.dci_boost
-    gens = [make_generator(mix64(config.rng_seed, i)) for i in range(replicates)]
+    column = np.array([config.dci_boost] if boosts is None else boosts, dtype=float)[:, None]
+    gens, states = _replicate_generators(config.rng_seed, replicates)
+    for g, state in zip(gens, states):
+        g.bit_generator.state = state
     joins = np.arange(n + 1.0)
     w_agi = _camp_weight(config, config.seed_agi, joins)
     w_dci = _camp_weight(config, config.seed_dci, joins)
-    j_agi = np.zeros(replicates, dtype=np.int64)
+    j_agi = np.zeros((len(column), replicates), dtype=np.int64)
     block = max(1, _BLOCK_DRAWS // replicates)
     for start in range(0, n, block):
         us = np.stack([g.random(min(block, n - start)) for g in gens], axis=1)
         for t, u in enumerate(us, start):
-            a = w_agi[j_agi]
-            d = w_dci[t - j_agi]
-            j_agi += u * (a + boost * d) < a
-    return (config.seed_agi + j_agi) / float(config.seed_agi + config.seed_dci + n)
+            a = w_agi.take(j_agi)
+            d = w_dci.take(t - j_agi)
+            d *= column  # u * (a + boost * d) < a, in place
+            d += a
+            d *= u
+            j_agi += d < a
+    finals = (config.seed_agi + j_agi) / float(config.seed_agi + config.seed_dci + n)
+    return finals[0] if boosts is None else finals
 
 
 def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockInEstimate:
@@ -211,6 +236,16 @@ def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockIn
     return LockInEstimate(tau, p_agi, p_dci, 1.96 * se)
 
 
+def _bisection_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint the bisection of ``intervention_cost`` can probe in its
+    next ``levels`` halvings of [lo, hi], by the loop's own arithmetic."""
+    if levels == 0 or hi - lo <= COST_LOG2_TOL:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_bisection_midpoints(lo, mid, levels - 1),
+            *_bisection_midpoints(mid, hi, levels - 1)]
+
+
 def intervention_cost(
     base: GrowthConfig,
     target_dci_share: float,
@@ -220,9 +255,13 @@ def intervention_cost(
     """Minimal dci_boost in [1, 1024] whose mean final DCI share reaches the
     target at the horizon, or +inf when 1024 is not enough.
 
-    Bisection runs on log2(boost) down to ``COST_LOG2_TOL``; every boost is
-    evaluated on the same replicate streams (common random numbers), so the
-    probed mean is a deterministic, effectively monotone function of boost.
+    Bisection runs on log2(boost) down to ``COST_LOG2_TOL``, every boost on
+    the same replicate streams (common random numbers).  The probes come in
+    batched passes: one ``_final_shares`` call evaluates the two end boosts
+    and every midpoint of the first three levels, and each later call the
+    midpoints of the next three.  The bisection's ``>= target`` decisions
+    are then replayed on those means in order, so the answer is the plain
+    one-probe-at-a-time bisection's, whatever the shape of the mean in boost.
     """
     base.validate()
     if not 0.0 < target_dci_share < 1.0:
@@ -234,19 +273,22 @@ def intervention_cost(
 
     probe = replace(base, n_nodes=horizon)
 
-    def mean_dci(boost: float) -> float:
-        finals = _final_shares(replace(probe, dci_boost=boost), replicates)
-        return float(np.mean(1.0 - finals))
+    def mean_dci(log2_boosts: list[float]) -> dict[float, float]:
+        finals = _final_shares(probe, replicates, [2.0 ** x for x in log2_boosts])
+        return {x: float(np.mean(1.0 - row)) for x, row in zip(log2_boosts, finals)}
 
-    if mean_dci(1.0) >= target_dci_share:
+    lo, hi = 0.0, math.log2(MAX_BOOST)  # boosts 1 and MAX_BOOST
+    means = mean_dci([lo, hi, *_bisection_midpoints(lo, hi, _COST_LEVELS_PER_PASS)])
+    if means[lo] >= target_dci_share:
         return 1.0
-    if mean_dci(MAX_BOOST) < target_dci_share:
+    if means[hi] < target_dci_share:
         return math.inf
 
-    lo, hi = 0.0, math.log2(MAX_BOOST)  # lo fails, hi passes
-    while hi - lo > COST_LOG2_TOL:
+    while hi - lo > COST_LOG2_TOL:  # lo fails, hi passes
         mid = 0.5 * (lo + hi)
-        if mean_dci(2.0 ** mid) >= target_dci_share:
+        if mid not in means:
+            means = mean_dci(_bisection_midpoints(lo, hi, _COST_LEVELS_PER_PASS))
+        if means[mid] >= target_dci_share:
             hi = mid
         else:
             lo = mid

@@ -316,8 +316,12 @@ def test_relaxation_overflow_exits_two_and_leaves_the_directory(tmp_path, capsys
 
 
 def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
-    # an out-of-range node id and an isolated node both exit 1 before any run
-    cases = {"range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),
+    # a malformed line, an out-of-range node id, a self-loop, a duplicate edge
+    # and an isolated node all exit 1 before any run, naming the line, node or edge
+    cases = {"syntax": ("0 1\n1 2\n2 x\n3 0\n", "line 3"),
+             "range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),
+             "loop": ("0 1\n1 2\n2 3\n3 0\n3 3\n", "self-loop at node 3"),
+             "duplicate": ("0 1\n1 2\n2 3\n3 0\n2 1\n", "duplicate edge (1, 2)"),
              "isolated": ("0 1\n1 2\n2 0\n", "node 3")}
     for name, (text, named) in cases.items():
         edges = tmp_path / f"{name}.edges"

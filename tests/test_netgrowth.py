@@ -9,6 +9,8 @@ from scipy import stats
 
 from attractorlab import netgrowth
 from attractorlab.netgrowth import (
+    COST_LOG2_TOL,
+    MAX_BOOST,
     MODE_URN,
     CampDegrees,
     GrowthConfig,
@@ -244,21 +246,37 @@ def test_grow_matches_the_per_mode_loops(mode, m, seed_agi, seed_dci, boost, n, 
     seed_agi=st.integers(1, 4),
     seed_dci=st.integers(1, 4),
     boost=st.sampled_from([0.0, 1.0, 3.7, 1024.0]),
+    boosts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.3, 3.7, 2.0 ** 5.3125, 1024.0]),
+                    min_size=1, max_size=5),
     n=st.integers(1, 60),
     replicates=st.integers(1, 7),
     block_draws=st.sampled_from([1, 5, 16, 2 ** 16]),
 )
-@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=1, boost=1.0, n=40, replicates=1,
-         block_draws=16)
-def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, n, replicates,
-                                       block_draws):
+@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=1, boost=1.0, boosts=[1.0, 1024.0], n=40,
+         replicates=1, block_draws=16)
+def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, boosts, n,
+                                       replicates, block_draws):
     # small draw blocks split the run mid-way: block = max(1, block_draws // replicates)
     config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
                           dci_boost=boost, rng_seed=n * 31 + replicates)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
         batched = _final_shares(config, replicates)
+        rows = _final_shares(config, replicates, boosts)
+        singles = [_final_shares(replace(config, dci_boost=b), replicates) for b in boosts]
     assert batched.tobytes() == final_shares(config, replicates).tobytes()
+    # every boost row steps against the same uniforms as its own one-boost call
+    assert rows.shape == (len(boosts), replicates)
+    assert [row.tobytes() for row in rows] == [single.tobytes() for single in singles]
+
+
+def test_final_shares_replays_streams_after_other_calls():
+    # the cached generators are rewound on every call, whichever call came before
+    config = GrowthConfig(n_nodes=90, seed_agi=2, rng_seed=5)
+    first = _final_shares(config, 6).tobytes()
+    _final_shares(replace(config, rng_seed=6), 6)
+    _final_shares(config, 4)
+    assert _final_shares(config, 6).tobytes() == first == final_shares(config, 6).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["urn", "degree_pa"])
@@ -344,6 +362,80 @@ def test_intervention_cost_unreachable_target_is_inf():
     # tau-like target of 0.999 at a tiny horizon cannot be met on average
     base = GrowthConfig(n_nodes=4, seed_agi=30, seed_dci=1, rng_seed=9)
     assert intervention_cost(base, 0.999, horizon=4, replicates=40) == math.inf
+
+
+def reference_intervention_cost(base, target_dci_share, horizon, replicates):
+    """``intervention_cost`` before its batched passes: one one-boost
+    ``_final_shares`` call per bisection probe, looked up on the module so a
+    spy sees it."""
+    probe = replace(base, n_nodes=horizon)
+
+    def mean_dci(boost):
+        finals = netgrowth._final_shares(replace(probe, dci_boost=boost), replicates)
+        return float(np.mean(1.0 - finals))
+
+    if mean_dci(1.0) >= target_dci_share:
+        return 1.0
+    if mean_dci(MAX_BOOST) < target_dci_share:
+        return math.inf
+
+    lo, hi = 0.0, math.log2(MAX_BOOST)  # lo fails, hi passes
+    while hi - lo > COST_LOG2_TOL:
+        mid = 0.5 * (lo + hi)
+        if mean_dci(2.0 ** mid) >= target_dci_share:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 ** hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(["urn", "degree_pa"]),
+    m=st.integers(1, 3),
+    seed_agi=st.sampled_from([1, 2, 4, 8, 30]),
+    seed_dci=st.sampled_from([1, 2, 3]),
+    horizon=st.integers(1, 80),
+    extra_nodes=st.integers(0, 5),
+    replicates=st.integers(1, 6),
+    target=st.one_of(st.sampled_from([0.2, 0.5, 0.9, 0.999]), st.floats(0.01, 0.99)),
+    rng_seed=st.integers(0, 2 ** 64 - 1),
+)
+@example(mode="urn", m=1, seed_agi=3, seed_dci=3, horizon=40, extra_nodes=0, replicates=5,
+         target=0.3, rng_seed=6)  # boost 1 already reaches the target
+@example(mode="urn", m=1, seed_agi=30, seed_dci=1, horizon=4, extra_nodes=0, replicates=4,
+         target=0.999, rng_seed=9)  # MAX_BOOST is not enough
+@example(mode="degree_pa", m=2, seed_agi=8, seed_dci=1, horizon=80, extra_nodes=3,
+         replicates=6, target=0.5, rng_seed=1)
+def test_intervention_cost_matches_the_bisection(mode, m, seed_agi, seed_dci, horizon,
+                                                  extra_nodes, replicates, target, rng_seed):
+    base = GrowthConfig(n_nodes=horizon + extra_nodes, m=m, seed_agi=seed_agi,
+                        seed_dci=seed_dci, mode=mode, rng_seed=rng_seed)
+    got = intervention_cost(base, target, horizon=horizon, replicates=replicates)
+    assert repr(got) == repr(reference_intervention_cost(base, target, horizon, replicates))
+
+
+def test_intervention_cost_makes_three_kernel_calls(monkeypatch):
+    calls = []
+    kernel = netgrowth._final_shares
+    monkeypatch.setattr(netgrowth, "_final_shares",
+                        lambda *args: calls.append(args) or kernel(*args))
+
+    def count(run, *args):
+        calls.clear()
+        return run(*args), len(calls)
+
+    # a cost strictly inside (1, MAX_BOOST) bisects all eight levels
+    biased = GrowthConfig(n_nodes=300, seed_agi=6, seed_dci=1, rng_seed=2)
+    boost, passes = count(intervention_cost, biased, 0.5, 300, 30)
+    assert 1.0 < boost < MAX_BOOST and passes == 3
+    assert [len(args[2]) for args in calls] == [9, 7, 3]
+    assert count(reference_intervention_cost, biased, 0.5, 300, 30) == (boost, 10)
+    # early exits at boost 1 and at +inf take the first pass only
+    symmetric = GrowthConfig(n_nodes=200, seed_agi=3, seed_dci=3, rng_seed=6)
+    assert count(intervention_cost, symmetric, 0.3, 200, 20) == (1.0, 1)
+    hopeless = GrowthConfig(n_nodes=4, seed_agi=30, seed_dci=1, rng_seed=9)
+    assert count(intervention_cost, hopeless, 0.999, 4, 10) == (math.inf, 1)
 
 
 def test_intervention_cost_validates():
