@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -170,38 +169,26 @@ def grow(config: GrowthConfig) -> GrowthTrace:
     return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
-@lru_cache(maxsize=1)
-def _replicate_generators(rng_seed: int, replicates: int) -> tuple[list, list]:
-    """Generators of replicates ``0..replicates-1`` under ``rng_seed``, with
-    their initial states: restoring a state replays a stream far faster than
-    building its generator again.  Not safe to share between threads."""
-    gens = [make_generator(mix64(rng_seed, i)) for i in range(replicates)]
-    return gens, [g.bit_generator.state for g in gens]
-
-
-def _final_shares(
-    config: GrowthConfig, replicates: int, boosts: list[float] | None = None
-) -> np.ndarray:
-    """Final AGI share of replicates ``0..replicates-1``, all stepped
-    together; byte-identical to each replicate's ``grow(...).shares[-1]``.
+def _final_shares(config: GrowthConfig, replicates: int, boosts: list[float]) -> np.ndarray:
+    """Final AGI share of replicates ``0..replicates-1`` under each boost in
+    ``boosts`` (in place of ``config.dci_boost``), one row per boost, all
+    stepped together; row ``k`` is byte-identical to each replicate's
+    ``grow(replace(config, dci_boost=boosts[k])).shares[-1]``.
 
     Replicate ``i`` draws from its own ``mix64(rng_seed, i)`` stream, in
-    blocks of ``_BLOCK_DRAWS // replicates`` arrivals (at least one).  Given
-    a sequence of ``boosts``, the result has one row per boost in place of
-    ``config.dci_boost``: all rows step against the same uniforms, each with
-    the float64 operations of a one-boost call, so each row equals that
-    call's result byte for byte.
+    blocks of ``_BLOCK_DRAWS // replicates`` arrivals (at least one).  All
+    rows step against the same uniforms, each with the float64 operations of
+    a one-boost pass, so a row does not depend on the other boosts.
     """
     config.validate()
     n = config.n_nodes
-    column = np.array([config.dci_boost] if boosts is None else boosts, dtype=float)[:, None]
-    gens, states = _replicate_generators(config.rng_seed, replicates)
-    for g, state in zip(gens, states):
-        g.bit_generator.state = state
+    rows = len(boosts)
+    column = np.repeat(np.array(boosts, dtype=float), replicates)  # each cell's boost
+    gens = [make_generator(mix64(config.rng_seed, i)) for i in range(replicates)]
     joins = np.arange(n + 1.0)
     w_agi = _camp_weight(config, config.seed_agi, joins)
     w_dci = _camp_weight(config, config.seed_dci, joins)
-    j_agi = np.zeros((len(column), replicates), dtype=np.int64)
+    j_agi = np.zeros(rows * replicates, dtype=np.int64)
     block = max(1, _BLOCK_DRAWS // replicates)
     for start in range(0, n, block):
         us = np.stack([g.random(min(block, n - start)) for g in gens], axis=1)
@@ -210,10 +197,11 @@ def _final_shares(
             d = w_dci.take(t - j_agi)
             d *= column  # u * (a + boost * d) < a, in place
             d += a
-            d *= u
+            cells = d.reshape(rows, replicates)  # a view: every row meets the same u
+            cells *= u
             j_agi += d < a
     finals = (config.seed_agi + j_agi) / float(config.seed_agi + config.seed_dci + n)
-    return finals[0] if boosts is None else finals
+    return finals.reshape(rows, replicates)
 
 
 def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockInEstimate:
@@ -225,8 +213,8 @@ def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockIn
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    finals = _final_shares(replace(config, tau=tau), replicates)  # validates tau
-    labels = [_lockin_label(share, tau) for share in finals.tolist()]
+    finals = _final_shares(replace(config, tau=tau), replicates, [config.dci_boost])  # validates tau
+    labels = [_lockin_label(share, tau) for share in finals[0].tolist()]
     p_agi = labels.count(LOCKED_AGI) / replicates
     p_dci = labels.count(LOCKED_DCI) / replicates
     se = max(
@@ -258,10 +246,12 @@ def intervention_cost(
     Bisection runs on log2(boost) down to ``COST_LOG2_TOL``, every boost on
     the same replicate streams (common random numbers).  The probes come in
     batched passes: one ``_final_shares`` call evaluates the two end boosts
-    and every midpoint of the first three levels, and each later call the
+    and every midpoint of the first two levels, and each later call the
     midpoints of the next three.  The bisection's ``>= target`` decisions
     are then replayed on those means in order, so the answer is the plain
     one-probe-at-a-time bisection's, whatever the shape of the mean in boost.
+    A full search takes three passes, of 5, 7 and 7 boosts; an exit at 1 or
+    +inf takes the first.
     """
     base.validate()
     if not 0.0 < target_dci_share < 1.0:
@@ -278,7 +268,8 @@ def intervention_cost(
         return {x: float(np.mean(1.0 - row)) for x, row in zip(log2_boosts, finals)}
 
     lo, hi = 0.0, math.log2(MAX_BOOST)  # boosts 1 and MAX_BOOST
-    means = mean_dci([lo, hi, *_bisection_midpoints(lo, hi, _COST_LEVELS_PER_PASS)])
+    # the two ends stand in for one level, so the first pass stays small
+    means = mean_dci([lo, hi, *_bisection_midpoints(lo, hi, _COST_LEVELS_PER_PASS - 1)])
     if means[lo] >= target_dci_share:
         return 1.0
     if means[hi] < target_dci_share:

@@ -64,7 +64,7 @@ def criterion(num, description, limit_s):
 def urn_final_shares(config, replicates):
     # replicate i grows from mix64(config.rng_seed, i); the batched kernel
     # gives the same bytes as grow(...).shares[-1] per replicate
-    return _final_shares(config, replicates)
+    return _final_shares(config, replicates, [config.dci_boost])[0]
 
 
 def test_criterion_01_replicator_integrator_vs_closed_form():

@@ -261,22 +261,14 @@ def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, boost
                           dci_boost=boost, rng_seed=n * 31 + replicates)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
-        batched = _final_shares(config, replicates)
+        batched = _final_shares(config, replicates, [boost])
         rows = _final_shares(config, replicates, boosts)
-        singles = [_final_shares(replace(config, dci_boost=b), replicates) for b in boosts]
-    assert batched.tobytes() == final_shares(config, replicates).tobytes()
+        singles = [_final_shares(config, replicates, [b]) for b in boosts]
+    assert batched.shape == (1, replicates)
+    assert batched[0].tobytes() == final_shares(config, replicates).tobytes()
     # every boost row steps against the same uniforms as its own one-boost call
     assert rows.shape == (len(boosts), replicates)
-    assert [row.tobytes() for row in rows] == [single.tobytes() for single in singles]
-
-
-def test_final_shares_replays_streams_after_other_calls():
-    # the cached generators are rewound on every call, whichever call came before
-    config = GrowthConfig(n_nodes=90, seed_agi=2, rng_seed=5)
-    first = _final_shares(config, 6).tobytes()
-    _final_shares(replace(config, rng_seed=6), 6)
-    _final_shares(config, 4)
-    assert _final_shares(config, 6).tobytes() == first == final_shares(config, 6).tobytes()
+    assert [row.tobytes() for row in rows] == [single[0].tobytes() for single in singles]
 
 
 @pytest.mark.parametrize("mode", ["urn", "degree_pa"])
@@ -284,12 +276,14 @@ def test_final_shares_match_grow_across_default_blocks(mode):
     # 7 replicates draw 2**16 // 7 = 9362 arrivals per block: three blocks, the last partial
     config = GrowthConfig(n_nodes=20_000, m=2, seed_agi=2, seed_dci=1, mode=mode,
                           dci_boost=1.3, rng_seed=41)
-    assert _final_shares(config, 7).tobytes() == final_shares(config, 7).tobytes()
+    batched = _final_shares(config, 7, [config.dci_boost])
+    assert batched[0].tobytes() == final_shares(config, 7).tobytes()
 
 
 def test_final_shares_urn_polya_limit():
     # urn(2, 1) final AGI shares follow Beta(2, 1) in the large-n limit
-    finals = _final_shares(GrowthConfig(n_nodes=2000, seed_agi=2, seed_dci=1, rng_seed=1), 500)
+    config = GrowthConfig(n_nodes=2000, seed_agi=2, seed_dci=1, rng_seed=1)
+    finals = _final_shares(config, 500, [config.dci_boost])[0]
     assert stats.kstest(finals, stats.beta(2, 1).cdf).pvalue > 0.01
 
 
@@ -371,8 +365,8 @@ def reference_intervention_cost(base, target_dci_share, horizon, replicates):
     probe = replace(base, n_nodes=horizon)
 
     def mean_dci(boost):
-        finals = netgrowth._final_shares(replace(probe, dci_boost=boost), replicates)
-        return float(np.mean(1.0 - finals))
+        finals = netgrowth._final_shares(probe, replicates, [boost])
+        return float(np.mean(1.0 - finals[0]))
 
     if mean_dci(1.0) >= target_dci_share:
         return 1.0
@@ -407,6 +401,8 @@ def reference_intervention_cost(base, target_dci_share, horizon, replicates):
          target=0.999, rng_seed=9)  # MAX_BOOST is not enough
 @example(mode="degree_pa", m=2, seed_agi=8, seed_dci=1, horizon=80, extra_nodes=3,
          replicates=6, target=0.5, rng_seed=1)
+@example(mode="urn", m=1, seed_agi=2, seed_dci=1, horizon=10, extra_nodes=0, replicates=2,
+         target=0.5, rng_seed=1)  # two midpoints' means equal the target exactly
 def test_intervention_cost_matches_the_bisection(mode, m, seed_agi, seed_dci, horizon,
                                                   extra_nodes, replicates, target, rng_seed):
     base = GrowthConfig(n_nodes=horizon + extra_nodes, m=m, seed_agi=seed_agi,
@@ -429,7 +425,7 @@ def test_intervention_cost_makes_three_kernel_calls(monkeypatch):
     biased = GrowthConfig(n_nodes=300, seed_agi=6, seed_dci=1, rng_seed=2)
     boost, passes = count(intervention_cost, biased, 0.5, 300, 30)
     assert 1.0 < boost < MAX_BOOST and passes == 3
-    assert [len(args[2]) for args in calls] == [9, 7, 3]
+    assert [len(args[2]) for args in calls] == [5, 7, 7]
     assert count(reference_intervention_cost, biased, 0.5, 300, 30) == (boost, 10)
     # early exits at boost 1 and at +inf take the first pass only
     symmetric = GrowthConfig(n_nodes=200, seed_agi=3, seed_dci=3, rng_seed=6)
