@@ -200,7 +200,7 @@ def _execute(args, doc) -> int:
             doc["output_dir"] = args.out
     config = load_config(json.dumps(doc))
     _info(args, f"running {config.kind} ({config.replicates} replicate(s)) -> {config.output_dir}")
-    _, _, manifest = run_scenario(config, jobs=max(1, args.jobs))
+    _, _, manifest = run_scenario(config, jobs=args.jobs)
     for name in manifest.files:
         _info(args, f"wrote {os.path.join(config.output_dir, name)}")
     for name, count in manifest.diagnostics.items():

@@ -468,6 +468,29 @@ def find_jumps(branch, jump_tol: float) -> tuple[float, ...]:
     )
 
 
+def misplaced_jumps(report: HysteresisReport, theta: float, step: float, jump_tol: float) -> int:
+    """Count of the jumps in ``report`` that the cusp's folds do not explain.
+
+    The up sweep leaves its lower branch at the fold ``lam = F``, with
+    ``F = 2 (theta / 3)**1.5`` (0 for theta <= 0), and the down sweep leaves
+    the upper branch at ``-F``.  Counted are jumps more than one ``step``
+    from their branch's fold, plus each branch that shows no jump although
+    it passes its fold inside the sweep (the down branch only after the up
+    branch has passed ``F``) and the fold's jump, ``3 (theta / 3)**0.5``,
+    exceeds ``jump_tol``.  Too short a relaxation shows as jumps late past
+    the fold.
+    """
+    fold = 2.0 * (max(theta, 0.0) / 3.0) ** 1.5
+    count = sum(abs(lam - fold) > step for lam in report.jumps_up)
+    count += sum(abs(lam + fold) > step for lam in report.jumps_down)
+    if report.up_branch and theta > 0 and 3.0 * math.sqrt(theta / 3.0) > jump_tol:
+        lo, hi = report.up_branch[0][0], report.up_branch[-1][0]
+        up_passes = lo < fold < hi
+        count += up_passes and not report.jumps_up
+        count += up_passes and lo < -fold and not report.jumps_down
+    return count
+
+
 def hysteresis_loop(
     theta: float,
     lambda_lo: float,

