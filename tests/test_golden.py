@@ -2,7 +2,7 @@
 versions, not only across reruns of the same code.
 
 Every data file (``manifest.json`` excluded, it carries timestamps) of the
-criterion-10 scenario set and of three extra scenarios is compared with a
+criterion-10 scenario set and of four extra scenarios is compared with a
 committed sha256.  The library results of ``intervention_cost`` and
 ``estimate_lockin``, which write no file, are pinned by their exact ``repr``.  A refactor or speed-up that changes any output byte fails
 here.  To re-pin after an intended change of outputs, print the digests of
@@ -40,6 +40,11 @@ EXTRA_DOCS = {
         "replicates": 2,
         "params": {"n": 300, "x0": 0.5, "rounds": 15, "game": COORDINATION,
                    "update": {"kind": "fermi", "beta": 2.0}},
+    },
+    "abm_ring": {
+        "replicates": 2,
+        "params": {"n": 40, "x0": 0.5, "rounds": 15, "noise": 0.05, "game": COORDINATION,
+                   "topology": {"kind": "ring_lattice", "k": 4}},
     },
     "netgrowth_degree_pa": {
         "replicates": 3,
@@ -87,6 +92,11 @@ GOLDEN = {
         "abm_0000.csv": "e516e900263ca2492b38c2a98849b1330b171ff073bd0beba598c558a1d4c007",
         "abm_0001.csv": "360c5cbdca15ca45e5069f45dd5f361654449642c8d3730821636112a535756b",
         "summary.csv": "151862fc1f56728a499943ac6f462723ec0eefec0366b299747b28b8a94bb029",
+    },
+    "abm_ring": {
+        "abm_0000.csv": "7cb9c0a0cb16d79cd69243b027e3e11bdc2d88165436f306015311edbd1bf630",
+        "abm_0001.csv": "375cce260d9fb43dcffe82d606997f83d01e71e1aa82b199177546f580657ee9",
+        "summary.csv": "d9df91b160522da47d3194a4d41da3773df58be0619efbea64d3ca23dfd33767",
     },
     "netgrowth_degree_pa": {
         "shares_0000.csv": "9c4289b051c6bb89adc0dc7a07a468c849b598353455d006ec02c21ab099ec42",
