@@ -30,9 +30,7 @@ from .rng import make_generator, mix64
 OUTCOME_AGI = "agi_first"
 OUTCOME_DCI = "dci_first"
 OUTCOME_UNDECIDED = "undecided"
-
-DEFAULT_S_C = 0.1
-DEFAULT_S_D = 0.9
+OUTCOMES = (OUTCOME_AGI, OUTCOME_DCI, OUTCOME_UNDECIDED)
 
 
 class IsolatedAgentError(ValueError):
@@ -66,9 +64,21 @@ class WellMixed:
 
 @dataclass(frozen=True)
 class RingLattice:
-    """Ring of n agents, each linked to its k nearest neighbors (k even)."""
+    """Ring of n agents, each linked to its k nearest neighbors (k even).
+
+    Building one checks k and computes ``offsets``, the neighbor offsets
+    -k/2..-1, 1..k/2 as int64, which every round on it reuses.
+    """
 
     k: int
+    offsets: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.k < 2 or self.k % 2 != 0:
+            raise ValueError(f"ring lattice degree must be even and >= 2, got {self.k}")
+        half = self.k // 2
+        offsets = np.array([o for o in range(-half, half + 1) if o != 0], dtype=np.int64)
+        object.__setattr__(self, "offsets", offsets)
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,9 @@ def check_thresholds(s_c: float, s_d: float) -> None:
 
 @dataclass(frozen=True)
 class AbmConfig:
+    """One population run, checked when it is built (``replace`` included);
+    ``s_c`` and ``s_d`` are the thresholds that label its final fraction."""
+
     n: int
     x0: float
     game: GameMatrix
@@ -182,6 +195,8 @@ class AbmConfig:
     noise: float = 0.0
     rounds: int = 0
     rng_seed: int = 0
+    s_c: float = 0.1
+    s_d: float = 0.9
 
     def validate(self) -> None:
         if self.n < 2:
@@ -193,14 +208,13 @@ class AbmConfig:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative 64-bit integer")
-        if isinstance(self.topology, RingLattice):
-            k = self.topology.k
-            if k < 2 or k % 2 != 0:
-                raise ValueError(f"ring lattice degree must be even and >= 2, got {k}")
-            if k >= self.n:
-                raise ValueError(f"ring lattice degree k={k} must be < n={self.n}")
+        if isinstance(self.topology, RingLattice) and self.topology.k >= self.n:
+            raise ValueError(f"ring lattice degree k={self.topology.k} must be < n={self.n}")
         if isinstance(self.topology, Imported) and self.topology.n != self.n:
             raise ValueError(f"imported graph was built for {self.topology.n} nodes, not n={self.n}")
+        check_thresholds(self.s_c, self.s_d)
+
+    __post_init__ = validate
 
 
 @dataclass
@@ -248,11 +262,6 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
         except ValueError:
             raise ValueError(f"edge list line {lineno}: non-integer node id in {raw!r}") from None
     return tuple(edges)
-
-
-def _ring_offsets(k: int) -> np.ndarray:
-    half = k // 2
-    return np.array([o for o in range(-half, half + 1) if o != 0], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,7 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix) -> tuple:
         deg = pop.topology.k
         coop = strat.astype(np.int64)
         ncn = np.zeros(n, dtype=np.int64)
-        for o in _ring_offsets(deg):
+        for o in pop.topology.offsets:
             ncn += np.roll(coop, -int(o))
     else:
         adj = pop.topology.adjacency
@@ -340,7 +349,7 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator) ->
         pi_nbr = np.where(nbr_strat, pi_c, pi_d)
     else:
         if isinstance(population.topology, RingLattice):
-            offsets = _ring_offsets(population.topology.k)
+            offsets = population.topology.offsets
             picks = rng.integers(0, offsets.size, size=n)
             nbr_idx = (np.arange(n) + offsets[picks]) % n
         else:
@@ -369,16 +378,15 @@ def attractor_classify(final_x: float, s_c: float, s_d: float) -> str:
     return OUTCOME_UNDECIDED
 
 
-def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -> AbmTrace:
-    """Simulate ``config.rounds`` rounds and classify the final fraction.
+def run(config: AbmConfig) -> AbmTrace:
+    """Simulate ``config.rounds`` rounds and classify the final fraction by
+    the config's thresholds.
 
     Exactly ``round(x0 * n)`` cooperators are placed by a seeded shuffle, so
     the first trace entry is the realized initial fraction.  An imported
-    graph brings the neighbor arrays it compiled when it was built.
-    Config and thresholds are checked before the first round.
+    graph brings the neighbor arrays it compiled when it was built, and a
+    ring lattice its neighbor offsets.
     """
-    config.validate()
-    check_thresholds(s_c, s_d)
     rng = make_generator(config.rng_seed)
     n = config.n
     k = round(config.x0 * n)
@@ -392,7 +400,7 @@ def run(config: AbmConfig, s_c: float = DEFAULT_S_C, s_d: float = DEFAULT_S_D) -
     for r in range(1, config.rounds + 1):
         pop = step(pop, config, rng)
         fractions[r] = pop.coop_fraction()
-    return AbmTrace(fractions, attractor_classify(float(fractions[-1]), s_c, s_d))
+    return AbmTrace(fractions, attractor_classify(float(fractions[-1]), config.s_c, config.s_d))
 
 
 def mean_field_time_step(game: GameMatrix) -> float:
@@ -407,13 +415,7 @@ def mean_field_time_step(game: GameMatrix) -> float:
     return 1.0 / span
 
 
-def basin_replicate(
-    template: AbmConfig,
-    x0_list: list[float],
-    replicate: int,
-    s_c: float = DEFAULT_S_C,
-    s_d: float = DEFAULT_S_D,
-) -> list[str]:
+def basin_replicate(template: AbmConfig, x0_list: list[float], replicate: int) -> list[str]:
     """Outcome per entry of ``x0_list`` for one replicate of a basin experiment.
 
     Cell (replicate r, x0 index i) uses the stream derived from
@@ -424,16 +426,12 @@ def basin_replicate(
     for i, x0 in enumerate(x0_list):
         seed = mix64(template.rng_seed, replicate * len(x0_list) + i)
         cfg = replace(template, x0=float(x0), rng_seed=seed)
-        outcomes.append(run(cfg, s_c, s_d).outcome)
+        outcomes.append(run(cfg).outcome)
     return outcomes
 
 
 def basin_experiment(
-    template: AbmConfig,
-    x0_list: list[float],
-    replicates: int,
-    s_c: float = DEFAULT_S_C,
-    s_d: float = DEFAULT_S_D,
+    template: AbmConfig, x0_list: list[float], replicates: int
 ) -> dict[float, dict[str, int]]:
     """Outcome counts per initial fraction over seeded replicates (see
     ``basin_replicate`` for the stream of each cell).  Every x0 is checked
@@ -443,11 +441,8 @@ def basin_experiment(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     check_x0(*x0_list)
-    counts = {
-        float(x0): {OUTCOME_AGI: 0, OUTCOME_DCI: 0, OUTCOME_UNDECIDED: 0}
-        for x0 in x0_list
-    }
+    counts = {float(x0): dict.fromkeys(OUTCOMES, 0) for x0 in x0_list}
     for r in range(replicates):
-        for x0, outcome in zip(x0_list, basin_replicate(template, x0_list, r, s_c, s_d)):
+        for x0, outcome in zip(x0_list, basin_replicate(template, x0_list, r)):
             counts[float(x0)][outcome] += 1
     return counts

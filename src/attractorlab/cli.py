@@ -30,7 +30,7 @@ import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .harness import KINDS, ConfigError, load_config, parse_json, run_scenario
+from .harness import KINDS, ConfigError, load_config, parse_json, read_manifest, run_scenario
 
 SEED_ENV = "ATTRACTORLAB_SEED"
 
@@ -242,18 +242,9 @@ def _cmd_shortcut(args) -> int:
 def _verified_manifest(run_dir: str) -> dict:
     """A run directory's manifest, once every file it lists is re-hashed
     and matches its digest."""
+    manifest = read_manifest(run_dir)
     path = os.path.join(run_dir, "manifest.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        files = manifest["files"]
-        if not isinstance(files, dict):
-            raise TypeError("'files' is not an object")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"no readable manifest at {path!r}: {exc}") from None
-    for name, digest in files.items():
-        if name != os.path.basename(name):
-            raise ConfigError(f"manifest {path!r} lists {name!r}, which is not a file of the run")
+    for name, digest in manifest["files"].items():
         try:
             with open(os.path.join(run_dir, name), "rb") as fh:
                 data = fh.read()

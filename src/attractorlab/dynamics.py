@@ -183,7 +183,7 @@ RhsSpec = ReplicatorRhs | CuspRhs | TabulatedRhs | Callable[[float], float]
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """A right-hand side plus initial state, step and horizon."""
+    """A right-hand side plus initial state, step and horizon, checked when built."""
 
     rhs: RhsSpec
     x0: float
@@ -198,6 +198,8 @@ class OdeSpec:
             raise ValueError("x0 must be finite")
         if isinstance(self.rhs, ReplicatorRhs) and not 0.0 <= self.x0 <= 1.0:
             raise ValueError(f"replicator x0 must lie in [0, 1], got {self.x0}")
+
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,6 @@ def integrate(spec: OdeSpec) -> Trajectory:
     Replicator states are clamped to [0, 1] after each step; the clamp only
     absorbs rounding drift and must stay below 1e-9 per step.
     """
-    spec.validate()
     f = spec.rhs
     clamp = isinstance(spec.rhs, ReplicatorRhs)
     dt = spec.dt

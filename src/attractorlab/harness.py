@@ -10,7 +10,7 @@ so a loaded config is fully explicit.
 Each scenario kind is one entry of ``KINDS``: its params schema, the build
 step, the replicate runner, metrics, CSV writer, seed streams per
 replicate and whether the kind is deterministic.  A build step only
-constructs model objects, whose modules own and check the value rules; it
+constructs model objects, which check their own value rules; it
 runs whenever a config is created, so an imported graph is read, validated
 and compiled there once, and every replicate reuses it.
 
@@ -23,14 +23,8 @@ Outputs are small CSV files (diff-able, golden-testable) plus a
 ``manifest.json`` carrying the config echo, per-replicate seeds, numerical
 diagnostics, the environment (Python, numpy and orjson versions, platform,
 cores, workers) and sha256 digests of every emitted file, taken from the
-bytes as they are written.  Every float is spelled as ``repr`` spells it.
-The trace writers dump each float column in one orjson call straight from
-its numpy array, whose digits equal ``repr``'s on finite values with
-1e-4 <= |v| < 1e16 and on +-0.0, and join the cells with cached step-column
-prefixes, so no row becomes a Python object (about 1.7 ms per 10k-row
-file); a file with any float outside that range is formatted value by
-value with ``repr`` instead (``_rows``), so the bytes never depend on the
-path taken.
+bytes as they are written.  Every float is spelled as ``repr`` spells it;
+``_rows`` says how the trace files are formatted.
 
 The process that runs a replicate also formats, hashes and writes its
 file, under a temporary name, and hands the parent only a
@@ -246,20 +240,12 @@ def _build_replicator(params: dict) -> dynamics.OdeSpec:
         payoffs = dynamics.PayoffSpec.constant(params["p_c"], params["p_d"])
     else:
         raise ConfigError("constant payoffs need both p_c and p_d")
-    spec = dynamics.OdeSpec(
+    return dynamics.OdeSpec(
         rhs=dynamics.ReplicatorRhs(payoffs),
         x0=params["x0"],
         dt=params["dt"],
         t_end=params["t_end"],
     )
-    spec.validate()
-    return spec
-
-
-def _build_growth(params: dict) -> netgrowth.GrowthConfig:
-    cfg = netgrowth.GrowthConfig(**params)
-    cfg.validate()
-    return cfg
 
 
 def _build_topology(topo: dict, n: int) -> abm.Topology:
@@ -275,10 +261,10 @@ def _build_topology(topo: dict, n: int) -> abm.Topology:
     return abm.Imported(abm.load_edge_list(text), n)
 
 
-def _build_abm(params: dict) -> tuple[abm.AbmConfig, float, float]:
-    """Validated template config (seed 0) plus the outcome thresholds."""
+def _build_abm(params: dict) -> abm.AbmConfig:
+    """Template config, seed 0."""
     update = params["update"]
-    cfg = abm.AbmConfig(
+    return abm.AbmConfig(
         n=params["n"],
         x0=params["x0"],
         game=abm.GameMatrix(**params["game"]),
@@ -287,32 +273,26 @@ def _build_abm(params: dict) -> tuple[abm.AbmConfig, float, float]:
                 else abm.ProportionalImitation()),
         noise=params["noise"],
         rounds=params["rounds"],
+        s_c=params["s_c"],
+        s_d=params["s_d"],
     )
-    cfg.validate()
-    abm.check_thresholds(params["s_c"], params["s_d"])
-    return cfg, params["s_c"], params["s_d"]
 
 
-def _build_basin(params: dict) -> tuple[abm.AbmConfig, float, float, tuple[float, ...]]:
+def _build_basin(params: dict) -> tuple[abm.AbmConfig, tuple[float, ...]]:
     abm.check_x0(*params["x0_list"])
-    cfg, s_c, s_d = _build_abm({**params, "x0": params["x0_list"][0]})
-    return cfg, s_c, s_d, tuple(params["x0_list"])
-
-
-def _run_abm(model, master_seed: int, index: int) -> abm.AbmTrace:
-    cfg, s_c, s_d = model
-    return abm.run(replace(cfg, rng_seed=mix64(master_seed, index)), s_c, s_d)
+    cfg = _build_abm({**params, "x0": params["x0_list"][0]})
+    return cfg, tuple(params["x0_list"])
 
 
 def _run_basin(model, master_seed: int, index: int) -> tuple[str, ...]:
-    cfg, s_c, s_d, x0_list = model
+    cfg, x0_list = model
     template = replace(cfg, rng_seed=master_seed)
-    return tuple(abm.basin_replicate(template, x0_list, index, s_c, s_d))
+    return tuple(abm.basin_replicate(template, x0_list, index))
 
 
 def _abm_metrics(params: dict, trace) -> dict[str, float]:
     out = {"final_coop_fraction": float(trace.coop_fraction[-1])}
-    for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
+    for outcome in abm.OUTCOMES:
         out[f"outcome_{outcome}"] = float(trace.outcome == outcome)
     return out
 
@@ -321,7 +301,7 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     # one indicator per (outcome, x0) cell
     out = {}
     for x0, cell in zip(params["x0_list"], row):
-        for outcome in (abm.OUTCOME_AGI, abm.OUTCOME_DCI, abm.OUTCOME_UNDECIDED):
+        for outcome in abm.OUTCOMES:
             out[f"{outcome}[x0={float(x0)!r}]"] = float(cell == outcome)
     return out
 
@@ -416,8 +396,8 @@ _POPULATION = {
         "fermi": {"beta": (_as_float, _REQUIRED)},
     }), {"kind": "proportional_imitation"}),
     "noise": (_as_float, _default(abm.AbmConfig, "noise")),
-    "s_c": (_as_float, abm.DEFAULT_S_C),
-    "s_d": (_as_float, abm.DEFAULT_S_D),
+    "s_c": (_as_float, _default(abm.AbmConfig, "s_c")),
+    "s_d": (_as_float, _default(abm.AbmConfig, "s_d")),
 }
 
 KINDS: dict[str, _Kind] = {
@@ -487,7 +467,7 @@ KINDS: dict[str, _Kind] = {
             "dci_boost": (_as_float, _default(netgrowth.GrowthConfig, "dci_boost")),
             "tau": (_as_float, _default(netgrowth.GrowthConfig, "tau")),
         },
-        build=_build_growth,
+        build=lambda params: netgrowth.GrowthConfig(**params),
         run=lambda cfg, master_seed, index: netgrowth.grow(
             replace(cfg, rng_seed=mix64(master_seed, index))
         ),
@@ -502,7 +482,9 @@ KINDS: dict[str, _Kind] = {
     "abm": _Kind(
         schema={**_POPULATION, "x0": (_as_float, _REQUIRED)},
         build=_build_abm,
-        run=_run_abm,
+        run=lambda cfg, master_seed, index: abm.run(
+            replace(cfg, rng_seed=mix64(master_seed, index))
+        ),
         metrics=_abm_metrics,
         write=lambda t, i: (f"abm_{i:04d}.csv", "round,coop_fraction",
                             _rows(range(len(t.coop_fraction)), t.coop_fraction)),
@@ -579,10 +561,8 @@ def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str =
     each file written, keyed by the path written.
 
     The numeric traces (netgrowth, abm, replicator) are formatted by
-    ``_rows``: one orjson call per float column and one join when every
-    float is in the range where orjson and ``repr`` agree (about 1.7 ms per
-    10k-row netgrowth file), ``repr`` per value otherwise.  Hysteresis and
-    bifurcation rows hold strings and are formatted with ``repr`` per value.
+    ``_rows``; hysteresis and bifurcation rows hold strings and are
+    formatted with ``repr`` per value.
 
     Basin outcome rows have no trace file, they only feed summary.csv.
     """
@@ -614,18 +594,23 @@ def _unlink(path: str) -> None:
         pass
 
 
-def _listed_files(manifest_path: str) -> set[str]:
-    """Data file names an existing manifest lists (bare names only); empty
-    when there is no readable manifest."""
+def read_manifest(run_dir: str) -> dict:
+    """A run directory's manifest, whose ``files`` names only data files of
+    the run: bare file names other than ``.``, ``..`` and ``manifest.json``.
+    ConfigError when there is no readable manifest or it lists another name."""
+    path = os.path.join(run_dir, "manifest.json")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            files = json.load(fh)["files"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return set()
-    if not isinstance(files, dict):
-        return set()
-    return {name for name in files
-            if name == os.path.basename(name) and name not in ("", ".", "..", "manifest.json")}
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        files = manifest["files"]
+        if not isinstance(files, dict):
+            raise TypeError("'files' is not an object")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"no readable manifest at {path!r}: {exc}") from None
+    for name in files:
+        if name != os.path.basename(name) or name in ("", ".", "..", "manifest.json"):
+            raise ConfigError(f"manifest {path!r} lists {name!r}, which is not a file of the run")
+    return manifest
 
 
 def run_scenario(
@@ -659,7 +644,10 @@ def run_scenario(
 
     out = config.output_dir
     manifest_path = os.path.join(out, "manifest.json")
-    previous = _listed_files(manifest_path)
+    try:
+        previous = set(read_manifest(out)["files"])
+    except ConfigError:  # no manifest it can trust, so no file it lists goes
+        previous = set()
     before, stale = set(), []  # stale: temporary files of runs that never committed
     for name in os.listdir(out) if os.path.isdir(out) else ():
         before.add(name)

@@ -90,6 +90,8 @@ class GrowthConfig:
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative 64-bit integer")
 
+    __post_init__ = validate
+
 
 @dataclass
 class GrowthTrace:
@@ -145,7 +147,6 @@ def grow(config: GrowthConfig) -> GrowthTrace:
     camp's weight steps evenly after its first join, so the loop adds the
     first step on that join and the even step on every later one.
     """
-    config.validate()
     n = config.n_nodes
     boost = config.dci_boost
     sa, sd = config.seed_agi, config.seed_dci
@@ -180,7 +181,6 @@ def _final_shares(config: GrowthConfig, replicates: int, boosts: list[float]) ->
     rows step against the same uniforms, each with the float64 operations of
     a one-boost pass, so a row does not depend on the other boosts.
     """
-    config.validate()
     n = config.n_nodes
     rows = len(boosts)
     column = np.repeat(np.array(boosts, dtype=float), replicates)  # each cell's boost
@@ -253,7 +253,6 @@ def intervention_cost(
     A full search takes three passes, of 5, 7 and 7 boosts; an exit at 1 or
     +inf takes the first.
     """
-    base.validate()
     if not 0.0 < target_dci_share < 1.0:
         raise ValueError(f"target share must lie in (0, 1), got {target_dci_share}")
     if not 1 <= horizon <= base.n_nodes:

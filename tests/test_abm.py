@@ -59,9 +59,8 @@ def reference_payoff(agent, population, game):
         return (nc * reference_game_payoff(game, mine, True)
                 + nd * reference_game_payoff(game, mine, False)) / (n - 1)
     if isinstance(topo, RingLattice):
-        offsets = abm_mod._ring_offsets(topo.k)
         total = 0.0
-        for o in offsets:
+        for o in topo.offsets:
             total += reference_game_payoff(game, mine, bool(strat[(agent + int(o)) % n]))
         return total / topo.k
     adj = topo.adjacency
@@ -70,6 +69,13 @@ def reference_payoff(agent, population, game):
     for j in nbrs:
         total += reference_game_payoff(game, mine, bool(strat[int(j)]))
     return total / nbrs.size
+
+
+def _ring_offsets(k):
+    """Neighbor offsets of a ring lattice as ``step`` computed them every
+    round before ``RingLattice`` kept its own."""
+    half = k // 2
+    return np.array([o for o in range(-half, half + 1) if o != 0], dtype=np.int64)
 
 
 def reference_adoption(update, payoff_gap, payoff_span):
@@ -356,10 +362,17 @@ def test_run_checks_thresholds_before_any_round(monkeypatch, s_c, s_d):
     monkeypatch.setattr(abm_mod, "step", lambda *args: calls.append(1) or real_step(*args))
     cfg = AbmConfig(n=10, x0=0.5, game=COORDINATION, rounds=5)
     with pytest.raises(ValueError, match="s_c"):
-        run(cfg, s_c, s_d)
+        run(replace(cfg, s_c=s_c, s_d=s_d))
     assert calls == []
     run(cfg)
     assert len(calls) == 5
+
+
+def test_replace_checks_thresholds_without_a_run():
+    # the config checks itself when built, so a bad pair never reaches run
+    cfg = AbmConfig(n=10, x0=0.5, game=COORDINATION, rounds=5)
+    with pytest.raises(ValueError, match="s_c=0.9, s_d=0.1"):
+        replace(cfg, s_c=0.9, s_d=0.1)
 
 
 def test_basin_checks_every_x0_before_any_cell(monkeypatch):
@@ -435,8 +448,21 @@ def test_imported_compile_names_the_bad_node(edges, n, match):
 
 def test_config_rejects_a_graph_built_for_another_n():
     ring = tuple((i, (i + 1) % 12) for i in range(12))
-    cfg = AbmConfig(n=20, x0=0.5, game=COORDINATION, topology=Imported(ring, 12), rounds=1)
     with pytest.raises(ValueError, match=r"12 nodes, not n=20"):
-        cfg.validate()
+        AbmConfig(n=20, x0=0.5, game=COORDINATION, topology=Imported(ring, 12), rounds=1)
+    cfg = AbmConfig(n=12, x0=0.5, game=COORDINATION, topology=Imported(ring, 12), rounds=1)
     with pytest.raises(ValueError, match=r"12 nodes, not n=20"):
-        run(cfg)
+        run(replace(cfg, n=20))
+
+
+@given(st.integers(1, 20))
+def test_ring_lattice_offsets_match_the_per_round_oracle(half):
+    offsets = RingLattice(2 * half).offsets
+    assert offsets.dtype == np.int64
+    assert np.array_equal(offsets, _ring_offsets(2 * half))
+
+
+@pytest.mark.parametrize("k", [3, 0, -2])
+def test_ring_lattice_checks_its_degree_when_built(k):
+    with pytest.raises(ValueError, match="even and >= 2"):
+        RingLattice(k)

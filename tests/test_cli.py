@@ -201,6 +201,19 @@ def test_report_rejects_a_run_without_manifest(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_report_rejects_a_manifest_that_lists_itself(tmp_path, capsys):
+    out = tmp_path / "run"
+    _netgrowth_run(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["manifest.json"] = manifest["files"]["summary.csv"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "lists 'manifest.json'" in captured.err and "not a file of the run" in captured.err
+    assert captured.out == ""
+
+
 def test_report_shows_non_equilibrated_points(tmp_path, capsys):
     # too short a relaxation budget: points near the folds never settle, and
     # each branch jumps twice, at 0.391 and 0.392, past its fold at 0.3849

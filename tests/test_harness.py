@@ -478,6 +478,17 @@ def test_failed_write_removes_what_the_run_wrote(tmp_path, monkeypatch, finished
         assert (out / "notes.txt").read_text() == "mine\n"
 
 
+def test_rerun_trusts_no_file_of_a_manifest_that_lists_a_foreign_name(tmp_path):
+    # report refuses such a manifest, and the cleanup reads it by the same rule
+    out = tmp_path / "run"
+    run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=4, n_nodes=50))))
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["../elsewhere.csv"] = "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=2, n_nodes=50))))
+    assert (out / "shares_0003.csv").exists()
+
+
 @pytest.mark.parametrize("blocker", ["enospc", "directory"])
 def test_failed_run_keeps_the_bytes_of_an_unlisted_file(tmp_path, monkeypatch, blocker):
     # no manifest lists shares_0000.csv; the failed run would have replaced it
