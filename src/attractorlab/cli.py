@@ -4,8 +4,11 @@
 (``replicator``, ``bifurcate``, ``hysteresis``, ``netgrowth``, ``abm``,
 ``basin``) synthesize the equivalent config from flags and go through the
 same loader, so flag runs and file runs with equal values emit identical
-bytes.  Each shortcut is one row of ``_SHORTCUTS``: its flags and the
-params key each one sets.  A flag left out leaves its key out, and the
+bytes.  A shortcut's flags are derived from its kind's params schema in
+``KINDS``: one flag per key, named by the rule at ``_RENAMED``, required
+exactly when the key is, and listed in schema order.  A flag with no
+syntax of its own passes its text on as an int, a float or a word, and the
+loader checks its type.  A flag left out leaves its key out, and the
 loader fills in the default, so every default lives in the loader only.
 ``report`` checks every file a run directory's manifest lists against its
 sha256, then pretty-prints summary.csv and every non-zero diagnostic; a
@@ -27,10 +30,9 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable
-from typing import NamedTuple
 
-from .harness import KINDS, ConfigError, load_config, parse_json, read_manifest, run_scenario
+from .harness import (KINDS, REQUIRED, ConfigError, load_config, parse_json, read_manifest,
+                      run_scenario)
 
 SEED_ENV = "ATTRACTORLAB_SEED"
 
@@ -100,83 +102,61 @@ def _parse_update(text: str) -> dict:
     raise argparse.ArgumentTypeError(f"unknown update rule {text!r}")
 
 
-class _Flag(NamedTuple):
-    """A shortcut flag and the params key (or keys) its parsed value sets."""
-
-    name: str
-    key: str | tuple[str, ...]
-    parse: Callable = float
-    required: bool = False
-    help: str | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.name[2:].replace("-", "_")
+def _scalar(text: str):
+    """A flag's text as an int, else a float, else the word itself; the
+    loader's cast then checks its type and names the key."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
 
 
-class _Shortcut(NamedTuple):
-    kind: str
-    help: str
-    flags: tuple[_Flag, ...]
-    command: str | None = None  # subcommand name, when it is not the kind
+# A shortcut flag is "--" plus its params key with "-" for "_", except for
+# these keys.  --seeds is the one flag that sets two keys, the _SEEDS pair.
+_RENAMED = {"n_nodes": "--nodes", "dci_boost": "--boost", "p_c": "--pc", "p_d": "--pd",
+            "s_c": "--sc", "s_d": "--sd", "seed_agi": "--seeds"}
+_SEEDS = ("seed_agi", "seed_dci")
+
+# keys with a syntax of their own, by the first key a flag sets
+_PARSERS = {"game": _parse_game, "topology": _parse_topology, "update": _parse_update,
+            "x0_list": _numbers(float), "seed_agi": _numbers(int, 2)}
+
+_HELP = {
+    "game": "payoffs 'r,sg,t,pu'",
+    "n": "number of agents",
+    "topology": "well_mixed | ring:K | file:PATH",
+    "update": "proportional_imitation | fermi:BETA",
+    "s_c": "competitive-outcome threshold",
+    "s_d": "cooperative-outcome threshold",
+    "x0_list": "comma-separated initial fractions",
+    "seed_agi": "initial nodes 'AGI,DCI'",
+    "n_nodes": "arrivals to simulate",
+    "m": "edges per arrival (degree_pa)",
+    "mode": "urn | degree_pa",
+    "dci_boost": "DCI attachment weight",
+    "tau": "lock-in share threshold",
+}
+
+# subcommand -> (scenario kind, help line)
+_SUBCOMMANDS = {
+    "replicator": ("replicator", "integrate the strategy-share flow"),
+    "bifurcate": ("bifurcation", "fixed-point sweep of the bistable family"),
+    "hysteresis": ("hysteresis", "quasi-static up/down sweep"),
+    "netgrowth": ("netgrowth", "two-camp growing network"),
+    "abm": ("abm", "imitation-game population run"),
+    "basin": ("basin", "outcome frequencies across initial fractions"),
+}
 
 
-_GAME_HELP = "payoffs 'r,sg,t,pu'"
-
-_SWEEP_FLAGS = (
-    _Flag("--theta", "theta", required=True),
-    _Flag("--lambda-lo", "lambda_lo", required=True),
-    _Flag("--lambda-hi", "lambda_hi", required=True),
-    _Flag("--step", "step", required=True),
-)
-
-_POPULATION_FLAGS = (
-    _Flag("--n", "n", int, True, "number of agents"),
-    _Flag("--game", "game", _parse_game, True, _GAME_HELP),
-    _Flag("--rounds", "rounds", int, True),
-    _Flag("--topology", "topology", _parse_topology, help="well_mixed | ring:K | file:PATH"),
-    _Flag("--update", "update", _parse_update, help="proportional_imitation | fermi:BETA"),
-    _Flag("--noise", "noise"),
-    _Flag("--sc", "s_c", help="competitive-outcome threshold"),
-    _Flag("--sd", "s_d", help="cooperative-outcome threshold"),
-)
-
-_SHORTCUTS = (
-    _Shortcut("replicator", "integrate the strategy-share flow", (
-        _Flag("--x0", "x0", required=True),
-        _Flag("--t-end", "t_end", required=True),
-        _Flag("--dt", "dt"),
-        _Flag("--pc", "p_c"),
-        _Flag("--pd", "p_d"),
-        _Flag("--game", "game", _parse_game, help=_GAME_HELP),
-    )),
-    _Shortcut("bifurcation", "fixed-point sweep of the bistable family", (
-        *_SWEEP_FLAGS,
-        _Flag("--grid-n", "grid_n", int),
-    ), command="bifurcate"),
-    _Shortcut("hysteresis", "quasi-static up/down sweep", (
-        *_SWEEP_FLAGS,
-        _Flag("--relax-t", "relax_t"),
-        _Flag("--relax-dt", "relax_dt"),
-        _Flag("--jump-tol", "jump_tol"),
-    )),
-    _Shortcut("netgrowth", "two-camp growing network", (
-        _Flag("--seeds", ("seed_agi", "seed_dci"), _numbers(int, 2), True, "initial nodes 'AGI,DCI'"),
-        _Flag("--nodes", "n_nodes", int, True, "arrivals to simulate"),
-        _Flag("--m", "m", int, help="edges per arrival (degree_pa)"),
-        _Flag("--mode", "mode", str, help="urn | degree_pa"),
-        _Flag("--boost", "dci_boost", help="DCI attachment weight"),
-        _Flag("--tau", "tau", help="lock-in share threshold"),
-    )),
-    _Shortcut("abm", "imitation-game population run", (
-        *_POPULATION_FLAGS,
-        _Flag("--x0", "x0", required=True),
-    )),
-    _Shortcut("basin", "outcome frequencies across initial fractions", (
-        *_POPULATION_FLAGS,
-        _Flag("--x0-list", "x0_list", _numbers(float), True, "comma-separated initial fractions"),
-    )),
-)
+def _flags(kind: str):
+    """(flag name, params keys it sets, required) of each shortcut flag of
+    ``kind``, in schema order; a flag is required when its key is."""
+    for key, (_, default) in KINDS[kind].schema.items():
+        if key != _SEEDS[1]:  # --seeds sets it with _SEEDS[0]
+            keys = _SEEDS if key == _SEEDS[0] else (key,)
+            yield _RENAMED.get(key, "--" + key.replace("_", "-")), keys, default is REQUIRED
 
 
 def _resolve_seed(flag_value, fallback: int) -> int:
@@ -220,18 +200,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_shortcut(args) -> int:
-    shortcut = args.shortcut
+    kind = _SUBCOMMANDS[args.subcommand][0]
     params = {}
-    for flag in shortcut.flags:
-        value = getattr(args, flag.dest)
-        if value is None:
-            continue  # the loader fills in the default
-        if isinstance(flag.key, tuple):
-            params.update(zip(flag.key, value))
-        else:
-            params[flag.key] = value
+    for _, keys, _ in _flags(kind):
+        value = getattr(args, keys[0])
+        if value is not None:  # a flag left out leaves its keys to the loader's defaults
+            params.update(zip(keys, value) if len(keys) > 1 else [(keys[0], value)])
     doc = {
-        "kind": shortcut.kind,
+        "kind": kind,
         "master_seed": 0,
         "replicates": args.replicates,
         "params": params,
@@ -290,16 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, "override the config's output_dir")
     sub.set_defaults(func=_cmd_run)
 
-    for shortcut in _SHORTCUTS:
-        sub = subs.add_parser(shortcut.command or shortcut.kind, help=shortcut.help)
-        for flag in shortcut.flags:
-            sub.add_argument(flag.name, type=flag.parse, required=flag.required, help=flag.help)
+    for command, (kind, help_line) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        for name, keys, required in _flags(kind):
+            sub.add_argument(name, dest=keys[0], metavar=name[2:].replace("-", "_").upper(),
+                             type=_PARSERS.get(keys[0], _scalar), required=required,
+                             help=_HELP.get(keys[0]))
         _add_common(sub, "output directory (default: the loader's output_dir)")
-        if KINDS[shortcut.kind].deterministic:
+        if KINDS[kind].deterministic:
             sub.set_defaults(replicates=1)
         else:
             sub.add_argument("--replicates", type=int, default=1)
-        sub.set_defaults(func=_cmd_shortcut, shortcut=shortcut)
+        sub.set_defaults(func=_cmd_shortcut)
 
     sub = subs.add_parser("report", help="verify a run's files, then print its summary.csv as a table")
     sub.add_argument("dir", help="run directory")

@@ -139,7 +139,7 @@ def _as_str(value, field: str) -> str:
     return value
 
 
-_REQUIRED = object()
+REQUIRED = object()  # a schema default that marks a key the config must give
 _OPTIONAL = object()  # left out of the loaded params when absent
 
 
@@ -153,7 +153,7 @@ def _take(raw, spec: dict, where: str) -> dict:
     for key, (cast, default) in spec.items():
         if key in raw:
             out[key] = cast(raw[key], key)
-        elif default is _REQUIRED:
+        elif default is REQUIRED:
             raise ConfigError(f"missing required {where} key {key!r}")
         elif default is not _OPTIONAL:
             out[key] = default
@@ -166,7 +166,7 @@ def _default(cls, name: str):
 
 
 def _norm_game(raw, field: str) -> dict:
-    return _take(raw, {k: (_as_float, _REQUIRED) for k in ("r", "sg", "t", "pu")}, field)
+    return _take(raw, {k: (_as_float, REQUIRED) for k in ("r", "sg", "t", "pu")}, field)
 
 
 def _variant(specs: dict):
@@ -176,7 +176,7 @@ def _variant(specs: dict):
         kind = raw.get("kind") if isinstance(raw, dict) else None
         if not isinstance(kind, str) or kind not in specs:
             raise ConfigError(f"field {field!r} needs a 'kind' out of {sorted(specs)}, got {raw!r}")
-        return _take(raw, {"kind": (_as_str, _REQUIRED), **specs[kind]}, field)
+        return _take(raw, {"kind": (_as_str, REQUIRED), **specs[kind]}, field)
 
     return cast
 
@@ -201,9 +201,9 @@ def load_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a JSON scenario; defaults are filled in and
     the params are built into model objects once."""
     top = _take(parse_json(text), {
-        "kind": (_as_str, _REQUIRED),
-        "master_seed": (_as_int, _REQUIRED),
-        "replicates": (_as_int, _REQUIRED),
+        "kind": (_as_str, REQUIRED),
+        "master_seed": (_as_int, REQUIRED),
+        "replicates": (_as_int, REQUIRED),
         "output_dir": (_as_str, "out"),
         "params": (lambda value, field: value, {}),
     }, "config")
@@ -376,24 +376,24 @@ class _Kind:
 
 
 _SWEEP = {
-    "theta": (_as_float, _REQUIRED),
-    "lambda_lo": (_as_float, _REQUIRED),
-    "lambda_hi": (_as_float, _REQUIRED),
-    "step": (_as_float, _REQUIRED),
+    "theta": (_as_float, REQUIRED),
+    "lambda_lo": (_as_float, REQUIRED),
+    "lambda_hi": (_as_float, REQUIRED),
+    "step": (_as_float, REQUIRED),
 }
 
 _POPULATION = {
-    "n": (_as_int, _REQUIRED),
-    "game": (_norm_game, _REQUIRED),
-    "rounds": (_as_int, _REQUIRED),
+    "n": (_as_int, REQUIRED),
+    "game": (_norm_game, REQUIRED),
+    "rounds": (_as_int, REQUIRED),
     "topology": (_variant({
         "well_mixed": {},
-        "ring_lattice": {"k": (_as_int, _REQUIRED)},
-        "imported": {"path": (_as_str, _REQUIRED)},
+        "ring_lattice": {"k": (_as_int, REQUIRED)},
+        "imported": {"path": (_as_str, REQUIRED)},
     }), {"kind": "well_mixed"}),
     "update": (_variant({
         "proportional_imitation": {},
-        "fermi": {"beta": (_as_float, _REQUIRED)},
+        "fermi": {"beta": (_as_float, REQUIRED)},
     }), {"kind": "proportional_imitation"}),
     "noise": (_as_float, _default(abm.AbmConfig, "noise")),
     "s_c": (_as_float, _default(abm.AbmConfig, "s_c")),
@@ -403,8 +403,8 @@ _POPULATION = {
 KINDS: dict[str, _Kind] = {
     "replicator": _Kind(
         schema={
-            "x0": (_as_float, _REQUIRED),
-            "t_end": (_as_float, _REQUIRED),
+            "x0": (_as_float, REQUIRED),
+            "t_end": (_as_float, REQUIRED),
             "dt": (_as_float, _default(dynamics.OdeSpec, "dt")),
             "p_c": (_as_float, _OPTIONAL),
             "p_d": (_as_float, _OPTIONAL),
@@ -459,7 +459,7 @@ KINDS: dict[str, _Kind] = {
     ),
     "netgrowth": _Kind(
         schema={
-            "n_nodes": (_as_int, _REQUIRED),
+            "n_nodes": (_as_int, REQUIRED),
             "m": (_as_int, _default(netgrowth.GrowthConfig, "m")),
             "seed_agi": (_as_int, _default(netgrowth.GrowthConfig, "seed_agi")),
             "seed_dci": (_as_int, _default(netgrowth.GrowthConfig, "seed_dci")),
@@ -480,7 +480,7 @@ KINDS: dict[str, _Kind] = {
                             _rows(range(1, len(t.shares) + 1), t.shares)),
     ),
     "abm": _Kind(
-        schema={**_POPULATION, "x0": (_as_float, _REQUIRED)},
+        schema={**_POPULATION, "x0": (_as_float, REQUIRED)},
         build=_build_abm,
         run=lambda cfg, master_seed, index: abm.run(
             replace(cfg, rng_seed=mix64(master_seed, index))
@@ -491,7 +491,7 @@ KINDS: dict[str, _Kind] = {
     ),
     # basin outcome rows have no trace file, they only feed summary.csv
     "basin": _Kind(
-        schema={**_POPULATION, "x0_list": (_norm_x0_list, _REQUIRED)},
+        schema={**_POPULATION, "x0_list": (_norm_x0_list, REQUIRED)},
         build=_build_basin,
         run=_run_basin,
         metrics=_basin_metrics,
@@ -596,8 +596,9 @@ def _unlink(path: str) -> None:
 
 def read_manifest(run_dir: str) -> dict:
     """A run directory's manifest, whose ``files`` names only data files of
-    the run: bare file names other than ``.``, ``..`` and ``manifest.json``.
-    ConfigError when there is no readable manifest or it lists another name."""
+    the run: bare file names other than ``.``, ``..`` and ``manifest.json``,
+    and whose ``diagnostics``, if present, maps names to integer counts.
+    ConfigError when there is no readable manifest or it breaks either rule."""
     path = os.path.join(run_dir, "manifest.json")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -605,6 +606,9 @@ def read_manifest(run_dir: str) -> dict:
         files = manifest["files"]
         if not isinstance(files, dict):
             raise TypeError("'files' is not an object")
+        counts = manifest.get("diagnostics", {})
+        if not isinstance(counts, dict) or any(type(c) is not int for c in counts.values()):
+            raise TypeError("'diagnostics' is not an object of integer counts")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"no readable manifest at {path!r}: {exc}") from None
     for name in files:

@@ -1,9 +1,11 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from attractorlab.cli import SEED_ENV, main
+from attractorlab.cli import SEED_ENV, build_parser, main
+from attractorlab.harness import KINDS, REQUIRED
 
 
 def read(path):
@@ -72,21 +74,108 @@ def test_netgrowth_shortcut_spec_flags(tmp_path):
     assert os.path.exists(os.path.join(out, "summary.csv"))
 
 
-def test_flag_and_file_configs_agree(tmp_path):
-    out_flags = str(tmp_path / "flags")
-    assert main(["netgrowth", "--seeds", "3,1", "--nodes", "250",
-                 "--replicates", "4", "--seed", "11", "--out", out_flags,
-                 "--quiet"]) == 0
+_EDGES = "".join(f"{i} {(i + 1) % 20}\n" for i in range(20))  # a 20-node ring
+_GAME_DOC = {"r": 1, "sg": 0.5, "t": 0.2, "pu": 1}
+_POPULATION_DOC = {"n": 20, "game": _GAME_DOC, "rounds": 4, "update": {"kind": "fermi", "beta": 2},
+                   "noise": 0.05, "s_c": 0.2, "s_d": 0.8}
 
-    config = {
-        "kind": "netgrowth", "master_seed": 11, "replicates": 4,
-        "output_dir": str(tmp_path / "file"),
-        "params": {"n_nodes": 250, "seed_agi": 3, "seed_dci": 1},
-    }
+# Per kind, a flag line that sets every params key to a value other than its
+# default, and the params of the equivalent file run.  Written out by hand,
+# not derived from the flag naming rule, so a wrongly named flag fails.
+# replicator takes p_c/p_d or game, never both, so it has two lines.
+_FLAG_LINES = [
+    ("replicator", "replicator --x0 0.3 --t-end 2 --dt 0.01 --pc 2 --pd 1.5",
+     {"x0": 0.3, "t_end": 2, "dt": 0.01, "p_c": 2, "p_d": 1.5}),
+    ("replicator", "replicator --x0 0.3 --t-end 2 --dt 0.01 --game 3,0,5,1",
+     {"x0": 0.3, "t_end": 2, "dt": 0.01, "game": {"r": 3, "sg": 0, "t": 5, "pu": 1}}),
+    ("bifurcation", "bifurcate --theta 0.8 --lambda-lo -0.3 --lambda-hi 0.25 --step 0.05"
+     " --grid-n 64",
+     {"theta": 0.8, "lambda_lo": -0.3, "lambda_hi": 0.25, "step": 0.05, "grid_n": 64}),
+    ("hysteresis", "hysteresis --theta 0.8 --lambda-lo -0.3 --lambda-hi 0.25 --step 0.05"
+     " --relax-t 5 --relax-dt 0.02 --jump-tol 0.3",
+     {"theta": 0.8, "lambda_lo": -0.3, "lambda_hi": 0.25, "step": 0.05, "relax_t": 5,
+      "relax_dt": 0.02, "jump_tol": 0.3}),
+    ("netgrowth", "netgrowth --nodes 80 --m 2 --seeds 3,2 --mode degree_pa --boost 1.5 --tau 0.8"
+     " --replicates 2 --seed 11",
+     {"n_nodes": 80, "m": 2, "seed_agi": 3, "seed_dci": 2, "mode": "degree_pa",
+      "dci_boost": 1.5, "tau": 0.8}),
+    ("abm", "abm --n 20 --game 1,0.5,0.2,1 --rounds 4 --topology file:{edges} --update fermi:2"
+     " --noise 0.05 --sc 0.2 --sd 0.8 --x0 0.6 --replicates 2 --seed 11",
+     {**_POPULATION_DOC, "topology": {"kind": "imported", "path": "{edges}"}, "x0": 0.6}),
+    ("basin", "basin --n 20 --game 1,0.5,0.2,1 --rounds 4 --topology ring:4 --update fermi:2"
+     " --noise 0.05 --sc 0.2 --sd 0.8 --x0-list 0.3,0.6 --replicates 2 --seed 11",
+     {**_POPULATION_DOC, "topology": {"kind": "ring_lattice", "k": 4}, "x0_list": [0.3, 0.6]}),
+]
+
+
+def test_flag_lines_cover_every_params_key():
+    covered = {}
+    for kind, _, params in _FLAG_LINES:
+        covered.setdefault(kind, set()).update(params)
+    assert covered == {kind: set(spec.schema) for kind, spec in KINDS.items()}
+
+
+@pytest.mark.parametrize("kind, line, params", _FLAG_LINES,
+                         ids=[line.split()[0] for _, line, _ in _FLAG_LINES])
+def test_flag_and_file_configs_agree(tmp_path, kind, line, params):
+    edges = tmp_path / "ring.edges"
+    edges.write_text(_EDGES)
+    params = json.loads(json.dumps(params).replace("{edges}", str(edges)))
+    for key, value in params.items():
+        assert value != KINDS[kind].schema[key][1], f"{key} is set to its default"
+    argv = line.replace("{edges}", str(edges)).split()
+    out_flags = str(tmp_path / "flags")
+    assert main([*argv, "--out", out_flags, "--quiet"]) == 0
+
+    replicates = int(argv[argv.index("--replicates") + 1]) if "--replicates" in argv else 1
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+    config = {"kind": kind, "master_seed": seed, "replicates": replicates,
+              "output_dir": str(tmp_path / "file"), "params": params}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--quiet"]) == 0
     assert dir_bytes(out_flags) == dir_bytes(config["output_dir"])
+    echoes = [json.loads((tmp_path / out / "manifest.json").read_text())["config"]
+              for out in ("flags", "file")]
+    assert echoes[0]["params"] == echoes[1]["params"]
+
+
+def test_seeds_flag_is_optional_like_the_seed_keys(tmp_path):
+    out_flags = str(tmp_path / "flags")
+    assert main(["netgrowth", "--nodes", "50", "--replicates", "2", "--out", out_flags,
+                 "--quiet"]) == 0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "netgrowth", "master_seed": 0, "replicates": 2,
+                                "output_dir": str(tmp_path / "file"),
+                                "params": {"n_nodes": 50}}))
+    assert main(["run", "--config", str(path), "--quiet"]) == 0
+    assert dir_bytes(out_flags) == dir_bytes(str(tmp_path / "file"))
+
+
+def test_mistyped_flag_value_names_its_params_key(tmp_path, capsys):
+    out = tmp_path / "ng"
+    assert main(["netgrowth", "--nodes", "abc", "--out", str(out), "--quiet"]) == 1
+    assert "'n_nodes' must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_required_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "bif"
+    assert main(["bifurcate", "--lambda-lo", "-0.2", "--lambda-hi", "0.2", "--step", "0.1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--theta" in err
+    assert not out.exists()
+
+
+def test_a_new_schema_key_gets_a_flag(monkeypatch):
+    spec = KINDS["netgrowth"]
+    monkeypatch.setitem(KINDS, "netgrowth", replace(
+        spec, schema={**spec.schema, "new_rate": (spec.schema["tau"][0], REQUIRED)}))
+    args = build_parser().parse_args(["netgrowth", "--nodes", "5", "--new-rate", "0.5"])
+    assert (args.n_nodes, args.new_rate) == (5, 0.5)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["netgrowth", "--nodes", "5"])
 
 
 def test_env_seed_override_and_flag_precedence(tmp_path, monkeypatch):
@@ -212,6 +301,20 @@ def test_report_rejects_a_manifest_that_lists_itself(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "lists 'manifest.json'" in captured.err and "not a file of the run" in captured.err
     assert captured.out == ""
+
+
+def test_report_rejects_diagnostics_that_are_not_counts(tmp_path, capsys):
+    out = tmp_path / "run"
+    _netgrowth_run(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for bad in ([1], {"non_equilibrated": "3"}, {"non_equilibrated": 1.5}):
+        manifest["diagnostics"] = bad
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "'diagnostics' is not an object of integer counts" in captured.err
+        assert captured.out == ""
 
 
 def test_report_shows_non_equilibrated_points(tmp_path, capsys):
