@@ -75,9 +75,8 @@ def test_netgrowth_shortcut_spec_flags(tmp_path):
 
 
 _EDGES = "".join(f"{i} {(i + 1) % 20}\n" for i in range(20))  # a 20-node ring
-_GAME_DOC = {"r": 1, "sg": 0.5, "t": 0.2, "pu": 1}
-_POPULATION_DOC = {"n": 20, "game": _GAME_DOC, "rounds": 4, "update": {"kind": "fermi", "beta": 2},
-                   "noise": 0.05, "s_c": 0.2, "s_d": 0.8}
+_POPULATION_DOC = {"n": 20, "game": {"r": 1, "sg": 0.5, "t": 0.2, "pu": 1}, "rounds": 4,
+                   "update": {"kind": "fermi", "beta": 2}, "noise": 0.05, "s_c": 0.2, "s_d": 0.8}
 
 # Per kind, a flag line that sets every params key to a value other than its
 # default, and the params of the equivalent file run.  Written out by hand,
