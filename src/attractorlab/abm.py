@@ -11,10 +11,12 @@ is provided for robustness checks.
 
 Each rule is written once: ``step`` takes every agent's payoff from
 ``_payoffs_by_strategy`` (``payoff_of`` reads one entry) and its chance to
-imitate from ``adoption_probability``.
+imitate from ``adoption_probability``.  A run makes one set of work buffers,
+sized to n and the topology, which every round fills in place.
 
-All randomness flows through a Philox generator seeded per run, so a config
-determines its trace exactly.
+All randomness flows through a Philox generator seeded per run, drawn in a
+fixed order each round (neighbors, adoptions, then mutations when noise > 0),
+so a config determines its trace exactly.
 """
 
 from __future__ import annotations
@@ -228,9 +230,6 @@ class Population:
     def n(self) -> int:
         return int(self.strategies.size)
 
-    def coop_fraction(self) -> float:
-        return float(self.strategies.sum()) / self.strategies.size
-
 
 @dataclass
 class AbmTrace:
@@ -276,95 +275,136 @@ def payoff_of(agent: int, population: Population, game: GameMatrix) -> float:
     """
     if isinstance(population.topology, WellMixed) and population.n < 2:
         raise IsolatedAgentError("well-mixed payoff needs at least 2 agents")
-    pi_c, pi_d = _payoffs_by_strategy(population, game)
+    pi_c, pi_d = _payoffs_by_strategy(population, game, _Buffers(population.n, population.topology))
     return float(np.where(population.strategies, pi_c, pi_d)[agent])
 
 
-def adoption_probability(update: UpdateRule, payoff_gap, payoff_span: float) -> np.ndarray:
+def adoption_probability(update: UpdateRule, payoff_gap, payoff_span: float, out=None):
     """Probability of copying a sampled neighbor, elementwise over the gaps
-    (neighbor's payoff minus one's own), a scalar or an array.
+    (neighbor's payoff minus one's own), a scalar or an array.  It is
+    written into ``out`` when given, which may be ``payoff_gap`` itself.
 
     With a degenerate game (span 0) proportional imitation never switches.
     """
-    if isinstance(update, ProportionalImitation):
-        if payoff_span <= 0.0:
-            return np.zeros_like(payoff_gap, dtype=np.float64)
-        return np.maximum(0.0, payoff_gap) / payoff_span
-    z = np.clip(update.beta * payoff_gap, -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    p = np.empty_like(payoff_gap, dtype=np.float64) if out is None else out
+    if isinstance(update, ProportionalImitation) and payoff_span <= 0.0:
+        p[...] = 0.0
+    elif isinstance(update, ProportionalImitation):
+        np.divide(np.maximum(0.0, payoff_gap, out=p), payoff_span, out=p)
+    else:  # 1 / (1 + exp(-clip(beta * gap)))
+        np.clip(np.multiply(update.beta, payoff_gap, out=p), -700.0, 700.0, out=p)
+        np.divide(1.0, np.add(1.0, np.exp(np.negative(p, out=p), out=p), out=p), out=p)
+    return p[()]
 
 
-def _payoffs_by_strategy(pop: Population, game: GameMatrix) -> tuple:
+def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tuple:
     """Mean game payoff each agent earns as a cooperator and as a defector.
 
     Well-mixed populations play against the strategy mix excluding self, so
     both are scalars there: the payoff of any cooperator and any defector.
+    On a graph both are written into the buffers ``b``.
     """
     strat = pop.strategies
     n = pop.n
     if isinstance(pop.topology, WellMixed):
-        nc = int(strat.sum())
+        nc = np.count_nonzero(strat)
         pi_c = ((nc - 1) * game.r + (n - nc) * game.sg) / (n - 1)
         pi_d = (nc * game.t + (n - nc - 1) * game.pu) / (n - 1)
         return pi_c, pi_d
-    # cooperating neighbors (ncn) out of deg neighbors, per agent
+    ncn, coop = b.ncn, b.coop  # cooperating neighbors, an exact int64 count
+    np.copyto(coop, strat)
     if isinstance(pop.topology, RingLattice):
-        deg = pop.topology.k
-        coop = strat.astype(np.int64)
-        ncn = np.zeros(n, dtype=np.int64)
-        for o in pop.topology.offsets:
-            ncn += np.roll(coop, -int(o))
+        ncn.fill(0)
+        for s in (pop.topology.offsets % n).tolist():  # neighbor i + o is (i + o) mod n
+            ncn[:n - s] += coop[s:]
+            ncn[n - s:] += coop[:s]
     else:
+        # a CSR gather, summed per node (reduceat copies unless dtypes match)
         adj = pop.topology.adjacency
-        coop = strat.astype(np.float64)
-        ncn = np.add.reduceat(coop[adj.indices], adj.indptr[:-1])
-        deg = adj.degree.astype(np.float64)
-    pi_if_c = (game.r * ncn + game.sg * (deg - ncn)) / deg
-    pi_if_d = (game.t * ncn + game.pu * (deg - ncn)) / deg
-    return pi_if_c, pi_if_d
+        np.take(coop, adj.indices, out=b.gathered, mode="wrap")
+        np.add.reduceat(b.gathered, adj.indptr[:-1], out=ncn)
+    np.copyto(b.ncf, ncn)  # the counts as exact floats
+    ncf, ndf = b.ncf, np.subtract(b.degree, b.ncf, out=b.ndf)
+    for out, on_c, on_d in ((b.pc, game.r, game.sg), (b.pd, game.t, game.pu)):
+        np.multiply(on_c, ncf, out=out)
+        out += np.multiply(on_d, ndf, out=b.u)  # b.u is free until the round draws
+        out /= b.degree
+    return b.pc, b.pd
 
 
 # ---------------------------------------------------------------------------
 # Dynamics
 # ---------------------------------------------------------------------------
 
-def step(population: Population, config: AbmConfig, rng: np.random.Generator) -> Population:
+class _Buffers:
+    """Work arrays of one run, sized to its n and topology.  A round writes
+    the one of the two ``strategies`` rows that its input is not, so the
+    population a round returns is overwritten two rounds later."""
+
+    def __init__(self, n: int, topology: Topology):
+        self.nbr, self.adopt, *self.strategies = np.empty((4, n), dtype=bool)
+        self.u, self.pi, self.pi_nbr, self.pc, self.pd, self.ncf, self.ndf = np.empty((7, n))
+        self.idx, self.ncn, self.coop = np.empty((3, n), dtype=np.int64)
+        if isinstance(topology, RingLattice):
+            self.degree, self.agents = float(topology.k), np.arange(n, dtype=np.int64)
+        elif isinstance(topology, Imported):
+            self.degree = topology.adjacency.degree.astype(np.float64)
+            self.gathered = np.empty(topology.adjacency.indices.size, dtype=np.int64)
+
+
+def step(population: Population, config: AbmConfig, rng: np.random.Generator,
+         buffers: _Buffers | None = None) -> Population:
     """One synchronous round: sample a neighbor, maybe imitate, then mutate.
 
     Draw order is fixed: neighbor draws, adoption draws, then (only when
     noise > 0) mutation draws.  In the well-mixed case the sampled
     neighbor's strategy is drawn directly from the self-excluded mix, which
     matches sampling a uniform other agent.
+
+    Each round fills the ``buffers`` that ``run`` made for all its rounds
+    (or makes its own), so it allocates only the ring's ``rng.integers``
+    draw.  The input is never written; the returned population lives in them.
     """
     strat = population.strategies
     n = population.n
-    game = config.game
-    pi_c, pi_d = _payoffs_by_strategy(population, game)
-    pi = np.where(strat, pi_c, pi_d)
+    b = _Buffers(n, population.topology) if buffers is None else buffers
+    pi_c, pi_d = _payoffs_by_strategy(population, config.game, b)
+    pi, nbr, pi_nbr, u = b.pi, b.nbr, b.pi_nbr, b.u
+    np.copyto(pi, pi_d)
+    np.putmask(pi, strat, pi_c)  # np.where(strat, pi_c, pi_d), without a new array
 
     if isinstance(population.topology, WellMixed):
-        nc = int(strat.sum())
-        p_nbr_c = np.where(strat, (nc - 1) / (n - 1), nc / (n - 1))
-        nbr_strat = rng.random(n) < p_nbr_c
-        pi_nbr = np.where(nbr_strat, pi_c, pi_d)
+        nc = np.count_nonzero(strat)
+        pi_nbr.fill(nc / (n - 1))  # the chance the neighbor cooperates
+        np.putmask(pi_nbr, strat, (nc - 1) / (n - 1))
+        np.less(rng.random(n, out=u), pi_nbr, out=nbr)
+        np.copyto(pi_nbr, pi_d)
+        np.putmask(pi_nbr, nbr, pi_c)
     else:
+        idx = b.idx
         if isinstance(population.topology, RingLattice):
             offsets = population.topology.offsets
-            picks = rng.integers(0, offsets.size, size=n)
-            nbr_idx = (np.arange(n) + offsets[picks]) % n
+            np.take(offsets, rng.integers(0, offsets.size, size=n), out=idx, mode="wrap")
+            idx += b.agents
         else:
             adj = population.topology.adjacency
-            u = rng.random(n)
-            picks = (u * adj.degree).astype(np.int64)
-            nbr_idx = adj.indices[adj.indptr[:-1] + picks]
-        nbr_strat = strat[nbr_idx]
-        pi_nbr = pi[nbr_idx]
+            np.multiply(rng.random(n, out=u), b.degree, out=u)
+            np.copyto(idx, u, casting="unsafe")  # truncates, as astype does
+            idx += adj.indptr[:-1]
+            np.take(adj.indices, idx, out=idx, mode="wrap")
+        # "wrap" maps ring i + offset into 0..n-1; unlike "raise" it never copies out
+        np.take(strat, idx, out=nbr, mode="wrap")
+        np.take(pi, idx, out=pi_nbr, mode="wrap")
 
-    adopt = rng.random(n) < adoption_probability(config.update, pi_nbr - pi, game.span())
-    new = np.where(adopt, nbr_strat, strat)
+    gap = np.subtract(pi_nbr, pi, out=pi_nbr)
+    prob = adoption_probability(config.update, gap, config.game.span(), out=gap)
+    adopt = np.less(rng.random(n, out=u), prob, out=b.adopt)
+    # adopters take their neighbor's strategy: strat ^ ((nbr ^ strat) & adopt)
+    new = b.strategies[strat is b.strategies[0]]
+    np.bitwise_and(np.bitwise_xor(nbr, strat, out=new), adopt, out=new)
+    np.bitwise_xor(new, strat, out=new)
     if config.noise > 0.0:
-        flips = rng.random(n) < config.noise
-        new = new ^ flips
+        np.logical_xor(new, np.less(rng.random(n, out=u), config.noise, out=b.adopt), out=new)
     return Population(new, population.topology)
 
 
@@ -394,12 +434,13 @@ def run(config: AbmConfig) -> AbmTrace:
     strat = np.zeros(n, dtype=bool)
     strat[order[:k]] = True
     pop = Population(strat, config.topology)
+    buffers = _Buffers(n, config.topology)
 
     fractions = np.empty(config.rounds + 1)
     fractions[0] = k / n
     for r in range(1, config.rounds + 1):
-        pop = step(pop, config, rng)
-        fractions[r] = pop.coop_fraction()
+        pop = step(pop, config, rng, buffers)
+        fractions[r] = np.count_nonzero(pop.strategies) / n
     return AbmTrace(fractions, attractor_classify(float(fractions[-1]), config.s_c, config.s_d))
 
 

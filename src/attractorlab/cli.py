@@ -56,13 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _numbers(cast, count: int | None = None):
     """Parser of comma-separated numbers: exactly ``count`` of them, or any
-    number when count is None (then empty items are skipped)."""
+    number when count is None.  An empty item (``0.2,,0.6`` or a trailing
+    comma) is a usage error that names the text."""
 
     def parse(text: str) -> list:
         parts = text.split(",")
-        if count is None:
-            parts = [p for p in parts if p != ""]
-        elif len(parts) != count:
+        if count is not None and len(parts) != count:
             raise argparse.ArgumentTypeError(f"expects {count} comma-separated numbers, got {text!r}")
         try:
             return [cast(p) for p in parts]

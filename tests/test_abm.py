@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -88,8 +89,77 @@ def reference_adoption(update, payoff_gap, payoff_span):
     return 1.0 / (1.0 + math.exp(-z))
 
 
+def reference_payoffs_by_strategy(pop, game):
+    """``_payoffs_by_strategy`` before it filled per-run buffers: k rolled
+    copies on a ring, a float gather and reduceat on an imported graph."""
+    strat = pop.strategies
+    n = pop.n
+    if isinstance(pop.topology, WellMixed):
+        nc = int(strat.sum())
+        pi_c = ((nc - 1) * game.r + (n - nc) * game.sg) / (n - 1)
+        pi_d = (nc * game.t + (n - nc - 1) * game.pu) / (n - 1)
+        return pi_c, pi_d
+    if isinstance(pop.topology, RingLattice):
+        deg = pop.topology.k
+        coop = strat.astype(np.int64)
+        ncn = np.zeros(n, dtype=np.int64)
+        for o in pop.topology.offsets:
+            ncn += np.roll(coop, -int(o))
+    else:
+        adj = pop.topology.adjacency
+        coop = strat.astype(np.float64)
+        ncn = np.add.reduceat(coop[adj.indices], adj.indptr[:-1])
+        deg = adj.degree.astype(np.float64)
+    pi_if_c = (game.r * ncn + game.sg * (deg - ncn)) / deg
+    pi_if_d = (game.t * ncn + game.pu * (deg - ncn)) / deg
+    return pi_if_c, pi_if_d
+
+
+def reference_adoption_probability(update, payoff_gap, payoff_span):
+    """The array ``adoption_probability`` before it could write into ``out``."""
+    if isinstance(update, ProportionalImitation):
+        if payoff_span <= 0.0:
+            return np.zeros_like(payoff_gap, dtype=np.float64)
+        return np.maximum(0.0, payoff_gap) / payoff_span
+    z = np.clip(update.beta * payoff_gap, -700.0, 700.0)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_step(population, config, rng):
+    """``step`` as it was before ``run`` gave it per-run buffers: every
+    round allocated a dozen n-sized arrays."""
+    strat = population.strategies
+    n = population.n
+    game = config.game
+    pi_c, pi_d = reference_payoffs_by_strategy(population, game)
+    pi = np.where(strat, pi_c, pi_d)
+    if isinstance(population.topology, WellMixed):
+        nc = int(strat.sum())
+        p_nbr_c = np.where(strat, (nc - 1) / (n - 1), nc / (n - 1))
+        nbr_strat = rng.random(n) < p_nbr_c
+        pi_nbr = np.where(nbr_strat, pi_c, pi_d)
+    else:
+        if isinstance(population.topology, RingLattice):
+            offsets = population.topology.offsets
+            picks = rng.integers(0, offsets.size, size=n)
+            nbr_idx = (np.arange(n) + offsets[picks]) % n
+        else:
+            adj = population.topology.adjacency
+            u = rng.random(n)
+            picks = (u * adj.degree).astype(np.int64)
+            nbr_idx = adj.indices[adj.indptr[:-1] + picks]
+        nbr_strat = strat[nbr_idx]
+        pi_nbr = pi[nbr_idx]
+    adopt = rng.random(n) < reference_adoption_probability(config.update, pi_nbr - pi, game.span())
+    new = np.where(adopt, nbr_strat, strat)
+    if config.noise > 0.0:
+        new = new ^ (rng.random(n) < config.noise)
+    return Population(new, population.topology)
+
+
 entries = st.floats(-1e3, 1e3, allow_nan=False)
 games = st.builds(GameMatrix, entries, entries, entries, entries)
+zero_span_games = st.builds(lambda v: GameMatrix(v, v, v, v), entries)
 
 
 @st.composite
@@ -216,6 +286,9 @@ def test_adoption_probability_matches_the_scalar_rule_elementwise(rule, gap, spa
     got = adoption_probability(rule, np.array(gap, dtype=np.float64), span)
     assert got.shape == (len(gap),) and got.dtype == np.float64
     assert_adoption_matches(rule, got, [reference_adoption(rule, g, span) for g in gap])
+    # written in place over the gaps, as ``step`` calls it, the bytes agree
+    in_place = np.array(gap, dtype=np.float64)
+    assert adoption_probability(rule, in_place, span, out=in_place).tobytes() == got.tobytes()
 
 
 def test_step_absorbing_states():
@@ -235,6 +308,63 @@ def test_step_preserves_population_size():
     for _ in range(10):
         pop = step(pop, cfg, rng)
         assert pop.n == 30
+
+
+@given(
+    pop=populations(),
+    game=st.one_of(games, zero_span_games),
+    rule=rules,
+    noise=st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**64 - 1),
+    reuse=st.booleans(),
+)
+def test_step_matches_the_allocating_oracle_round_after_round(pop, game, rule, noise, seed, reuse):
+    # one set of buffers carries every round, as in ``run``: a round that
+    # wrote into the strategies it reads, or into its input, would show here
+    cfg = AbmConfig(n=pop.n, x0=0.5, game=game, topology=pop.topology, update=rule, noise=noise)
+    buffers = abm_mod._Buffers(pop.n, pop.topology) if reuse else None
+    first, start = pop, pop.strategies.copy()
+    rng, ref_rng = make_generator(seed), make_generator(seed)
+    ref = Population(start.copy(), pop.topology)
+    for _ in range(5):
+        pop = step(pop, cfg, rng, buffers)
+        ref = reference_step(ref, cfg, ref_rng)
+        assert pop.strategies.dtype == bool
+        assert pop.strategies.tobytes() == ref.strategies.tobytes()
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert first.strategies.tobytes() == start.tobytes()  # the input is never written
+
+
+def _round_transient(round_fn, pop) -> int:
+    """Peak bytes traced while one round runs, after a first untraced round."""
+    pop = round_fn(pop)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        round_fn(pop)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["ring", "imported"])
+def test_a_round_on_run_buffers_allocates_at_most_half_of_the_oracle(kind):
+    # at n = 10k the oracle round allocates about 800 KB; a round on the
+    # buffers of a run allocates only the ring's neighbor draw (80 KB)
+    n = 10_000
+    if kind == "ring":
+        topology = RingLattice(4)
+    else:
+        edges = tuple((i, (i + o) % n) for o in (1, 2, 5, 13) for i in range(n))
+        topology = Imported(edges, n)
+    cfg = AbmConfig(n=n, x0=0.5, game=COORDINATION, topology=topology, noise=0.01)
+    pop = Population(make_generator(1).random(n) < 0.5, topology)
+    rng = make_generator(2)
+    buffers = abm_mod._Buffers(n, topology)
+    got = _round_transient(lambda p: step(p, cfg, rng, buffers), pop)
+    oracle = _round_transient(lambda p: reference_step(p, cfg, rng), pop)
+    assert got <= oracle / 2, (got, oracle)
 
 
 # ---------------------------------------------------------------------------

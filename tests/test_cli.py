@@ -558,3 +558,14 @@ def test_repeated_x0_exits_one_and_writes_nothing(tmp_path, capsys):
                  "--rounds", "3", "--replicates", "4", "--out", str(out), "--quiet"]) == 1
     assert "x0=0.5 is repeated" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x0_list", ["0.2,,0.6", "0.2,0.6,", ",0.2", ""])
+def test_empty_x0_list_item_is_usage_error(tmp_path, capsys, x0_list):
+    # a stray comma is a typo a file run cannot spell; it is not skipped
+    out = tmp_path / "b"
+    assert main(["basin", "--n", "50", "--x0-list", x0_list, "--game", "1,0,0,1",
+                 "--rounds", "3", "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and f"--x0-list: expects numbers, got {x0_list!r}" in err
+    assert not out.exists()
