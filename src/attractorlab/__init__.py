@@ -1,6 +1,6 @@
 """attractorlab: deterministic models of path-dependent intelligence scaling.
 
-Subpackages cover one model family each:
+Subpackages cover one model family each (``cogmodel`` is imported on use):
 
 * ``dynamics``   - replicator flows and a bistable control-parameter family
                    (fixed points, bifurcation sweeps, hysteresis loops)
@@ -14,4 +14,4 @@ Subpackages cover one model family each:
 
 __version__ = "0.1.0"
 
-from . import abm, cogmodel, cli, dynamics, harness, netgrowth, rng  # noqa: F401,E402
+from . import abm, cli, dynamics, harness, netgrowth, rng  # noqa: F401,E402

@@ -12,7 +12,8 @@ is provided for robustness checks.
 Each rule is written once: ``step`` takes every agent's payoff from
 ``_payoffs_by_strategy`` (``payoff_of`` reads one entry) and its chance to
 imitate from ``adoption_probability``.  A run makes one set of work buffers,
-sized to n and the topology, which every round fills in place.
+sized to n and the topology, which every round fills in place; an imported
+graph's neighbor counts carry over, updated for the agents that switched.
 
 All randomness flows through a Philox generator seeded per run, drawn in a
 fixed order each round (neighbors, adoptions, then mutations when noise > 0),
@@ -247,8 +248,11 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
     Node ids are 0-based integers, edges undirected and kept as written.
     Only the syntax is checked here, naming the line; building an
     ``Imported`` graph rejects ids out of range, self-loops and duplicates
-    (in either orientation).
+    (in either orientation).  Plain text is parsed in one numpy pass.
     """
+    ids = _plain_node_ids(text)
+    if ids is not None:
+        return tuple(zip(ids[0::2].tolist(), ids[1::2].tolist()))
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -261,6 +265,23 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
         except ValueError:
             raise ValueError(f"edge list line {lineno}: non-integer node id in {raw!r}") from None
     return tuple(edges)
+
+
+def _plain_node_ids(text: str) -> np.ndarray | None:
+    """The node ids in one numpy pass, or None unless each non-empty line is
+    two ``[+-]digits`` of <= 18 ASCII chars split by space, tab, CR or LF."""
+    data = (text + "\n").encode("ascii", "replace")
+    if data.translate(None, b"0123456789+- \t\r\n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = np.flatnonzero(np.diff(buf <= ord(" "), prepend=True)).reshape(-1, 2).T
+    signs = np.flatnonzero((buf == ord("+")) | (buf == ord("-")))
+    lines = np.searchsorted(np.flatnonzero((buf == ord("\n")) | (buf == ord("\r"))), starts)
+    if (starts.size % 2 or (ends - starts).max(initial=0) > 18
+            or not np.isin(signs, starts).all() or (buf[signs + 1] < ord("0")).any()
+            or (lines[0::2] != lines[1::2]).any() or (lines[2::2] == lines[1:-1:2]).any()):
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +332,25 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tupl
         pi_c = ((nc - 1) * game.r + (n - nc) * game.sg) / (n - 1)
         pi_d = (nc * game.t + (n - nc - 1) * game.pu) / (n - 1)
         return pi_c, pi_d
-    ncn, coop = b.ncn, b.coop  # cooperating neighbors, an exact int64 count
-    np.copyto(coop, strat)
+    ncn = b.ncn  # cooperating neighbors, an exact int64 count
     if isinstance(pop.topology, RingLattice):
+        np.copyto(b.coop, strat)
         ncn.fill(0)
         for s in (pop.topology.offsets % n).tolist():  # neighbor i + o is (i + o) mod n
-            ncn[:n - s] += coop[s:]
-            ncn[n - s:] += coop[:s]
+            ncn[:n - s] += b.coop[s:]
+            ncn[n - s:] += b.coop[:s]
     else:
-        # a CSR gather, summed per node (reduceat copies unless dtypes match)
-        adj = pop.topology.adjacency
-        np.take(coop, adj.indices, out=b.gathered, mode="wrap")
-        np.add.reduceat(b.gathered, adj.indptr[:-1], out=ncn)
-    np.copyto(b.ncf, ncn)  # the counts as exact floats
-    ncf, ndf = b.ncf, np.subtract(b.degree, b.ncf, out=b.ndf)
+        # counts of the row b.counted: each agent that differs adds +1 (now
+        # cooperating) or -1 to each neighbor; add.at sums shared neighbors
+        adj, changed = pop.topology.adjacency, np.flatnonzero(strat != b.counted)
+        reps = adj.degree[changed]  # the CSR slices of the changed rows, in turn
+        skip = adj.indptr[changed] - np.cumsum(reps) + reps
+        nbrs = adj.indices[np.arange(reps.sum()) + np.repeat(skip, reps)]
+        np.add.at(ncn, nbrs, np.repeat(np.where(strat[changed], 1, -1), reps))
+        np.copyto(b.counted, strat)
+    ndf = np.subtract(b.degree, ncn, out=b.ndf)
     for out, on_c, on_d in ((b.pc, game.r, game.sg), (b.pd, game.t, game.pu)):
-        np.multiply(on_c, ncf, out=out)
+        np.multiply(on_c, ncn, out=out, dtype=np.float64)  # float, as for any entry
         out += np.multiply(on_d, ndf, out=b.u)  # b.u is free until the round draws
         out /= b.degree
     return b.pc, b.pd
@@ -339,17 +363,22 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tupl
 class _Buffers:
     """Work arrays of one run, sized to its n and topology.  A round writes
     the one of the two ``strategies`` rows that its input is not, so the
-    population a round returns is overwritten two rounds later."""
+    population a round returns is overwritten two rounds later.  An imported
+    graph's counts ``ncn`` are of the row ``counted``; a ring recounts."""
 
     def __init__(self, n: int, topology: Topology):
         self.nbr, self.adopt, *self.strategies = np.empty((4, n), dtype=bool)
-        self.u, self.pi, self.pi_nbr, self.pc, self.pd, self.ncf, self.ndf = np.empty((7, n))
-        self.idx, self.ncn, self.coop = np.empty((3, n), dtype=np.int64)
+        self.u, self.pi, self.pi_nbr = np.empty((3, n))
+        if isinstance(topology, WellMixed):
+            return
+        self.pc, self.pd, self.ndf = np.empty((3, n))
+        self.idx, self.ncn = np.zeros((2, n), dtype=np.int64)
         if isinstance(topology, RingLattice):
             self.degree, self.agents = float(topology.k), np.arange(n, dtype=np.int64)
-        elif isinstance(topology, Imported):
+            self.coop = np.empty(n, dtype=np.int64)
+        else:  # zero counts of the all-defector row: a first round counts in full
+            self.counted = np.zeros(n, dtype=bool)
             self.degree = topology.adjacency.degree.astype(np.float64)
-            self.gathered = np.empty(topology.adjacency.indices.size, dtype=np.int64)
 
 
 def step(population: Population, config: AbmConfig, rng: np.random.Generator,
@@ -362,8 +391,9 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator,
     matches sampling a uniform other agent.
 
     Each round fills the ``buffers`` that ``run`` made for all its rounds
-    (or makes its own), so it allocates only the ring's ``rng.integers``
-    draw.  The input is never written; the returned population lives in them.
+    (or makes its own); it allocates the ring's ``rng.integers`` draw and
+    arrays sized to the switched agents' neighbors.  The input is never
+    written; the returned population lives in them.
     """
     strat = population.strategies
     n = population.n
@@ -418,9 +448,9 @@ def attractor_classify(final_x: float, s_c: float, s_d: float) -> str:
     return OUTCOME_UNDECIDED
 
 
-def run(config: AbmConfig) -> AbmTrace:
+def run(config: AbmConfig, buffers: _Buffers | None = None) -> AbmTrace:
     """Simulate ``config.rounds`` rounds and classify the final fraction by
-    the config's thresholds.
+    the config's thresholds (on ``buffers``, or its own).
 
     Exactly ``round(x0 * n)`` cooperators are placed by a seeded shuffle, so
     the first trace entry is the realized initial fraction.  An imported
@@ -434,7 +464,7 @@ def run(config: AbmConfig) -> AbmTrace:
     strat = np.zeros(n, dtype=bool)
     strat[order[:k]] = True
     pop = Population(strat, config.topology)
-    buffers = _Buffers(n, config.topology)
+    buffers = _Buffers(n, config.topology) if buffers is None else buffers
 
     fractions = np.empty(config.rounds + 1)
     fractions[0] = k / n
@@ -461,13 +491,13 @@ def basin_replicate(template: AbmConfig, x0_list: list[float], replicate: int) -
 
     Cell (replicate r, x0 index i) uses the stream derived from
     ``(template.rng_seed, r * len(x0_list) + i)``, so results are
-    independent of evaluation order.
+    independent of evaluation order.  The cells share one set of buffers.
     """
-    outcomes = []
+    outcomes, buffers = [], _Buffers(template.n, template.topology)
     for i, x0 in enumerate(x0_list):
         seed = mix64(template.rng_seed, replicate * len(x0_list) + i)
         cfg = replace(template, x0=float(x0), rng_seed=seed)
-        outcomes.append(run(cfg).outcome)
+        outcomes.append(run(cfg, buffers).outcome)
     return outcomes
 
 

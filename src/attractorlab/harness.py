@@ -42,10 +42,8 @@ import hashlib
 import json
 import math
 import os
-import platform
 import re
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
@@ -579,6 +577,7 @@ def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str =
 def _env(jobs: int) -> dict:
     """What the data bytes may depend on besides the config: the versions
     that compute and spell the numbers, the host, and the worker count."""
+    import platform
     import orjson
 
     return {"python": platform.python_version(), "numpy": np.__version__,
@@ -662,6 +661,7 @@ def run_scenario(
     workers = max(1, min(jobs, n_rep, os.cpu_count() or 1))
     try:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_replicate, *args, chunksize=1))
         else:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from attractorlab import abm as abm_mod
@@ -310,6 +310,23 @@ def test_step_preserves_population_size():
         assert pop.n == 30
 
 
+def assert_rounds_match_the_oracle(pop, cfg, rng, ref_rng, buffers, rounds, edit=None):
+    """Run ``step`` and ``reference_step`` side by side for ``rounds`` rounds,
+    comparing strategy bytes and generator state after each; ``edit`` may
+    change the returned population in place before the next round."""
+    ref = Population(pop.strategies.copy(), pop.topology)
+    for r in range(rounds):
+        pop = step(pop, cfg, rng, buffers)
+        ref = reference_step(ref, cfg, ref_rng)
+        assert pop.strategies.dtype == bool
+        assert pop.strategies.tobytes() == ref.strategies.tobytes(), r
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+        if edit is not None:
+            edit(pop.strategies, r)
+            ref.strategies = pop.strategies.copy()
+    return pop
+
+
 @given(
     pop=populations(),
     game=st.one_of(games, zero_span_games),
@@ -320,19 +337,92 @@ def test_step_preserves_population_size():
 )
 def test_step_matches_the_allocating_oracle_round_after_round(pop, game, rule, noise, seed, reuse):
     # one set of buffers carries every round, as in ``run``: a round that
-    # wrote into the strategies it reads, or into its input, would show here
+    # wrote into the strategies it reads, or into its input, would show here,
+    # and so would neighbor counts carried wrong over 30 rounds
     cfg = AbmConfig(n=pop.n, x0=0.5, game=game, topology=pop.topology, update=rule, noise=noise)
     buffers = abm_mod._Buffers(pop.n, pop.topology) if reuse else None
     first, start = pop, pop.strategies.copy()
-    rng, ref_rng = make_generator(seed), make_generator(seed)
-    ref = Population(start.copy(), pop.topology)
-    for _ in range(5):
-        pop = step(pop, cfg, rng, buffers)
-        ref = reference_step(ref, cfg, ref_rng)
-        assert pop.strategies.dtype == bool
-        assert pop.strategies.tobytes() == ref.strategies.tobytes()
-        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert_rounds_match_the_oracle(pop, cfg, make_generator(seed), make_generator(seed),
+                                   buffers, 30)
     assert first.strategies.tobytes() == start.tobytes()  # the input is never written
+
+
+def random_graph(n, extra, seed):
+    """A ring over n nodes plus ``extra`` seeded chords, none repeated."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    while len(edges) < n + extra:
+        u, v = sorted(rng.integers(0, n, 2).tolist())
+        if u != v and (u, v) not in edges and (v, u) not in edges:
+            edges.add((u, v))
+    return Imported(tuple(sorted(edges)), n)
+
+
+GRAPHS = {"ring": lambda n: RingLattice(4), "imported": lambda n: random_graph(n, 2 * n, 5)}
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+@pytest.mark.parametrize("kind", sorted(GRAPHS))
+def test_step_matches_the_oracle_over_40_rounds_on_a_larger_graph(kind, noise):
+    # at n = 400 agents keep switching for many rounds, so counts carried
+    # from round to round are compared while they still change
+    n = 400
+    topology = GRAPHS[kind](n)
+    cfg = AbmConfig(n=n, x0=0.5, game=COORDINATION, topology=topology, noise=noise)
+    pop = Population(make_generator(3).random(n) < 0.5, topology)
+    assert_rounds_match_the_oracle(pop, cfg, make_generator(4), make_generator(4),
+                                   abm_mod._Buffers(n, topology), 40)
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPHS))
+def test_a_foreign_population_on_reused_buffers_matches_the_oracle(kind):
+    # the buffers hold counts of another run's population; the next step
+    # must count for the population it is given
+    n = 300
+    topology = GRAPHS[kind](n)
+    cfg = AbmConfig(n=n, x0=0.5, game=GameMatrix(3, 0, 5, 1), topology=topology, noise=0.01)
+    buffers = abm_mod._Buffers(n, topology)
+    rng = make_generator(8)
+    own = Population(make_generator(6).random(n) < 0.5, topology)
+    for _ in range(3):
+        own = step(own, cfg, rng, buffers)
+    foreign = Population(make_generator(7).random(n) < 0.3, topology)
+    assert_rounds_match_the_oracle(foreign, cfg, make_generator(9), make_generator(9), buffers, 5)
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPHS))
+def test_a_population_flipped_in_place_between_steps_matches_the_oracle(kind):
+    # the returned strategies live in the buffers; flipping some of them
+    # before the next step must be counted as any other switch
+    n = 300
+    topology = GRAPHS[kind](n)
+    cfg = AbmConfig(n=n, x0=0.5, game=COORDINATION, topology=topology)
+    pop = Population(make_generator(10).random(n) < 0.5, topology)
+
+    def flip(strategies, r):
+        strategies[(7 * r) % n::37] ^= True
+
+    buffers = abm_mod._Buffers(n, topology)
+    assert_rounds_match_the_oracle(pop, cfg, make_generator(11), make_generator(11),
+                                   buffers, 12, edit=flip)
+    # so must flipping the input of a step and passing it again
+    mine, rng, ref_rng = pop.strategies.copy(), make_generator(12), make_generator(12)
+    for r in range(5):
+        got = step(Population(mine, topology), cfg, rng, buffers)
+        want = reference_step(Population(mine.copy(), topology), cfg, ref_rng)
+        assert got.strategies.tobytes() == want.strategies.tobytes(), r
+        flip(mine, r)
+
+
+@pytest.mark.parametrize("kind", ["well_mixed", *sorted(GRAPHS)])
+def test_a_run_on_buffers_another_run_used_gives_the_same_trace(kind):
+    # the cells of a basin replicate share one set of buffers
+    n = 200
+    topology = WellMixed() if kind == "well_mixed" else GRAPHS[kind](n)
+    cfg = AbmConfig(n=n, x0=0.4, game=COORDINATION, topology=topology, rounds=20, rng_seed=12)
+    buffers = abm_mod._Buffers(n, topology)
+    run(replace(cfg, x0=0.7, rng_seed=13), buffers)
+    assert run(cfg, buffers).coop_fraction.tobytes() == run(cfg).coop_fraction.tobytes()
 
 
 def _round_transient(round_fn, pop) -> int:
@@ -551,6 +641,98 @@ def test_load_edge_list_names_the_bad_line():
 def test_load_edge_list_keeps_edges_as_written():
     # duplicates and self-loops pass the loader and fail when the graph is built
     assert load_edge_list("0 1\n1 0\n3 3\n") == ((0, 1), (1, 0), (3, 3))
+
+
+
+def reference_load_edge_list(text):
+    """``load_edge_list`` as it was before plain text was parsed in bulk: one
+    line at a time, each token read by ``int``."""
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ValueError(f"edge list line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"edge list line {lineno}: non-integer node id in {raw!r}") from None
+    return tuple(edges)
+
+
+def digits(draw, plain):
+    """An integer token that ``int`` reads: optional sign and leading zeros,
+    and, unless ``plain``, ``_`` groups or more than 18 characters."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    body = str(draw(st.integers(0, 10**6 if plain else 10**30)))
+    if not plain and draw(st.booleans()):
+        body = "_".join(body)
+    return sign + "0" * draw(st.integers(0, 2)) + body
+
+
+@st.composite
+def edge_list_texts(draw, plain=True):
+    """Valid edge-list text: blank lines, space and tab separators, LF, CRLF
+    or CR line ends."""
+    blank = st.text(" \t", max_size=2)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(blank))
+        else:
+            sep = draw(st.text(" \t", min_size=1, max_size=3))
+            pair = digits(draw, plain) + sep + digits(draw, plain)
+            lines.append(draw(blank) + pair + draw(blank))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(edge_list_texts())
+def test_load_edge_list_reads_plain_text_in_bulk_as_the_line_loop_does(text):
+    assert abm_mod._plain_node_ids(text) is not None
+    edges = load_edge_list(text)
+    assert edges == reference_load_edge_list(text)
+    assert all(type(u) is int and type(v) is int for u, v in edges)
+
+
+@given(edge_list_texts(plain=False))
+@example("1_0 +2_3\n")
+@example("99999999999999999999 1\n")
+@example("999999999999999999 -99999999999999999\n")
+@example("\u0661 2\n3\u00a04\x0b5 6\n")
+def test_load_edge_list_reads_any_valid_text_as_the_line_loop_does(text):
+    assert load_edge_list(text) == reference_load_edge_list(text)
+
+
+@given(
+    text=edge_list_texts(),
+    bad=st.one_of(
+        st.text("0123456789+-_ \t\nx.\u0661\u00a0\x0b\x0c", min_size=1, max_size=12),
+        st.sampled_from(["7", "1 2 3", "1 2 3 4", "7\n8", "1 2 3\n4", "+ 1", "1+ 2",
+                         "1+2 3", "1 2-3", "--1 2", "1.5 2", "1 x"]),
+    ),
+    where=st.integers(0, 9),
+)
+@example(text="0 1\n", bad="7\n8", where=1)
+@example(text="0 1\n", bad="1 2 3\n4", where=0)
+@example(text="0 1\n", bad="1+2 3", where=1)
+@example(text="0 1\n", bad="1 2 3 4", where=1)
+def test_load_edge_list_fails_as_the_line_loop_does(text, bad, where):
+    # one bad line in valid text: the bulk parse gives way to the line loop,
+    # whose error names the line, or reads the text exactly as it does
+    lines = text.splitlines(keepends=True)
+    lines.insert(min(where, len(lines)), "\n" + bad + "\n")
+    text = "".join(lines)
+    assert outcome(load_edge_list, text) == outcome(reference_load_edge_list, text)
 
 
 def test_imported_compile_builds_sorted_neighbors():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import hashlib
 import json
@@ -633,7 +634,7 @@ def test_worker_count_capped_by_cores_and_replicates(tmp_path, monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "x"), replicates=5, n_nodes=20)))
     for cores, jobs in ((3, 5000), (3, 2), (8, 5000), (3, 1), (None, 4)):
         monkeypatch.setattr(harness.os, "cpu_count", lambda cores=cores: cores)
