@@ -348,9 +348,10 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tupl
         nbrs = adj.indices[np.arange(reps.sum()) + np.repeat(skip, reps)]
         np.add.at(ncn, nbrs, np.repeat(np.where(strat[changed], 1, -1), reps))
         np.copyto(b.counted, strat)
-    ndf = np.subtract(b.degree, ncn, out=b.ndf)
+    np.copyto(b.ncf, ncn)  # the counts as exact floats
+    ncf, ndf = b.ncf, np.subtract(b.degree, b.ncf, out=b.ndf)
     for out, on_c, on_d in ((b.pc, game.r, game.sg), (b.pd, game.t, game.pu)):
-        np.multiply(on_c, ncn, out=out, dtype=np.float64)  # float, as for any entry
+        np.multiply(on_c, ncf, out=out)
         out += np.multiply(on_d, ndf, out=b.u)  # b.u is free until the round draws
         out /= b.degree
     return b.pc, b.pd
@@ -371,7 +372,7 @@ class _Buffers:
         self.u, self.pi, self.pi_nbr = np.empty((3, n))
         if isinstance(topology, WellMixed):
             return
-        self.pc, self.pd, self.ndf = np.empty((3, n))
+        self.pc, self.pd, self.ncf, self.ndf = np.empty((4, n))
         self.idx, self.ncn = np.zeros((2, n), dtype=np.int64)
         if isinstance(topology, RingLattice):
             self.degree, self.agents = float(topology.k), np.arange(n, dtype=np.int64)
@@ -391,9 +392,8 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator,
     matches sampling a uniform other agent.
 
     Each round fills the ``buffers`` that ``run`` made for all its rounds
-    (or makes its own); it allocates the ring's ``rng.integers`` draw and
-    arrays sized to the switched agents' neighbors.  The input is never
-    written; the returned population lives in them.
+    (or makes its own), so it allocates little: the ring's neighbor draw and
+    arrays sized to the switched agents.  The input is never written.
     """
     strat = population.strategies
     n = population.n

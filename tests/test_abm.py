@@ -324,7 +324,6 @@ def assert_rounds_match_the_oracle(pop, cfg, rng, ref_rng, buffers, rounds, edit
         if edit is not None:
             edit(pop.strategies, r)
             ref.strategies = pop.strategies.copy()
-    return pop
 
 
 @given(
@@ -641,7 +640,6 @@ def test_load_edge_list_names_the_bad_line():
 def test_load_edge_list_keeps_edges_as_written():
     # duplicates and self-loops pass the loader and fail when the graph is built
     assert load_edge_list("0 1\n1 0\n3 3\n") == ((0, 1), (1, 0), (3, 3))
-
 
 
 def reference_load_edge_list(text):
