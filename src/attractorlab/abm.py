@@ -14,6 +14,8 @@ Each rule is written once: ``step`` takes every agent's payoff from
 imitate from ``adoption_probability``.  A run makes one set of work buffers,
 sized to n and the topology, which every round fills in place; an imported
 graph's neighbor counts carry over, updated for the agents that switched.
+An edge list goes from text to ``Imported`` as one ``(m, 2)`` int64 array,
+and the graph keeps only the CSR neighbor arrays it compiles from it.
 
 All randomness flows through a Philox generator seeded per run, drawn in a
 fixed order each round (neighbors, adoptions, then mutations when noise > 0),
@@ -23,8 +25,8 @@ so a config determines its trace exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain
+import re
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -84,22 +86,12 @@ class RingLattice:
         object.__setattr__(self, "offsets", offsets)
 
 
-@dataclass(frozen=True)
-class _Adjacency:
-    """CSR neighbor arrays of an imported graph, neighbors sorted per node."""
-
-    degree: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-
-def _compile_edges(edges: tuple[tuple[int, int], ...], n: int) -> _Adjacency:
-    """Validate a simple graph on nodes 0..n-1 and build its CSR arrays."""
+def _compile_edges(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a simple graph on nodes 0..n-1 and return its CSR degree, indptr and indices."""
     try:
-        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         raise ValueError(f"node ids must lie in [0, {n})") from None
-    arr = flat.reshape(-1, 2)
     outside = (arr < 0) | (arr >= n)
     if outside.any():
         row, col = np.argwhere(outside)[0]
@@ -127,24 +119,33 @@ def _compile_edges(edges: tuple[tuple[int, int], ...], n: int) -> _Adjacency:
         )
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
-    return _Adjacency(degree, indptr, indices)
+    return degree, indptr, indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Imported:
-    """Simple undirected graph on nodes 0..n-1, given as an edge tuple.
+    """Simple undirected graph on nodes 0..n-1, built from ``(u, v)`` edges
+    (an ``(m, 2)`` int64 array, as ``load_edge_list`` returns, or pairs).
 
     Building one validates the graph (ValueError naming the first bad node
     or edge, IsolatedAgentError for a node without neighbors) and compiles
-    its neighbor arrays, ``adjacency``, which every simulation on it reuses.
+    its CSR neighbor arrays, which every simulation on it reuses.  The edges
+    are not kept: two graphs are equal when their neighbor arrays are.
     """
 
-    edges: tuple[tuple[int, int], ...]
+    edges: InitVar[object]
     n: int
-    adjacency: _Adjacency = field(init=False, compare=False, repr=False)
+    degree: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "adjacency", _compile_edges(self.edges, self.n))
+    def __post_init__(self, edges):
+        for name, array in zip(("degree", "indptr", "indices"), _compile_edges(edges, self.n)):
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        return (isinstance(other, Imported) and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
 
 Topology = WellMixed | RingLattice | Imported
@@ -242,17 +243,17 @@ class AbmTrace:
 # Topology helpers
 # ---------------------------------------------------------------------------
 
-def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse the edge-list interchange format: one ``u v`` pair per line.
+def load_edge_list(text: str) -> np.ndarray:
+    """Parse the edge-list interchange format, one ``u v`` pair per line,
+    into an ``(m, 2)`` int64 array, edges undirected and kept as written.
 
-    Node ids are 0-based integers, edges undirected and kept as written.
-    Only the syntax is checked here, naming the line; building an
-    ``Imported`` graph rejects ids out of range, self-loops and duplicates
-    (in either orientation).  Plain text is parsed in one numpy pass.
+    Only the syntax and the int64 range are checked here, naming the line;
+    building an ``Imported`` graph rejects ids out of range, self-loops and
+    duplicates.  Plain text is parsed in one numpy pass, other text by line.
     """
     ids = _plain_node_ids(text)
     if ids is not None:
-        return tuple(zip(ids[0::2].tolist(), ids[1::2].tolist()))
+        return ids.reshape(-1, 2)
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -261,27 +262,26 @@ def load_edge_list(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise ValueError(f"edge list line {lineno}: expected 'u v', got {raw!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            pair = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"edge list line {lineno}: non-integer node id in {raw!r}") from None
-    return tuple(edges)
+        if not -1 << 63 <= min(pair) <= max(pair) < 1 << 63:
+            raise ValueError(f"edge list line {lineno}: node id outside int64 in {raw!r}")
+        edges.append(pair)
+    # the dtype is explicit: an empty list would infer float64
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+_NOT_A_PAIR = re.compile(r"^(?![ \t]*(?:[+-]?[0-9]{1,18}[ \t]+[+-]?[0-9]{1,18}[ \t]*)?$)", re.M)
 
 
 def _plain_node_ids(text: str) -> np.ndarray | None:
-    """The node ids in one numpy pass, or None unless each non-empty line is
-    two ``[+-]digits`` of <= 18 ASCII chars split by space, tab, CR or LF."""
-    data = (text + "\n").encode("ascii", "replace")
-    if data.translate(None, b"0123456789+- \t\r\n"):
+    """The node ids in one numpy pass, or None unless each line of the text
+    (LF, CR or CRLF ended) is blank or two ``[+-]digits`` tokens of <= 18
+    ASCII digits split by spaces or tabs.  Blank text, read as 0 by numpy, has none."""
+    if _NOT_A_PAIR.search(text.replace("\r", "\n")):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    starts, ends = np.flatnonzero(np.diff(buf <= ord(" "), prepend=True)).reshape(-1, 2).T
-    signs = np.flatnonzero((buf == ord("+")) | (buf == ord("-")))
-    lines = np.searchsorted(np.flatnonzero((buf == ord("\n")) | (buf == ord("\r"))), starts)
-    if (starts.size % 2 or (ends - starts).max(initial=0) > 18
-            or not np.isin(signs, starts).all() or (buf[signs + 1] < ord("0")).any()
-            or (lines[0::2] != lines[1::2]).any() or (lines[2::2] == lines[1:-1:2]).any()):
-        return None
-    return np.fromstring(text, dtype=np.int64, sep=" ")
+    return np.zeros(0, np.int64) if text.isspace() else np.fromstring(text, np.int64, sep=" ")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tupl
     else:
         # counts of the row b.counted: each agent that differs adds +1 (now
         # cooperating) or -1 to each neighbor; add.at sums shared neighbors
-        adj, changed = pop.topology.adjacency, np.flatnonzero(strat != b.counted)
+        adj, changed = pop.topology, np.flatnonzero(strat != b.counted)
         reps = adj.degree[changed]  # the CSR slices of the changed rows, in turn
         skip = adj.indptr[changed] - np.cumsum(reps) + reps
         nbrs = adj.indices[np.arange(reps.sum()) + np.repeat(skip, reps)]
@@ -379,7 +379,7 @@ class _Buffers:
             self.coop = np.empty(n, dtype=np.int64)
         else:  # zero counts of the all-defector row: a first round counts in full
             self.counted = np.zeros(n, dtype=bool)
-            self.degree = topology.adjacency.degree.astype(np.float64)
+            self.degree = topology.degree.astype(np.float64)
 
 
 def step(population: Population, config: AbmConfig, rng: np.random.Generator,
@@ -417,11 +417,10 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator,
             np.take(offsets, rng.integers(0, offsets.size, size=n), out=idx, mode="wrap")
             idx += b.agents
         else:
-            adj = population.topology.adjacency
             np.multiply(rng.random(n, out=u), b.degree, out=u)
             np.copyto(idx, u, casting="unsafe")  # truncates, as astype does
-            idx += adj.indptr[:-1]
-            np.take(adj.indices, idx, out=idx, mode="wrap")
+            idx += population.topology.indptr[:-1]
+            np.take(population.topology.indices, idx, out=idx, mode="wrap")
         # "wrap" maps ring i + offset into 0..n-1; unlike "raise" it never copies out
         np.take(strat, idx, out=nbr, mode="wrap")
         np.take(pi, idx, out=pi_nbr, mode="wrap")

@@ -43,6 +43,14 @@ DEFAULT_JUMP_TOL = 0.5
 RELAX_CAP_FACTOR = 100.0
 SETTLE_TOL = 1e-9
 EQUILIBRATION_TOL = 1e-6
+# Work-size limits, checked when a sweep or an integration is set up, so an
+# oversized config fails as a config error before anything is allocated.
+# Each is far above every config in the tests, goldens, scripts and the
+# benchmark (at most 1,201 sweep points and 10,000 RK4 steps) and far below
+# what exhausts memory: the limit's lambda list holds 32 MB of Python floats,
+# its states list about 320 MB.
+MAX_SWEEP_POINTS = 1_000_000
+MAX_RK4_STEPS = 10_000_000
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -194,6 +202,9 @@ class OdeSpec:
         _check_positive(dt=self.dt)
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        # integrate's step count is the ceil of this float
+        _check_work(f"t_end={self.t_end!r} at dt={self.dt!r}", self.t_end / self.dt - 1e-12,
+                    MAX_RK4_STEPS, "RK4 steps")
         if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
         if isinstance(self.rhs, ReplicatorRhs) and not 0.0 <= self.x0 <= 1.0:
@@ -366,9 +377,15 @@ def find_fixed_points(
     return FixedPointReport(tuple(roots))
 
 
+def _grid_size(lo: float, hi: float, step: float) -> float:
+    """Point count of the grid lo, lo + step, ... up to hi (with a 1e-9
+    rounding allowance), as a float: inf where the count overflows."""
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1.0 if math.isfinite(span) else span
+
+
 def _param_grid(lo: float, hi: float, step: float) -> list[float]:
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    return [lo + k * step for k in range(count + 1)]
+    return [lo + k * step for k in range(int(_grid_size(lo, hi, step)))]
 
 
 def _cusp_bracket(theta: float, lo: float, hi: float) -> float:
@@ -382,12 +399,21 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _check_work(what: str, size: float, limit: int, unit: str) -> None:
+    """Reject a work size, rounded up, above ``limit``.  ``size`` is a float,
+    so one too large for an int reads inf; nan is rejected too."""
+    if not size <= limit:
+        count = math.ceil(size) if math.isfinite(size) else size
+        raise ValueError(f"{what} asks for {count:.8g} {unit}, above the limit of {limit:,}")
+
+
 def check_bifurcation(theta: float, lambda_lo: float, lambda_hi: float, step: float, grid_n: int) -> None:
-    """Rules of ``sweep_bifurcation``: finite theta, lambda_lo < lambda_hi and step > 0;
-    grid_n >= 2."""
+    """Rules of ``sweep_bifurcation``: finite theta, lambda_lo < lambda_hi and step > 0,
+    at most MAX_SWEEP_POINTS lambdas; grid_n >= 2."""
     if not (math.isfinite(theta) and -math.inf < lambda_lo < lambda_hi < math.inf):
         raise ValueError(f"need finite theta and lambda_lo < lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
     _check_positive(step=step)
+    _check_work(f"step={step!r}", _grid_size(lambda_lo, lambda_hi, step), MAX_SWEEP_POINTS, "sweep points")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
 
@@ -453,10 +479,11 @@ def check_hysteresis(
     relax_t: float, relax_dt: float, jump_tol: float,
 ) -> None:
     """Rules of ``hysteresis_loop``: finite theta and lambda_lo <= lambda_hi; finite
-    step, relax_t, relax_dt and jump_tol, each > 0."""
+    step, relax_t, relax_dt and jump_tol, each > 0; at most MAX_SWEEP_POINTS lambdas."""
     if not (math.isfinite(theta) and -math.inf < lambda_lo <= lambda_hi < math.inf):
         raise ValueError(f"need finite theta and lambda_lo <= lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
     _check_positive(step=step, relax_t=relax_t, relax_dt=relax_dt, jump_tol=jump_tol)
+    _check_work(f"step={step!r}", _grid_size(lambda_lo, lambda_hi, step), MAX_SWEEP_POINTS, "sweep points")
 
 
 def find_jumps(branch, jump_tol: float) -> tuple[float, ...]:

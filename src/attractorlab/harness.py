@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -304,16 +305,11 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     return out
 
 
-_step_prefixes_cache: tuple[range, list[bytes]] = (range(0), [])  # one slot
-
-
-def _step_prefixes(steps: range) -> list[bytes]:
+@functools.lru_cache(maxsize=1)
+def _step_prefixes(steps: range) -> tuple[bytes, ...]:
     """Row prefixes ``b"<s>,"``, then ``b"\\n<s>,"`` for every later step;
     the last range asked for is kept, so the cache never outgrows one file."""
-    global _step_prefixes_cache
-    if _step_prefixes_cache[0] != steps:
-        _step_prefixes_cache = (steps, [b"%d," % steps[0], *[b"\n%d," % s for s in steps[1:]]])
-    return _step_prefixes_cache[1]
+    return (b"%d," % steps[0], *[b"\n%d," % s for s in steps[1:]])
 
 
 def _cells(col) -> list[bytes]:

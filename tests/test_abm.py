@@ -64,7 +64,7 @@ def reference_payoff(agent, population, game):
         for o in topo.offsets:
             total += reference_game_payoff(game, mine, bool(strat[(agent + int(o)) % n]))
         return total / topo.k
-    adj = topo.adjacency
+    adj = topo
     nbrs = adj.indices[adj.indptr[agent]:adj.indptr[agent + 1]]
     total = 0.0
     for j in nbrs:
@@ -106,7 +106,7 @@ def reference_payoffs_by_strategy(pop, game):
         for o in pop.topology.offsets:
             ncn += np.roll(coop, -int(o))
     else:
-        adj = pop.topology.adjacency
+        adj = pop.topology
         coop = strat.astype(np.float64)
         ncn = np.add.reduceat(coop[adj.indices], adj.indptr[:-1])
         deg = adj.degree.astype(np.float64)
@@ -144,7 +144,7 @@ def reference_step(population, config, rng):
             picks = rng.integers(0, offsets.size, size=n)
             nbr_idx = (np.arange(n) + offsets[picks]) % n
         else:
-            adj = population.topology.adjacency
+            adj = population.topology
             u = rng.random(n)
             picks = (u * adj.degree).astype(np.int64)
             nbr_idx = adj.indices[adj.indptr[:-1] + picks]
@@ -627,7 +627,8 @@ def test_basin_validates():
 
 def test_load_edge_list():
     edges = load_edge_list("0 1\n1 2\n\n2 3\n")
-    assert edges == ((0, 1), (1, 2), (2, 3))
+    assert edges.tolist() == [list(e) for e in reference_load_edge_list("0 1\n1 2\n\n2 3\n")]
+    assert edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 def test_load_edge_list_names_the_bad_line():
@@ -639,7 +640,8 @@ def test_load_edge_list_names_the_bad_line():
 
 def test_load_edge_list_keeps_edges_as_written():
     # duplicates and self-loops pass the loader and fail when the graph is built
-    assert load_edge_list("0 1\n1 0\n3 3\n") == ((0, 1), (1, 0), (3, 3))
+    text = "0 1\n1 0\n3 3\n"
+    assert load_edge_list(text).tolist() == [list(e) for e in reference_load_edge_list(text)]
 
 
 def reference_load_edge_list(text):
@@ -687,6 +689,17 @@ def edge_list_texts(draw, plain=True):
     return text[:-len(ends[-1])] if lines and draw(st.booleans()) else text
 
 
+def expected_edges(text):
+    """What ``load_edge_list`` gives for ``text``: the reference's edges as
+    lists, or its error; an id it reads outside int64 is an error that names
+    the first line holding one."""
+    edges = reference_load_edge_list(text)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if any(not -2**63 <= int(token) < 2**63 for token in raw.split()):
+            raise ValueError(f"edge list line {lineno}: node id outside int64 in {raw!r}")
+    return [list(e) for e in edges]
+
+
 def outcome(parse, text):
     try:
         return parse(text)
@@ -694,12 +707,19 @@ def outcome(parse, text):
         return f"ValueError: {exc}"
 
 
+def loaded(text):
+    """``load_edge_list(text)`` as lists, after checking its dtype and shape."""
+    edges = load_edge_list(text)
+    assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+    return edges.tolist()
+
+
 @given(edge_list_texts())
 def test_load_edge_list_reads_plain_text_in_bulk_as_the_line_loop_does(text):
-    assert abm_mod._plain_node_ids(text) is not None
-    edges = load_edge_list(text)
-    assert edges == reference_load_edge_list(text)
-    assert all(type(u) is int and type(v) is int for u, v in edges)
+    ids = abm_mod._plain_node_ids(text)
+    assert ids is not None
+    assert ids.tolist() == [i for edge in expected_edges(text) for i in edge]
+    assert loaded(text) == expected_edges(text)
 
 
 @given(edge_list_texts(plain=False))
@@ -707,20 +727,23 @@ def test_load_edge_list_reads_plain_text_in_bulk_as_the_line_loop_does(text):
 @example("99999999999999999999 1\n")
 @example("999999999999999999 -99999999999999999\n")
 @example("\u0661 2\n3\u00a04\x0b5 6\n")
+@example(" \x0b\n\u00a0")  # blank, but not plain: no edges from the line loop
 def test_load_edge_list_reads_any_valid_text_as_the_line_loop_does(text):
-    assert load_edge_list(text) == reference_load_edge_list(text)
+    assert outcome(loaded, text) == outcome(expected_edges, text)
 
 
 @given(
     text=edge_list_texts(),
     bad=st.one_of(
         st.text("0123456789+-_ \t\nx.\u0661\u00a0\x0b\x0c", min_size=1, max_size=12),
-        st.sampled_from(["7", "1 2 3", "1 2 3 4", "7\n8", "1 2 3\n4", "+ 1", "1+ 2",
-                         "1+2 3", "1 2-3", "--1 2", "1.5 2", "1 x"]),
+        st.sampled_from(["7", "12", "1+2", "1 2 3", "1 2 3 4", "7\n8", "1 2 3\n4", "+ 1",
+                         "1+ 2", "1+2 3", "1 2-3", "--1 2", "1.5 2", "1 x"]),
     ),
     where=st.integers(0, 9),
 )
 @example(text="0 1\n", bad="7\n8", where=1)
+@example(text="0 1\n", bad="12", where=1)
+@example(text="0 1\n", bad="1+2", where=1)
 @example(text="0 1\n", bad="1 2 3\n4", where=0)
 @example(text="0 1\n", bad="1+2 3", where=1)
 @example(text="0 1\n", bad="1 2 3 4", where=1)
@@ -730,18 +753,41 @@ def test_load_edge_list_fails_as_the_line_loop_does(text, bad, where):
     lines = text.splitlines(keepends=True)
     lines.insert(min(where, len(lines)), "\n" + bad + "\n")
     text = "".join(lines)
-    assert outcome(load_edge_list, text) == outcome(reference_load_edge_list, text)
+    assert outcome(loaded, text) == outcome(expected_edges, text)
 
 
 def test_imported_compile_builds_sorted_neighbors():
     edges = ((0, 2), (1, 2), (0, 1), (3, 2))
-    compiled = Imported(edges, 4)
-    adj = compiled.adjacency
+    adj = Imported(edges, 4)
     for i in range(4):
         expected = sorted({v for u, v in edges if u == i} | {u for u, v in edges if v == i})
         assert adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist() == expected
         assert adj.degree[i] == len(expected)
-    assert compiled == Imported(edges, 4)  # compiled arrays take no part in equality
+
+
+@given(pop=populations(), data=st.data())
+def test_imported_graphs_are_equal_when_their_edges_are(pop, data):
+    # equality is structural: the edges may come in any order and either
+    # orientation, as pairs or as the array load_edge_list returns; moving
+    # one edge makes another graph, and no edge list is kept
+    if not isinstance(pop.topology, Imported):
+        return
+    graph, n = pop.topology, pop.n
+    edges = [(u, v) for u in range(n) for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
+             if u < v]
+    shuffled = [(v, u) if data.draw(st.booleans()) else (u, v)
+                for u, v in data.draw(st.permutations(edges))]
+    assert Imported(np.array(shuffled, dtype=np.int64), n) == graph
+    assert Imported(tuple(reversed(shuffled)), n) == graph
+    assert vars(graph).keys() == {"n", "degree", "indptr", "indices"}
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if missing:  # move one edge onto a pair that had none, keeping every node linked
+        moved = data.draw(st.sampled_from(missing))
+        for i in range(len(edges)):
+            rest = edges[:i] + edges[i + 1:] + [moved]
+            if {x for e in rest for x in e} == set(range(n)):
+                assert Imported(rest, n) != graph
+                break
 
 
 @pytest.mark.parametrize("edges, n, match", [

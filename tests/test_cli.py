@@ -432,9 +432,11 @@ def test_relaxation_overflow_exits_two_and_leaves_the_directory(tmp_path, capsys
 
 
 def test_imported_graph_defects_fail_at_load(tmp_path, capsys):
-    # a malformed line, an out-of-range node id, a self-loop, a duplicate edge
-    # and an isolated node all exit 1 before any run, naming the line, node or edge
+    # a malformed line, an id past int64, an out-of-range node id, a self-loop, a duplicate
+    # edge and an isolated node all exit 1 before any run, naming the line, node or edge
     cases = {"syntax": ("0 1\n1 2\n2 x\n3 0\n", "line 3"),
+             "int64": ("0 1\n1 2\n2 99999999999999999999\n3 0\n",
+                       "edge list line 3: node id outside int64 in '2 99999999999999999999'"),
              "range": ("0 1\n1 2\n2 7\n3 0\n", "node 7"),
              "loop": ("0 1\n1 2\n2 3\n3 0\n3 3\n", "self-loop at node 3"),
              "duplicate": ("0 1\n1 2\n2 3\n3 0\n2 1\n", "duplicate edge (1, 2)"),
@@ -544,6 +546,37 @@ _POPULATION_ARGS = ["--n", "20", "--game", "1,0,0,1", "--rounds", "2"]
     (["basin", *_POPULATION_ARGS, "--x0-list", "0.2,0.5,1.5"], "x0"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bifurcate", *_SWEEP_ARGS, "--step", "5e-324"], "step=5e-324 asks for inf sweep points"),
+    (["hysteresis", *_SWEEP_ARGS, "--step", "1e-300"], "step=1e-300 asks for 4e+299 sweep points"),
+    (["replicator", "--pc", "2", "--pd", "1", "--x0", "0.1", "--t-end", "1e300"],
+     "t_end=1e+300 at dt=0.001 asks for 1e+303 RK4 steps"),
+    ({"kind": "bifurcation",
+      "params": {"theta": 1, "lambda_lo": -0.6, "lambda_hi": 0.6, "step": 1e-300}},
+     "step=1e-300 asks for 1.2e+300 sweep points"),
+    ({"kind": "replicator", "params": {"x0": 0.1, "t_end": 1e300, "p_c": 2, "p_d": 1}},
+     "t_end=1e+300 at dt=0.001 asks for 1e+303 RK4 steps"),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
+def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypatch, argv, named):
+    # the loader rejects the size, naming its key; no grid is built, nothing
+    # is integrated and no output directory is made
+    from attractorlab import dynamics
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(dynamics, "_param_grid", no_work)
+    monkeypatch.setattr(dynamics, "integrate", no_work)
+    if isinstance(argv, dict):  # a config file
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"master_seed": 0, "replicates": 1, **argv}))
+        argv = ["run", "--config", str(path)]
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out), "--quiet"]) == 1
     assert named in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -353,6 +354,50 @@ def test_bifurcation_rules_raise_before_scanning(bad, monkeypatch):
     args = {"theta": 1.0, "lambda_lo": -0.6, "lambda_hi": 0.6, "step": 0.1, **bad}
     with pytest.raises(ValueError, match=next(iter(bad))):
         sweep_bifurcation(**args)
+
+
+@pytest.mark.parametrize("lo, hi, step, count", [
+    (-0.6, 0.6, 5e-324, "inf"),
+    (-0.6, 0.6, 1e-300, "1.2e+300"),
+    (0.0, 1e6, 1.0, "1000001"),  # one point past the limit
+])
+@pytest.mark.parametrize("check, rest", [
+    (dynamics.check_bifurcation, {"grid_n": 64}),
+    (dynamics.check_hysteresis, {"relax_t": 5.0, "relax_dt": 0.01, "jump_tol": 0.5}),
+])
+def test_sweep_size_is_checked_before_the_grid_is_built(check, rest, lo, hi, step, count,
+                                                        monkeypatch):
+    # the point count is a float until it passes, so an overflowing one is
+    # rejected as a size, never an OverflowError from the grid
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(dynamics, "_param_grid", no_grid)
+    args = {"theta": 1.0, "lambda_lo": lo, "lambda_hi": hi, "step": step, **rest}
+    with pytest.raises(ValueError, match=re.escape(
+            f"step={step!r} asks for {count} sweep points, above the limit of 1,000,000")):
+        check(**args)
+    check(**{**args, "lambda_lo": 0.0, "lambda_hi": 999_999.0, "step": 1.0})  # at the limit
+
+
+@pytest.mark.parametrize("lo, hi, step", [
+    (-0.6, 0.6, 1e-3), (-0.2, 0.2, 0.1), (0.2, 0.2, 0.01), (0.0, 1.0, 0.3), (0.0, 999_999.0, 1.0),
+])
+def test_sweep_size_counts_the_points_of_the_grid(lo, hi, step):
+    assert dynamics._grid_size(lo, hi, step) == len(dynamics._param_grid(lo, hi, step))
+
+
+@pytest.mark.parametrize("t_end, dt, count", [
+    (1e300, 1e-3, "1e+303"),
+    (1.0, 5e-324, "inf"),
+    (10_000.5, 1e-3, "10000500"),
+])
+def test_ode_step_count_is_checked_when_the_spec_is_built(t_end, dt, count):
+    rhs = ReplicatorRhs(PayoffSpec.constant(2, 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"t_end={t_end!r} at dt={dt!r} asks for {count} RK4 steps, above the limit of 10,000,000")):
+        OdeSpec(rhs, x0=0.1, dt=dt, t_end=t_end)
+    OdeSpec(rhs, x0=0.1, dt=1.0, t_end=float(dynamics.MAX_RK4_STEPS))  # at the limit
 
 
 def test_tabulated_rhs_hook():
