@@ -2,7 +2,7 @@
 versions, not only across reruns of the same code.
 
 Every data file (``manifest.json`` excluded, it carries timestamps) of the
-criterion-10 scenario set and of four extra scenarios is compared with a
+criterion-10 scenario set and of five extra scenarios is compared with a
 committed sha256.  The library results of ``intervention_cost`` and
 ``estimate_lockin``, which write no file, are pinned by their exact ``repr``.  A refactor or speed-up that changes any output byte fails
 here.  To re-pin after an intended change of outputs, print the digests of
@@ -49,6 +49,11 @@ EXTRA_DOCS = {
     "netgrowth_degree_pa": {
         "replicates": 3,
         "params": {"n_nodes": 500, "seed_agi": 2, "seed_dci": 1, "mode": "degree_pa", "m": 2},
+    },
+    # payoffs from a 2x2 game, the replicator branch the criterion-10 doc does not take
+    "replicator_game": {
+        "replicates": 2,
+        "params": {"x0": 0.3, "t_end": 2.0, "game": {"r": 3, "sg": 0, "t": 5, "pu": 1}},
     },
 }
 
@@ -103,6 +108,11 @@ GOLDEN = {
         "shares_0001.csv": "c62676b828c88c8f34944afd40ef0cd74fb1b0e1cd688c395d6a3082a5ae62fb",
         "shares_0002.csv": "d4213d8e3acc22037efeba7837fbdd5057e3d6898662c42202f07fce6764cce6",
         "summary.csv": "511949a819871f8b2d52b964dd23f5c0c2d951cef915daaea2cca499be03b9a9",
+    },
+    "replicator_game": {
+        "summary.csv": "3482ebcdad2cdf93cbbd4a10d0095913b83c83cbf3421fbde3dabfafdb14d4fd",
+        "trajectory_0000.csv": "880f33052447063f15c88773a7ec7aedc2f70c25ffbc21353b8011ad034f5cff",
+        "trajectory_0001.csv": "880f33052447063f15c88773a7ec7aedc2f70c25ffbc21353b8011ad034f5cff",
     },
 }
 
