@@ -1,19 +1,20 @@
 """One-dimensional deterministic dynamics of strategy-share growth and of a
 bistable control-parameter family.
 
-Two right-hand sides are built in:
+Two right-hand sides are built in, each in one form:
 
-* replicator: ``dx/dt = x (1 - x) (P_C - P_D)``, growth of the cooperative
-  share under its payoff advantage.  Payoffs are either constants or the
-  frequency-dependent means of a 2x2 game,
-  ``P_C(x) = r x + sg (1 - x)`` and ``P_D(x) = t x + pu (1 - x)``.
-* cusp: ``ds/dt = lam + theta s - s**3``, the minimal polynomial family with
-  a fold pair.  For theta > 0 two stable branches coexist between the folds
-  at ``lam = -/+ 2 (theta / 3)**1.5``, which is what drives the hysteresis
-  loop; for theta <= 0 the equilibrium is unique for every lam.
+* :class:`ReplicatorRhs`: ``dx/dt = x (1 - x) (P_C - P_D)``, growth of the
+  cooperative share under its payoff advantage.  Payoffs are either
+  constants or the frequency-dependent means of a 2x2 game,
+  ``P_C(x) = r x + sg (1 - x)`` and ``P_D(x) = t x + pu (1 - x)``; the
+  class checks which when it is built.
+* :func:`_cusp`: ``ds/dt = lam + theta s - s**3``, the minimal polynomial
+  family with a fold pair, which every sweep uses.  For theta > 0 two
+  stable branches coexist between the folds at ``lam = -/+ 2 (theta / 3)**1.5``,
+  which is what drives the hysteresis loop; for theta <= 0 the equilibrium
+  is unique for every lam.
 
-Custom right-hand sides enter either as plain callables or via
-:class:`TabulatedRhs`, a piecewise-linear table.
+Any other right-hand side is a plain callable of the state.
 
 Integration is classic fixed-step fourth-order Runge-Kutta (fixed step
 keeps runs bit-reproducible).  The hysteresis relaxation inlines the step on
@@ -48,7 +49,8 @@ EQUILIBRATION_TOL = 1e-6
 # Each is far above every config in the tests, goldens, scripts and the
 # benchmark (at most 1,201 sweep points and 10,000 RK4 steps) and far below
 # what exhausts memory: the limit's lambda list holds 32 MB of Python floats,
-# its states list about 320 MB.
+# its states list about 320 MB.  MAX_RK4_STEPS also bounds the relaxation
+# budget of one hysteresis sweep point, which is 500,000 steps at the defaults.
 MAX_SWEEP_POINTS = 1_000_000
 MAX_RK4_STEPS = 10_000_000
 
@@ -61,67 +63,6 @@ class NumericalDivergenceError(RuntimeError):
     """Integration produced a non-finite state or overflowed."""
 
 
-@dataclass(frozen=True)
-class ControlParams:
-    """Control parameter ``lam`` and shape parameter ``theta`` of the cusp
-    family (``lam`` is the swept knob; ``theta`` selects mono- vs bistable)."""
-
-    lam: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and math.isfinite(self.theta)):
-            raise ValueError("control parameters must be finite")
-
-
-@dataclass(frozen=True)
-class PayoffSpec:
-    """Cooperation/defection payoffs, either constant or game-derived."""
-
-    mode: str  # "constant" | "matrix"
-    p_c: float = 0.0
-    p_d: float = 0.0
-    game: object = None  # anything with r, sg, t, pu (abm.GameMatrix)
-
-    def __post_init__(self):
-        if self.mode == "constant":
-            if not (math.isfinite(self.p_c) and math.isfinite(self.p_d)):
-                raise ValueError("constant payoffs must be finite")
-        elif self.mode == "matrix":
-            if self.game is None:
-                raise ValueError("matrix mode requires a game")
-        else:
-            raise ValueError(f"unknown payoff mode {self.mode!r}")
-
-    @classmethod
-    def constant(cls, p_c: float, p_d: float) -> "PayoffSpec":
-        return cls(mode="constant", p_c=float(p_c), p_d=float(p_d))
-
-    @classmethod
-    def from_game(cls, game) -> "PayoffSpec":
-        return cls(mode="matrix", game=game)
-
-    def effective(self, x: float) -> tuple[float, float]:
-        """(P_C, P_D) at cooperator fraction x."""
-        if self.mode == "constant":
-            return self.p_c, self.p_d
-        g = self.game
-        return g.r * x + g.sg * (1.0 - x), g.t * x + g.pu * (1.0 - x)
-
-
-def replicator_rhs(x: float, payoffs: PayoffSpec) -> float:
-    """Share growth rate ``x (1 - x) (P_C - P_D)`` at fraction x.
-
-    x may stray outside [0, 1] by at most 1e-12 (rounding slack); anything
-    further is a domain error.
-    """
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValueError(f"replicator state must lie in [0, 1], got {x}")
-    x = min(1.0, max(0.0, x))
-    p_c, p_d = payoffs.effective(x)
-    return x * (1.0 - x) * (p_c - p_d)
-
-
 def _cusp(lam: float, theta: float):
     """Cusp rate at fixed (lam, theta), bound as default arguments (fast locals)."""
 
@@ -129,11 +70,6 @@ def _cusp(lam: float, theta: float):
         return lam + theta * s - s ** 3
 
     return f
-
-
-def cusp_rhs(s: float, params: ControlParams) -> float:
-    """Rate ``lam + theta s - s**3`` of the bistable family."""
-    return _cusp(params.lam, params.theta)(s)
 
 
 def closed_form_logistic(x0: float, c: float, t: float) -> float:
@@ -155,45 +91,42 @@ def closed_form_logistic(x0: float, c: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class ReplicatorRhs:
-    payoffs: PayoffSpec
+    """Share growth rate ``x (1 - x) (P_C - P_D)`` under constant payoffs
+    ``p_c``, ``p_d`` or the payoffs of ``game``, one of the two."""
 
-    def __call__(self, x: float) -> float:
-        return replicator_rhs(x, self.payoffs)
-
-
-@dataclass(frozen=True)
-class CuspRhs:
-    params: ControlParams
-
-    def __call__(self, s: float) -> float:
-        return cusp_rhs(s, self.params)
-
-
-@dataclass(frozen=True)
-class TabulatedRhs:
-    """Piecewise-linear rate table, the hook for custom 1-d families."""
-
-    s: tuple[float, ...]
-    rate: tuple[float, ...]
+    p_c: float | None = None
+    p_d: float | None = None
+    game: object = None  # anything with r, sg, t, pu (abm.GameMatrix)
 
     def __post_init__(self):
-        if len(self.s) != len(self.rate) or len(self.s) < 2:
-            raise ValueError("need matching s/rate tables with >= 2 points")
-        if any(b <= a for a, b in zip(self.s, self.s[1:])):
-            raise ValueError("table abscissae must be strictly increasing")
+        constants = (self.p_c, self.p_d)
+        if self.game is not None:
+            if constants != (None, None):
+                raise ValueError("give either p_c/p_d or game, not both")
+        elif None in constants:
+            raise ValueError("constant payoffs need both p_c and p_d")
+        elif not (math.isfinite(self.p_c) and math.isfinite(self.p_d)):
+            raise ValueError("constant payoffs must be finite")
 
-    def __call__(self, x):
-        return np.interp(x, self.s, self.rate)
-
-
-RhsSpec = ReplicatorRhs | CuspRhs | TabulatedRhs | Callable[[float], float]
+    def __call__(self, x: float) -> float:
+        """Rate at fraction x, which may stray outside [0, 1] by at most 1e-12
+        (rounding slack); anything further is a domain error."""
+        if x < -1e-12 or x > 1.0 + 1e-12:
+            raise ValueError(f"replicator state must lie in [0, 1], got {x}")
+        x = min(1.0, max(0.0, x))
+        g = self.game
+        if g is None:
+            p_c, p_d = self.p_c, self.p_d
+        else:
+            p_c, p_d = g.r * x + g.sg * (1.0 - x), g.t * x + g.pu * (1.0 - x)
+        return x * (1.0 - x) * (p_c - p_d)
 
 
 @dataclass(frozen=True)
 class OdeSpec:
     """A right-hand side plus initial state, step and horizon, checked when built."""
 
-    rhs: RhsSpec
+    rhs: Callable[[float], float]
     x0: float
     dt: float = DEFAULT_DT
     t_end: float = 0.0
@@ -289,7 +222,7 @@ def integrate(spec: OdeSpec) -> Trajectory:
         if not math.isfinite(x):
             raise NumericalDivergenceError(f"non-finite state at step {i}")
         states.append(x)
-    times = np.array([i * dt for i in range(n_steps + 1)])
+    times = np.arange(n_steps + 1) * dt
     return Trajectory(times, np.array(states))
 
 
@@ -479,11 +412,14 @@ def check_hysteresis(
     relax_t: float, relax_dt: float, jump_tol: float,
 ) -> None:
     """Rules of ``hysteresis_loop``: finite theta and lambda_lo <= lambda_hi; finite
-    step, relax_t, relax_dt and jump_tol, each > 0; at most MAX_SWEEP_POINTS lambdas."""
+    step, relax_t, relax_dt and jump_tol, each > 0; at most MAX_SWEEP_POINTS lambdas
+    and at most MAX_RK4_STEPS relaxation steps per lambda."""
     if not (math.isfinite(theta) and -math.inf < lambda_lo <= lambda_hi < math.inf):
         raise ValueError(f"need finite theta and lambda_lo <= lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
     _check_positive(step=step, relax_t=relax_t, relax_dt=relax_dt, jump_tol=jump_tol)
     _check_work(f"step={step!r}", _grid_size(lambda_lo, lambda_hi, step), MAX_SWEEP_POINTS, "sweep points")
+    _check_work(f"relax_t={relax_t!r} at relax_dt={relax_dt!r}", relax_t * RELAX_CAP_FACTOR / relax_dt,
+                MAX_RK4_STEPS, "relaxation steps per sweep point")
 
 
 def find_jumps(branch, jump_tol: float) -> tuple[float, ...]:

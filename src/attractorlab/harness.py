@@ -231,16 +231,9 @@ def _fmt(x: float) -> str:
 
 
 def _build_replicator(params: dict) -> dynamics.OdeSpec:
-    if "game" in params:
-        if "p_c" in params or "p_d" in params:
-            raise ConfigError("give either p_c/p_d or game, not both")
-        payoffs = dynamics.PayoffSpec.from_game(abm.GameMatrix(**params["game"]))
-    elif "p_c" in params and "p_d" in params:
-        payoffs = dynamics.PayoffSpec.constant(params["p_c"], params["p_d"])
-    else:
-        raise ConfigError("constant payoffs need both p_c and p_d")
+    game = abm.GameMatrix(**params["game"]) if "game" in params else None
     return dynamics.OdeSpec(
-        rhs=dynamics.ReplicatorRhs(payoffs),
+        rhs=dynamics.ReplicatorRhs(params.get("p_c"), params.get("p_d"), game),
         x0=params["x0"],
         dt=params["dt"],
         t_end=params["t_end"],

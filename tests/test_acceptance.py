@@ -34,7 +34,6 @@ from attractorlab.cogmodel import (
 )
 from attractorlab.dynamics import (
     OdeSpec,
-    PayoffSpec,
     ReplicatorRhs,
     closed_form_logistic,
     hysteresis_loop,
@@ -69,10 +68,10 @@ def urn_final_shares(config, replicates):
 
 def test_criterion_01_replicator_integrator_vs_closed_form():
     with criterion(1, "replicator RK4 vs closed-form logistic", 1.0):
-        payoffs = PayoffSpec.constant(2.0, 1.0)  # P_C - P_D = 1
+        rhs = ReplicatorRhs(2.0, 1.0)  # P_C - P_D = 1
 
         def max_err(dt):
-            traj = integrate(OdeSpec(ReplicatorRhs(payoffs), x0=0.1, dt=dt, t_end=10.0))
+            traj = integrate(OdeSpec(rhs, x0=0.1, dt=dt, t_end=10.0))
             return max(
                 abs(x - closed_form_logistic(0.1, 1.0, t))
                 for t, x in zip(traj.times, traj.states)
@@ -154,7 +153,7 @@ def test_criterion_06_abm_mean_field_equivalence():
         mean_traj = np.mean(trajs, axis=0)
 
         ode = integrate(OdeSpec(
-            ReplicatorRhs(PayoffSpec.constant(1.0, 2.0)),
+            ReplicatorRhs(1.0, 2.0),
             x0=x0, dt=1e-3, t_end=rounds * h,
         ))
         per_round = int(round(h / 1e-3))

@@ -562,10 +562,21 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
      "step=1e-300 asks for 1.2e+300 sweep points"),
     ({"kind": "replicator", "params": {"x0": 0.1, "t_end": 1e300, "p_c": 2, "p_d": 1}},
      "t_end=1e+300 at dt=0.001 asks for 1e+303 RK4 steps"),
+    (["hysteresis", *_SWEEP_ARGS, "--relax-dt", "1e-300"],
+     "invalid hysteresis params: relax_t=50.0 at relax_dt=1e-300 asks for 5e+303 relaxation steps"
+     " per sweep point, above the limit of 10,000,000"),
+    (["hysteresis", *_SWEEP_ARGS, "--relax-t", "1e300"],
+     "relax_t=1e+300 at relax_dt=0.01 asks for 1e+304 relaxation steps per sweep point"),
+    ({"kind": "hysteresis", "params": {"theta": 1, "lambda_lo": -0.2, "lambda_hi": 0.2, "step": 0.1,
+                                       "relax_dt": 1e-300}},
+     "relax_t=50.0 at relax_dt=1e-300 asks for 5e+303 relaxation steps per sweep point"),
+    ({"kind": "hysteresis", "params": {"theta": 1, "lambda_lo": -0.2, "lambda_hi": 0.2, "step": 0.1,
+                                       "relax_t": 1e300}},
+     "relax_t=1e+300 at relax_dt=0.01 asks for 1e+304 relaxation steps per sweep point"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
 def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypatch, argv, named):
     # the loader rejects the size, naming its key; no grid is built, nothing
-    # is integrated and no output directory is made
+    # is integrated or relaxed and no output directory is made
     from attractorlab import dynamics
 
     def no_work(*args, **kwargs):
@@ -573,6 +584,7 @@ def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(dynamics, "_param_grid", no_work)
     monkeypatch.setattr(dynamics, "integrate", no_work)
+    monkeypatch.setattr(dynamics, "_relax", no_work)
     if isinstance(argv, dict):  # a config file
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"master_seed": 0, "replicates": 1, **argv}))

@@ -11,20 +11,14 @@ from hypothesis import strategies as st
 from attractorlab import dynamics
 from attractorlab.abm import GameMatrix
 from attractorlab.dynamics import (
-    ControlParams,
-    CuspRhs,
     NumericalDivergenceError,
     OdeSpec,
-    PayoffSpec,
     ReplicatorRhs,
-    TabulatedRhs,
     closed_form_logistic,
-    cusp_rhs,
     find_fixed_points,
     hysteresis_loop,
     integrate,
     misplaced_jumps,
-    replicator_rhs,
     sweep_bifurcation,
 )
 
@@ -42,8 +36,7 @@ def fold_lambda(theta):
 
 
 def max_error_vs_logistic(dt, x0=0.1, c=1.0, t_end=10.0):
-    payoffs = PayoffSpec.constant(1.0 + c, 1.0)
-    traj = integrate(OdeSpec(ReplicatorRhs(payoffs), x0=x0, dt=dt, t_end=t_end))
+    traj = integrate(OdeSpec(ReplicatorRhs(1.0 + c, 1.0), x0=x0, dt=dt, t_end=t_end))
     return max(
         abs(s - closed_form_logistic(x0, c, t)) for t, s in zip(traj.times, traj.states)
     )
@@ -54,13 +47,13 @@ def max_error_vs_logistic(dt, x0=0.1, c=1.0, t_end=10.0):
 # ---------------------------------------------------------------------------
 
 def test_replicator_rhs_direct_substitution():
-    assert replicator_rhs(0.5, PayoffSpec.constant(2, 1)) == pytest.approx(0.25)
+    assert ReplicatorRhs(2, 1)(0.5) == pytest.approx(0.25)
 
 
 def test_replicator_rhs_boundary_and_symmetry():
-    assert replicator_rhs(0.0, PayoffSpec.constant(3, -4)) == 0.0
-    assert replicator_rhs(1.0, PayoffSpec.constant(3, -4)) == 0.0
-    assert replicator_rhs(0.5, PayoffSpec.constant(3, 3)) == 0.0
+    assert ReplicatorRhs(3, -4)(0.0) == 0.0
+    assert ReplicatorRhs(3, -4)(1.0) == 0.0
+    assert ReplicatorRhs(3, 3)(0.5) == 0.0
 
 
 def test_replicator_rhs_matrix_mode():
@@ -69,28 +62,44 @@ def test_replicator_rhs_matrix_mode():
     p_c = 3 * x
     p_d = 5 * x + 1 * (1 - x)
     expected = x * (1 - x) * (p_c - p_d)
-    assert replicator_rhs(x, PayoffSpec.from_game(game)) == pytest.approx(expected)
+    assert ReplicatorRhs(game=game)(x) == pytest.approx(expected)
 
 
 def test_replicator_rhs_domain_error():
-    payoffs = PayoffSpec.constant(1, 0)
+    rhs = ReplicatorRhs(1, 0)
     with pytest.raises(ValueError):
-        replicator_rhs(1.1, payoffs)
+        rhs(1.1)
     with pytest.raises(ValueError):
-        replicator_rhs(-0.01, payoffs)
+        rhs(-0.01)
     # within the 1e-12 slack the state is clamped, not rejected
-    assert replicator_rhs(1.0 + 5e-13, payoffs) == 0.0
+    assert rhs(1.0 + 5e-13) == 0.0
+
+
+@pytest.mark.parametrize("payoffs, message", [
+    ({}, "constant payoffs need both p_c and p_d"),
+    ({"p_c": 2.0}, "constant payoffs need both p_c and p_d"),
+    ({"p_d": 1.0}, "constant payoffs need both p_c and p_d"),
+    ({"p_c": 2.0, "p_d": 1.0, "game": GameMatrix(3, 0, 5, 1)}, "give either p_c/p_d or game, not both"),
+    ({"p_c": 2.0, "game": GameMatrix(3, 0, 5, 1)}, "give either p_c/p_d or game, not both"),
+    ({"p_c": math.nan, "p_d": 1.0}, "constant payoffs must be finite"),
+    ({"p_c": 2.0, "p_d": math.inf}, "constant payoffs must be finite"),
+])
+def test_replicator_rhs_takes_constants_or_a_game(payoffs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReplicatorRhs(**payoffs)
+    ReplicatorRhs(p_c=2.0, p_d=1.0)
+    ReplicatorRhs(game=GameMatrix(3, 0, 5, 1))
 
 
 @given(p_c=finite, p_d=finite, x=st.sampled_from([0.0, 1.0]))
 def test_replicator_boundaries_are_fixed_points(p_c, p_d, x):
-    assert replicator_rhs(x, PayoffSpec.constant(p_c, p_d)) == 0.0
+    assert ReplicatorRhs(p_c, p_d)(x) == 0.0
 
 
 def test_cusp_rhs_values():
-    assert cusp_rhs(0.0, ControlParams(lam=0.0, theta=1.0)) == 0.0
-    assert cusp_rhs(1.0, ControlParams(lam=0.0, theta=1.0)) == 0.0
-    assert cusp_rhs(2.0, ControlParams(lam=0.5, theta=1.0)) == pytest.approx(0.5 + 2 - 8)
+    assert dynamics._cusp(0.0, 1.0)(0.0) == 0.0
+    assert dynamics._cusp(0.0, 1.0)(1.0) == 0.0
+    assert dynamics._cusp(0.5, 1.0)(2.0) == pytest.approx(0.5 + 2 - 8)
 
 
 def test_fold_location_closed_form():
@@ -125,19 +134,19 @@ def test_integrate_order_four():
 
 
 def test_integrate_constant_when_payoffs_equal():
-    spec = OdeSpec(ReplicatorRhs(PayoffSpec.constant(3, 3)), x0=0.3, dt=0.01, t_end=2.0)
+    spec = OdeSpec(ReplicatorRhs(3, 3), x0=0.3, dt=0.01, t_end=2.0)
     traj = integrate(spec)
     assert np.all(traj.states == 0.3)
 
 
 def test_integrate_absorbing_at_one():
-    spec = OdeSpec(ReplicatorRhs(PayoffSpec.constant(5, 1)), x0=1.0, dt=0.01, t_end=2.0)
+    spec = OdeSpec(ReplicatorRhs(5, 1), x0=1.0, dt=0.01, t_end=2.0)
     traj = integrate(spec)
     assert np.all(traj.states == 1.0)
 
 
 def test_integrate_trajectory_shape():
-    spec = OdeSpec(ReplicatorRhs(PayoffSpec.constant(2, 1)), x0=0.2, dt=1e-3, t_end=1.0)
+    spec = OdeSpec(ReplicatorRhs(2, 1), x0=0.2, dt=1e-3, t_end=1.0)
     traj = integrate(spec)
     assert traj.states[0] == 0.2
     assert np.all(np.diff(traj.times) > 0)
@@ -146,16 +155,16 @@ def test_integrate_trajectory_shape():
 
 
 def test_integrate_states_stay_in_unit_interval():
-    spec = OdeSpec(ReplicatorRhs(PayoffSpec.constant(9, 1)), x0=0.99, dt=0.01, t_end=5.0)
+    spec = OdeSpec(ReplicatorRhs(9, 1), x0=0.99, dt=0.01, t_end=5.0)
     traj = integrate(spec)
     assert np.all((traj.states >= 0.0) & (traj.states <= 1.0))
 
 
 def test_integrate_monotone_between_fixed_points():
-    spec = OdeSpec(ReplicatorRhs(PayoffSpec.constant(2, 1)), x0=0.1, dt=1e-2, t_end=8.0)
+    spec = OdeSpec(ReplicatorRhs(2, 1), x0=0.1, dt=1e-2, t_end=8.0)
     diffs = np.diff(integrate(spec).states)
     assert np.all(diffs >= 0)
-    spec_down = OdeSpec(ReplicatorRhs(PayoffSpec.constant(1, 2)), x0=0.9, dt=1e-2, t_end=8.0)
+    spec_down = OdeSpec(ReplicatorRhs(1, 2), x0=0.9, dt=1e-2, t_end=8.0)
     assert np.all(np.diff(integrate(spec_down).states) <= 0)
 
 
@@ -166,7 +175,7 @@ def test_integrate_divergence_names_step():
 
 
 def test_ode_spec_validation():
-    rhs = ReplicatorRhs(PayoffSpec.constant(1, 0))
+    rhs = ReplicatorRhs(1, 0)
     with pytest.raises(ValueError):
         integrate(OdeSpec(rhs, x0=0.5, dt=0.0, t_end=1.0))
     with pytest.raises(ValueError):
@@ -180,7 +189,7 @@ def test_ode_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_find_fixed_points_replicator():
-    rhs = ReplicatorRhs(PayoffSpec.constant(2, 1))
+    rhs = ReplicatorRhs(2, 1)
     report = find_fixed_points(rhs, 0.0, 1.0)
     locations = [r.location for r in report.roots]
     labels = [r.stability for r in report.roots]
@@ -189,13 +198,13 @@ def test_find_fixed_points_replicator():
 
 
 def test_find_fixed_points_cusp_bistable():
-    report = find_fixed_points(CuspRhs(ControlParams(0.0, 1.0)), -2.0, 2.0)
+    report = find_fixed_points(dynamics._cusp(0.0, 1.0), -2.0, 2.0)
     assert [r.stability for r in report.roots] == ["stable", "unstable", "stable"]
     assert [r.location for r in report.roots] == pytest.approx([-1.0, 0.0, 1.0], abs=1e-9)
 
 
 def test_find_fixed_points_cusp_monostable():
-    report = find_fixed_points(CuspRhs(ControlParams(0.0, -1.0)), -2.0, 2.0)
+    report = find_fixed_points(dynamics._cusp(0.0, -1.0), -2.0, 2.0)
     assert len(report.roots) == 1
     assert report.roots[0].location == pytest.approx(0.0, abs=1e-9)
     assert report.roots[0].stability == "stable"
@@ -218,7 +227,7 @@ def test_find_fixed_points_empty():
     lam=st.floats(min_value=-1, max_value=1, allow_nan=False),
 )
 def test_root_certificate(theta, lam):
-    rhs = CuspRhs(ControlParams(lam, theta))
+    rhs = dynamics._cusp(lam, theta)
     report = find_fixed_points(rhs, -3.0, 3.0)
     assert report.roots  # a cubic with negative leading term always crosses
     for root in report.roots:
@@ -231,8 +240,8 @@ def test_root_certificate(theta, lam):
     lam=st.floats(min_value=-0.8, max_value=0.8, allow_nan=False),
 )
 def test_cusp_mirror_symmetry(theta, lam):
-    plus = find_fixed_points(CuspRhs(ControlParams(lam, theta)), -3.0, 3.0)
-    minus = find_fixed_points(CuspRhs(ControlParams(-lam, theta)), -3.0, 3.0)
+    plus = find_fixed_points(dynamics._cusp(lam, theta), -3.0, 3.0)
+    minus = find_fixed_points(dynamics._cusp(-lam, theta), -3.0, 3.0)
     mirrored = sorted(-r.location for r in minus.roots)
     assert len(plus.roots) == len(minus.roots)
     for a, b in zip((r.location for r in plus.roots), mirrored):
@@ -329,6 +338,7 @@ def test_misplaced_jumps_counts_a_missing_jump():
     {"relax_dt": 0.0}, {"relax_dt": -0.01}, {"relax_t": 0.0}, {"relax_t": math.nan},
     {"jump_tol": 0.0}, {"jump_tol": -0.5}, {"step": 0.0}, {"step": math.inf},
     {"lambda_lo": 0.7}, {"lambda_hi": math.inf}, {"theta": math.nan},
+    {"relax_dt": 1e-300}, {"relax_t": 1e300},
 ])
 def test_hysteresis_rules_raise_before_relaxing(bad, monkeypatch):
     # a zero relax_dt never advances the relaxation clock, so the rule must
@@ -393,7 +403,7 @@ def test_sweep_size_counts_the_points_of_the_grid(lo, hi, step):
     (10_000.5, 1e-3, "10000500"),
 ])
 def test_ode_step_count_is_checked_when_the_spec_is_built(t_end, dt, count):
-    rhs = ReplicatorRhs(PayoffSpec.constant(2, 1))
+    rhs = ReplicatorRhs(2, 1)
     with pytest.raises(ValueError, match=re.escape(
             f"t_end={t_end!r} at dt={dt!r} asks for {count} RK4 steps, above the limit of 10,000,000")):
         OdeSpec(rhs, x0=0.1, dt=dt, t_end=t_end)
@@ -401,7 +411,7 @@ def test_ode_step_count_is_checked_when_the_spec_is_built(t_end, dt, count):
 
 
 def test_tabulated_rhs_hook():
-    table = TabulatedRhs(s=(-2.0, 0.0, 2.0), rate=(2.0, 0.0, -2.0))  # f(s) = -s
+    table = lambda x: np.interp(x, (-2.0, 0.0, 2.0), (2.0, 0.0, -2.0))  # noqa: E731 - f(s) = -s
     report = find_fixed_points(table, -1.5, 1.5)
     assert len(report.roots) == 1
     assert report.roots[0].stability == "stable"
@@ -551,7 +561,7 @@ def test_scan_of_a_table_matches_the_scalar_scan(values, lo, width):
     grid_n = len(values) - 1
     hi = lo + width
     knots = tuple(np.linspace(lo, hi, grid_n + 1).tolist())
-    assert_scan_matches(TabulatedRhs(knots, tuple(values)), lo, hi, grid_n)
+    assert_scan_matches(lambda x: np.interp(x, knots, values), lo, hi, grid_n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -96,12 +96,12 @@ def test_module_precondition_surfaces_as_config_error():
 
 def test_replicator_payoff_modes_exclusive():
     base = {"kind": "replicator", "master_seed": 1, "replicates": 1}
-    with pytest.raises(ConfigError, match="not both"):
+    with pytest.raises(ConfigError, match="invalid replicator params: give either p_c/p_d or game, not both"):
         load_config(json.dumps({**base, "params": {
             "x0": 0.1, "t_end": 1.0, "p_c": 1, "p_d": 0,
             "game": {"r": 1, "sg": 0, "t": 0, "pu": 1},
         }}))
-    with pytest.raises(ConfigError, match="p_c"):
+    with pytest.raises(ConfigError, match="invalid replicator params: constant payoffs need both p_c and p_d"):
         load_config(json.dumps({**base, "params": {"x0": 0.1, "t_end": 1.0, "p_c": 1}}))
 
 
