@@ -8,11 +8,11 @@ this loader (taken from the model modules) and are filled in at load time,
 so a loaded config is fully explicit.
 
 Each scenario kind is one entry of ``KINDS``: its params schema, the build
-step, the replicate runner, metrics, CSV writer, seed streams per
-replicate and whether the kind is deterministic.  A build step only
-constructs model objects, which check their own value rules; it
-runs whenever a config is created, so an imported graph is read, validated
-and compiled there once, and every replicate reuses it.
+step, the runner of a slice of replicates, metrics, CSV writer, seed
+streams per replicate and whether the kind is deterministic.  A build step
+only constructs model objects, which check their own value rules; it runs
+whenever a config is created, so an imported graph is read, validated and
+compiled there once, and every replicate reuses it.
 
 Replicate ``i`` draws from the stream seeded by ``mix64(master_seed, i)``;
 the ``basin`` kind consumes one stream per (replicate, x0) cell, indexed
@@ -26,8 +26,9 @@ cores, workers) and sha256 digests of every emitted file, taken from the
 bytes as they are written.  Every float is spelled as ``repr`` spells it;
 ``_rows`` says how the trace files are formatted.
 
-The process that runs a replicate also formats, hashes and writes its
-file, under a temporary name, and hands the parent only a
+Each process runs one contiguous slice of the replicates (netgrowth steps
+them together, in chunks), formats, hashes and writes each file under a
+temporary name as its result comes, and hands the parent only a
 ``ReplicateRecord`` (metric values, diagnostic counts, digests), so memory
 does not grow with the traces.  Files are renamed to their final names only
 once all are written, then the manifest is written; a failed run cleans up
@@ -129,7 +130,10 @@ def _as_int(value, field: str) -> int:
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ConfigError(f"field {field!r} is too large for a float: an integer of {value.bit_length()} bits") from None
 
 
 def _as_str(value, field: str) -> str:
@@ -194,6 +198,8 @@ def parse_json(text: str):
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError(f"config parse error: {exc}") from None
 
 
 def load_config(text: str) -> ScenarioConfig:
@@ -276,6 +282,11 @@ def _build_basin(params: dict) -> tuple[abm.AbmConfig, tuple[float, ...]]:
     return cfg, tuple(params["x0_list"])
 
 
+def _each(run: Callable) -> Callable:
+    """The runner of a kind that runs a replicate at a time, by ``run``."""
+    return lambda model, master_seed, indices: (run(model, master_seed, i) for i in indices)
+
+
 def _run_basin(model, master_seed: int, index: int) -> tuple[str, ...]:
     cfg, x0_list = model
     template = replace(cfg, rng_seed=master_seed)
@@ -354,7 +365,7 @@ class _Kind:
 
     schema: dict  # params key -> (cast, default), see ``_take``
     build: Callable  # params -> model object; runs whenever a config is created
-    run: Callable  # (model, master_seed, replicate index) -> result
+    run: Callable  # (model, master_seed, replicate indices) -> their results, in order
     metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
     write: Callable | None  # (result, index) -> (file name, header, CSV rows as bytes)
     streams: Callable = lambda params: 1  # seed streams per replicate
@@ -398,14 +409,14 @@ KINDS: dict[str, _Kind] = {
             "game": (_norm_game, _OPTIONAL),
         },
         build=_build_replicator,
-        run=lambda spec, master_seed, index: dynamics.integrate(spec),
+        run=_each(lambda spec, master_seed, index: dynamics.integrate(spec)),
         metrics=lambda params, t: {"final_x": float(t.states[-1])},
         write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", _rows(t.times, t.states)),
     ),
     "bifurcation": _Kind(
         schema={**_SWEEP, "grid_n": (_as_int, dynamics.DEFAULT_GRID_N)},
         build=lambda params: dynamics.check_bifurcation(**params) or params,
-        run=lambda params, master_seed, index: dynamics.sweep_bifurcation(**params),
+        run=_each(lambda params, master_seed, index: dynamics.sweep_bifurcation(**params)),
         metrics=lambda params, sweep: {
             "max_stable_roots": float(max(rep.stable_count() for _, rep in sweep)),
             "min_stable_roots": float(min(rep.stable_count() for _, rep in sweep)),
@@ -425,7 +436,7 @@ KINDS: dict[str, _Kind] = {
             "jump_tol": (_as_float, dynamics.DEFAULT_JUMP_TOL),
         },
         build=lambda params: dynamics.check_hysteresis(**params) or params,
-        run=lambda params, master_seed, index: dynamics.hysteresis_loop(**params),
+        run=_each(lambda params, master_seed, index: dynamics.hysteresis_loop(**params)),
         metrics=lambda params, report: {
             "loop_area": report.loop_area,
             "jumps_up": float(len(report.jumps_up)),
@@ -455,8 +466,8 @@ KINDS: dict[str, _Kind] = {
             "tau": (_as_float, _default(netgrowth.GrowthConfig, "tau")),
         },
         build=lambda params: netgrowth.GrowthConfig(**params),
-        run=lambda cfg, master_seed, index: netgrowth.grow(
-            replace(cfg, rng_seed=mix64(master_seed, index))
+        run=lambda cfg, master_seed, indices: netgrowth.grow_replicates(
+            replace(cfg, rng_seed=master_seed), indices
         ),
         metrics=lambda params, t: {
             "final_agi_share": float(t.shares[-1]),
@@ -469,9 +480,9 @@ KINDS: dict[str, _Kind] = {
     "abm": _Kind(
         schema={**_POPULATION, "x0": (_as_float, REQUIRED)},
         build=_build_abm,
-        run=lambda cfg, master_seed, index: abm.run(
+        run=_each(lambda cfg, master_seed, index: abm.run(
             replace(cfg, rng_seed=mix64(master_seed, index))
-        ),
+        )),
         metrics=_abm_metrics,
         write=lambda t, i: (f"abm_{i:04d}.csv", "round,coop_fraction",
                             _rows(range(len(t.coop_fraction)), t.coop_fraction)),
@@ -480,7 +491,7 @@ KINDS: dict[str, _Kind] = {
     "basin": _Kind(
         schema={**_POPULATION, "x0_list": (_norm_x0_list, REQUIRED)},
         build=_build_basin,
-        run=_run_basin,
+        run=_each(_run_basin),
         metrics=_basin_metrics,
         write=None,
         streams=lambda params: len(params["x0_list"]),
@@ -498,19 +509,19 @@ class ReplicateRecord:
     files: dict[str, str]  # file name -> sha256
 
 
-def _replicate(config: ScenarioConfig, index: int, suffix: str) -> ReplicateRecord:
-    """Run one replicate and write its data file under its name plus
-    ``suffix``; top-level so process pools can pickle it.  The result is
-    dropped here, so no trace outlives its file."""
+def _replicates(config: ScenarioConfig, indices: range, suffix: str) -> list[ReplicateRecord]:
+    """Run the replicates ``indices`` and write each data file under its
+    name plus ``suffix``; top-level so process pools can pickle it.  Each
+    result is written, hashed and dropped as soon as the runner yields it,
+    so no trace outlives its file."""
     spec = KINDS[config.kind]
-    result = spec.run(config.model, config.master_seed, index)
-    written = write_outputs(config.kind, [result], config.output_dir, index, suffix)
-    return ReplicateRecord(
-        metrics=spec.metrics(config.params, result),
-        diagnostics=spec.diagnostics(config.params, result),
-        files={os.path.basename(path).removesuffix(suffix): digest
-               for path, digest in written.items()},
-    )
+    records = []
+    for index, result in zip(indices, spec.run(config.model, config.master_seed, indices)):
+        written = write_outputs(config.kind, [result], config.output_dir, index, suffix)
+        files = {os.path.basename(path).removesuffix(suffix): digest for path, digest in written.items()}
+        records.append(ReplicateRecord(spec.metrics(config.params, result),
+                                       spec.diagnostics(config.params, result), files))
+    return records
 
 
 def aggregate(values) -> SummaryStats:
@@ -623,10 +634,11 @@ def run_scenario(
     new manifest is written, files the previous manifest listed and this run
     did not write are deleted, and so are the ``<name>.tmp<digits>`` files
     that runs killed before their commit left.  At most ``jobs`` worker
-    processes run, and never more than the replicates or the cores; a
-    ``jobs`` below 1 runs one, in-process, and is recorded as 1.  Records
-    are gathered in replicate order regardless of ``jobs``, so parallel runs
-    emit the same bytes as serial ones.
+    processes run, and never more than the replicates or the cores, each on
+    one contiguous slice of the replicates; a ``jobs`` below 1 runs one,
+    in-process, and is recorded as 1.  Records are gathered in replicate
+    order regardless of ``jobs``, so parallel runs emit the same bytes as
+    serial ones.
     """
     started = datetime.now(timezone.utc).isoformat()
     spec = KINDS[config.kind]
@@ -646,15 +658,17 @@ def run_scenario(
         if re.fullmatch(r".+\.tmp[0-9]+", name):
             stale.append(name)
     suffix = f".tmp{os.getpid()}"
-    args = (repeat(config), range(n_rep), repeat(suffix))
     workers = max(1, min(jobs, n_rep, os.cpu_count() or 1))
+    args = (repeat(config), [range(n_rep * k // workers, n_rep * (k + 1) // workers)
+                             for k in range(workers)], repeat(suffix))
     try:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_replicate, *args, chunksize=1))
+                parts = list(pool.map(_replicates, *args))
         else:
-            records = list(map(_replicate, *args))
+            parts = map(_replicates, *args)
+        records = [record for part in parts for record in part]
 
         summary = {name: aggregate([r.metrics[name] for r in records])
                    for name in records[0].metrics}

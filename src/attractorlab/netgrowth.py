@@ -20,12 +20,14 @@ affects camp choice: endpoints are neither simulated nor observable.
 
 A camp's weight steps evenly after its first join (by 1 in urn mode, by
 ``2m`` in degree_pa mode, where only a bare camp's first join adds less),
-so ``grow`` is one loop for both modes.
+so ``grow`` is one loop for both modes.  ``grow_replicates`` and the
+lock-in estimates step many replicates together, in ``_step``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,9 +45,14 @@ DEFAULT_COST_REPLICATES = 200
 MAX_BOOST = 1024.0
 COST_LOG2_TOL = 0.05
 
-# uniforms drawn per block by _final_shares, over all replicates; every boost
-# of a call steps against the same block (512 KB)
-_BLOCK_DRAWS = 2 ** 16
+# arrivals per growth; writing one trace holds about 300 bytes per arrival (3 GB)
+MAX_NODES = 10_000_000
+
+# uniforms drawn per block by _step, over all replicates, into one buffer
+# filled in place; every boost of a call steps against the same block (256 KB)
+_BLOCK_DRAWS = 2 ** 15
+# replicates grow_replicates steps together; each keeps n / 8 bytes of join bits
+_CHUNK_REPLICATES = 200
 # bisection levels whose midpoints one intervention_cost pass evaluates
 _COST_LEVELS_PER_PASS = 3
 
@@ -77,6 +84,8 @@ class GrowthConfig:
     def validate(self) -> None:
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if self.n_nodes > MAX_NODES:
+            raise ValueError(f"n_nodes={self.n_nodes:,} is above the limit of {MAX_NODES:,} arrivals")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.seed_agi < 1 or self.seed_dci < 1:
@@ -170,38 +179,63 @@ def grow(config: GrowthConfig) -> GrowthTrace:
     return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
-def _final_shares(config: GrowthConfig, replicates: int, boosts: list[float]) -> np.ndarray:
-    """Final AGI share of replicates ``0..replicates-1`` under each boost in
-    ``boosts`` (in place of ``config.dci_boost``), one row per boost, all
-    stepped together; row ``k`` is byte-identical to each replicate's
-    ``grow(replace(config, dci_boost=boosts[k])).shares[-1]``.
-
-    Replicate ``i`` draws from its own ``mix64(rng_seed, i)`` stream, in
-    blocks of ``_BLOCK_DRAWS // replicates`` arrivals (at least one).  All
-    rows step against the same uniforms, each with the float64 operations of
-    a one-boost pass, so a row does not depend on the other boosts.
-    """
-    n = config.n_nodes
-    rows = len(boosts)
-    column = np.repeat(np.array(boosts, dtype=float), replicates)  # each cell's boost
-    gens = [make_generator(mix64(config.rng_seed, i)) for i in range(replicates)]
+def _step(config: GrowthConfig, indices: range, boosts: list[float], bits=None) -> np.ndarray:
+    """AGI join counts of replicates ``indices`` (drawing from
+    ``mix64(rng_seed, i)``, in blocks of a multiple of 8 arrivals) after
+    ``config.n_nodes`` arrivals under each boost, one cell per (boost,
+    replicate), row-major; every boost meets the same uniforms with the
+    float64 operations of ``grow``.  With one boost, ``bits`` (uint8,
+    ``ceil(n / 8)`` per replicate) gets the join decisions by ``np.packbits``."""
+    n, reps = config.n_nodes, len(indices)
+    column = np.repeat(np.array(boosts, dtype=float), reps)  # each cell's boost
+    gens = [make_generator(mix64(config.rng_seed, i)) for i in indices]
     joins = np.arange(n + 1.0)
     w_agi = _camp_weight(config, config.seed_agi, joins)
     w_dci = _camp_weight(config, config.seed_dci, joins)
-    j_agi = np.zeros(rows * replicates, dtype=np.int64)
-    block = max(1, _BLOCK_DRAWS // replicates)
+    j_agi = np.zeros(column.size, dtype=np.int64)
+    block = min(n, max(8, _BLOCK_DRAWS // reps // 8 * 8))
+    us = np.empty((block, reps), order="F")  # a generator fills its own column
+    joined = np.empty((block, column.size), dtype=bool)
     for start in range(0, n, block):
-        us = np.stack([g.random(min(block, n - start)) for g in gens], axis=1)
-        for t, u in enumerate(us, start):
+        size = min(block, n - start)
+        for g, col in zip(gens, us.T):
+            g.random(out=col[:size])
+        for t, u, hit in zip(range(start, n), us[:size], joined):
             a = w_agi.take(j_agi)
             d = w_dci.take(t - j_agi)
             d *= column  # u * (a + boost * d) < a, in place
             d += a
-            cells = d.reshape(rows, replicates)  # a view: every row meets the same u
+            cells = d.reshape(-1, reps)  # a view: every row meets the same u
             cells *= u
-            j_agi += d < a
-    finals = (config.seed_agi + j_agi) / float(config.seed_agi + config.seed_dci + n)
-    return finals.reshape(rows, replicates)
+            np.less(d, a, out=hit)
+            j_agi += hit
+        if bits is not None:
+            bits[:, start // 8:(start + size + 7) // 8] = np.packbits(joined[:size], axis=0).T
+    return j_agi
+
+
+def grow_replicates(config: GrowthConfig, indices: range) -> Iterator[GrowthTrace]:
+    """``grow(replace(config, rng_seed=mix64(config.rng_seed, i)))`` for each
+    ``i`` in ``indices``, in order and byte for byte: ``_step`` steps up to
+    ``_CHUNK_REPLICATES`` of them together, and each trace is rebuilt from
+    its join bits as it is yielded."""
+    n, sa, sd = config.n_nodes, config.seed_agi, config.seed_dci
+    nodes = sa + sd + np.arange(1, n + 1, dtype=float)
+    for lo in range(0, len(indices), _CHUNK_REPLICATES):
+        chunk = indices[lo:lo + _CHUNK_REPLICATES]
+        bits = np.empty((len(chunk), (n + 7) // 8), dtype=np.uint8)
+        for row, j in zip(bits, _step(config, chunk, [config.dci_boost], bits).tolist()):
+            shares = (sa + np.cumsum(np.unpackbits(row, count=n), dtype=float)) / nodes
+            degrees = CampDegrees(int(_camp_weight(config, sa, j)), int(_camp_weight(config, sd, n - j)))
+            yield GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+
+
+def _final_shares(config: GrowthConfig, replicates: int, boosts: list[float]) -> np.ndarray:
+    """Final AGI share of replicates ``0..replicates-1`` under each boost in
+    ``boosts``, one row per boost; row ``k`` is byte-identical to each
+    replicate's ``grow(replace(config, dci_boost=boosts[k])).shares[-1]``."""
+    finals = config.seed_agi + _step(config, range(replicates), boosts)
+    return (finals / float(config.seed_agi + config.seed_dci + config.n_nodes)).reshape(len(boosts), -1)
 
 
 def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockInEstimate:

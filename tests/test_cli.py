@@ -573,11 +573,15 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
     ({"kind": "hysteresis", "params": {"theta": 1, "lambda_lo": -0.2, "lambda_hi": 0.2, "step": 0.1,
                                        "relax_t": 1e300}},
      "relax_t=1e+300 at relax_dt=0.01 asks for 1e+304 relaxation steps per sweep point"),
+    (["netgrowth", "--nodes", "10000001", "--replicates", "2"],
+     "invalid netgrowth params: n_nodes=10,000,001 is above the limit of 10,000,000 arrivals"),
+    ({"kind": "netgrowth", "params": {"n_nodes": 10 ** 12}},
+     "n_nodes=1,000,000,000,000 is above the limit of 10,000,000 arrivals"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
 def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypatch, argv, named):
     # the loader rejects the size, naming its key; no grid is built, nothing
-    # is integrated or relaxed and no output directory is made
-    from attractorlab import dynamics
+    # is integrated, relaxed or grown and no output directory is made
+    from attractorlab import dynamics, netgrowth
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
@@ -585,6 +589,7 @@ def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypat
     monkeypatch.setattr(dynamics, "_param_grid", no_work)
     monkeypatch.setattr(dynamics, "integrate", no_work)
     monkeypatch.setattr(dynamics, "_relax", no_work)
+    monkeypatch.setattr(netgrowth, "_step", no_work)
     if isinstance(argv, dict):  # a config file
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"master_seed": 0, "replicates": 1, **argv}))
@@ -592,6 +597,19 @@ def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypat
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out), "--quiet"]) == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_integer_past_the_float_range_exits_one_and_writes_nothing(tmp_path, capsys, digits):
+    # 400 digits overflow a float; 5000 are past Python's integer parse limit
+    path = tmp_path / "config.json"
+    path.write_text('{"kind": "replicator", "master_seed": 0, "replicates": 1, '
+                    '"params": {"x0": 0.1, "t_end": 1, "p_c": 1%s, "p_d": 1}}' % ("0" * digits))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert ("field 'p_c' is too large for a float" if digits == 400 else "config parse error") in err
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attractorlab import harness
+from attractorlab import harness, netgrowth
 from attractorlab.harness import (
     ConfigError,
     ScenarioConfig,
@@ -105,6 +105,29 @@ def test_replicator_payoff_modes_exclusive():
         load_config(json.dumps({**base, "params": {"x0": 0.1, "t_end": 1.0, "p_c": 1}}))
 
 
+_HUGE = "1" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    ("replicator", '{"x0": 0.1, "t_end": 1, "p_c": HUGE, "p_d": 1}', "'p_c'"),
+    ("abm", '{"n": 10, "x0": 0.5, "rounds": 2, "game": {"r": HUGE, "sg": 0, "t": 0, "pu": 1}}', "'r'"),
+    ("basin", '{"n": 10, "rounds": 2, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1}, '
+              '"x0_list": [0.2, -HUGE]}', "'x0_list'"),
+])
+def test_integer_past_the_float_range_is_a_config_error(kind, params, named):
+    text = (f'{{"kind": "{kind}", "master_seed": 1, "replicates": 1, '
+            f'"params": {params.replace("HUGE", _HUGE)}}}')
+    with pytest.raises(ConfigError, match=f"field {named} is too large for a float: an integer of 1329 bits"):
+        load_config(text)
+
+
+def test_integer_past_the_digit_limit_is_a_config_error():
+    # Python refuses to parse an integer of more than 4300 digits
+    text = '{"kind": "netgrowth", "master_seed": 1, "replicates": 1, "params": {"n_nodes": 1%s}}'
+    with pytest.raises(ConfigError, match="config parse error: Exceeds the limit"):
+        load_config(text % ("0" * 5000))
+
+
 def test_deterministic_kinds_require_single_replicate():
     with pytest.raises(ConfigError, match="replicates=1"):
         load_config(json.dumps({
@@ -188,17 +211,67 @@ def test_run_scenario_reproducible_bytes(tmp_path):
 def test_run_scenario_jobs_match_serial(tmp_path, kind):
     # every kind that writes trace files; the workers write them
     overrides = DETERMINISM_DOCS[kind]
-    digests = []
-    for jobs in (1, 2):
-        out = str(tmp_path / f"jobs{jobs}")
-        doc = {"kind": kind, "master_seed": 42, "replicates": max(3, overrides.get("replicates", 2)),
-               "output_dir": out, "params": overrides["params"]}
-        _, _, manifest = run_scenario(load_config(json.dumps(doc)), jobs=jobs)
-        assert sorted(os.listdir(out)) == sorted([*manifest.files, "manifest.json"])
-        digests.append({name: hashlib.sha256(read(os.path.join(out, name))).hexdigest()
-                        for name in manifest.files})
-        assert digests[-1] == manifest.files
-    assert digests[0] == digests[1]
+    # each worker runs one contiguous slice: 1 + 2 and 2 + 3 replicates at 2 workers
+    for replicates in (3, 5):
+        digests = []
+        for jobs in (1, 2):
+            out = str(tmp_path / f"r{replicates}jobs{jobs}")
+            doc = {"kind": kind, "master_seed": 42, "replicates": replicates,
+                   "output_dir": out, "params": overrides["params"]}
+            _, _, manifest = run_scenario(load_config(json.dumps(doc)), jobs=jobs)
+            assert sorted(os.listdir(out)) == sorted([*manifest.files, "manifest.json"])
+            digests.append({name: hashlib.sha256(read(os.path.join(out, name))).hexdigest()
+                            for name in manifest.files})
+            assert digests[-1] == manifest.files
+        assert digests[0] == digests[1]
+
+
+def grown_bytes(config, index):
+    """The bytes of ``shares_<index>.csv`` as ``grow`` and the kind's writer give them."""
+    cfg = replace(config.model, rng_seed=mix64(config.master_seed, index))
+    _, header, rows = harness.KINDS["netgrowth"].write(netgrowth.grow(cfg), index)
+    return header.encode() + b"\n" + rows
+
+
+@pytest.mark.parametrize("params", [
+    {"n_nodes": 203},
+    {"n_nodes": 203, "mode": "degree_pa", "m": 2, "dci_boost": 1.7},
+    {"n_nodes": 45, "mode": "degree_pa", "m": 3, "seed_agi": 1, "seed_dci": 1, "dci_boost": 0.3},
+    {"n_nodes": 1, "mode": "degree_pa", "seed_agi": 1},
+    {"n_nodes": 1},
+], ids=["urn", "degree_pa-boost", "bare-camps", "one-arrival-bare", "one-arrival"])
+def test_netgrowth_files_are_the_bytes_of_grow(tmp_path, params):
+    out = str(tmp_path / "run")
+    config = load_config(json.dumps(netgrowth_doc(out, replicates=5, master_seed=9, **params)))
+    run_scenario(config)
+    for i in range(5):
+        assert read(os.path.join(out, f"shares_{i:04d}.csv")) == grown_bytes(config, i)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_netgrowth_chunks_and_worker_slices_straddle(tmp_path, monkeypatch, jobs):
+    # chunks of 3: [0, 3) [3, 6) [6, 7) serially; [0, 3) | [3, 6) [6, 7) at 2 workers
+    monkeypatch.setattr(netgrowth, "_CHUNK_REPLICATES", 3)
+    out = str(tmp_path / "run")
+    config = load_config(json.dumps(netgrowth_doc(out, replicates=7, n_nodes=37, mode="degree_pa")))
+    records, _, manifest = run_scenario(config, jobs=jobs)
+    assert [list(record.files) for record in records] == [[f"shares_{i:04d}.csv"] for i in range(7)]
+    for i in range(7):
+        data = read(os.path.join(out, f"shares_{i:04d}.csv"))
+        assert data == grown_bytes(config, i)
+        assert manifest.files[f"shares_{i:04d}.csv"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("params", [{}, {"mode": "degree_pa", "m": 2, "dci_boost": 0.6}])
+def test_netgrowth_last_rows_are_the_final_shares(tmp_path, params):
+    # the cross-kind oracle: the trace kind and the lock-in kernel step alike
+    out = str(tmp_path / "run")
+    config = load_config(json.dumps(netgrowth_doc(out, replicates=6, master_seed=3, **params)))
+    run_scenario(config)
+    finals = netgrowth._final_shares(replace(config.model, rng_seed=3), 6, [config.model.dci_boost])
+    for i, final in enumerate(finals[0].tolist()):
+        last = read(os.path.join(out, f"shares_{i:04d}.csv")).splitlines()[-1]
+        assert last == b"%d,%r" % (config.model.n_nodes, final)
 
 
 def test_manifest_records_the_environment(tmp_path):

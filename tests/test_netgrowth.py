@@ -11,6 +11,7 @@ from attractorlab import netgrowth
 from attractorlab.netgrowth import (
     COST_LOG2_TOL,
     MAX_BOOST,
+    MAX_NODES,
     MODE_URN,
     CampDegrees,
     GrowthConfig,
@@ -21,6 +22,7 @@ from attractorlab.netgrowth import (
     _final_shares,
     _lockin_label,
     grow,
+    grow_replicates,
     intervention_cost,
 )
 from attractorlab.rng import make_generator, mix64
@@ -82,6 +84,13 @@ def test_grow_validates_config():
         grow(GrowthConfig(n_nodes=5, mode="nope"))
     with pytest.raises(ValueError):
         grow(GrowthConfig(n_nodes=5, tau=0.5))
+
+
+@pytest.mark.parametrize("n_nodes", [MAX_NODES + 1, 10 ** 12])
+def test_arrivals_are_checked_when_the_config_is_built(n_nodes):
+    with pytest.raises(ValueError, match=f"n_nodes={n_nodes:,} is above the limit of 10,000,000"):
+        GrowthConfig(n_nodes=n_nodes)
+    assert GrowthConfig(n_nodes=MAX_NODES).n_nodes == MAX_NODES
 
 
 def test_grow_deterministic():
@@ -256,7 +265,7 @@ def test_grow_matches_the_per_mode_loops(mode, m, seed_agi, seed_dci, boost, n, 
          replicates=1, block_draws=16)
 def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, boosts, n,
                                        replicates, block_draws):
-    # small draw blocks split the run mid-way: block = max(1, block_draws // replicates)
+    # small draw blocks split the run mid-way: block = max(8, block_draws // replicates // 8 * 8)
     config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
                           dci_boost=boost, rng_seed=n * 31 + replicates)
     with pytest.MonkeyPatch.context() as mp:
@@ -273,7 +282,7 @@ def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, boost
 
 @pytest.mark.parametrize("mode", ["urn", "degree_pa"])
 def test_final_shares_match_grow_across_default_blocks(mode):
-    # 7 replicates draw 2**16 // 7 = 9362 arrivals per block: three blocks, the last partial
+    # 7 replicates draw 2**15 // 7 // 8 * 8 = 4680 arrivals per block: five blocks, the last partial
     config = GrowthConfig(n_nodes=20_000, m=2, seed_agi=2, seed_dci=1, mode=mode,
                           dci_boost=1.3, rng_seed=41)
     batched = _final_shares(config, 7, [config.dci_boost])
@@ -285,6 +294,70 @@ def test_final_shares_urn_polya_limit():
     config = GrowthConfig(n_nodes=2000, seed_agi=2, seed_dci=1, rng_seed=1)
     finals = _final_shares(config, 500, [config.dci_boost])[0]
     assert stats.kstest(finals, stats.beta(2, 1).cdf).pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# Replicate-batched traces
+# ---------------------------------------------------------------------------
+
+def assert_same_trace(got, expected):
+    assert got.shares.tobytes() == expected.shares.tobytes()
+    assert got.final_degrees == expected.final_degrees
+    assert got.locked_in == expected.locked_in
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["urn", "degree_pa"]),
+    m=st.integers(1, 3),
+    seed_agi=st.integers(1, 4),
+    seed_dci=st.integers(1, 4),
+    boost=st.sampled_from([0.0, 0.3, 1.0, 1.7, 1024.0]),
+    n=st.integers(1, 70),
+    first=st.integers(0, 5),
+    replicates=st.integers(0, 8),
+    chunk=st.integers(1, 4),
+    block_draws=st.sampled_from([1, 20, 2 ** 15]),
+)
+@example(mode="degree_pa", m=3, seed_agi=1, seed_dci=1, boost=0.3, n=1, first=0, replicates=3,
+         chunk=2, block_draws=1)
+@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=2, boost=1.7, n=21, first=2, replicates=7,
+         chunk=3, block_draws=20)
+def test_grow_replicates_match_grow(mode, m, seed_agi, seed_dci, boost, n, first, replicates,
+                                    chunk, block_draws):
+    # small chunks and draw blocks split the replicates and the arrivals mid-way
+    config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
+                          dci_boost=boost, rng_seed=n * 17 + replicates)
+    indices = range(first, first + replicates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgrowth, "_CHUNK_REPLICATES", chunk)
+        mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
+        traces = list(grow_replicates(config, indices))
+    assert len(traces) == replicates
+    for i, trace in zip(indices, traces):
+        assert_same_trace(trace, grow(replace(config, rng_seed=mix64(config.rng_seed, i))))
+
+
+@pytest.mark.parametrize("mode", ["urn", "degree_pa"])
+def test_grow_replicates_match_grow_across_default_blocks(mode):
+    # 201 replicates make a full chunk and a chunk of one; 2**15 // 200 // 8 * 8 = 160
+    # arrivals per block, so 1003 arrivals end in a partial block of 43
+    config = GrowthConfig(n_nodes=1003, m=2, seed_agi=2, seed_dci=1, mode=mode,
+                          dci_boost=1.3, rng_seed=5)
+    for i, trace in enumerate(grow_replicates(config, range(201))):
+        assert_same_trace(trace, grow(replace(config, rng_seed=mix64(5, i))))
+
+
+def test_grow_replicates_yields_before_the_next_chunk_steps(monkeypatch):
+    # a trace is handed on as soon as its chunk is stepped, not after all chunks
+    steps = []
+    step = netgrowth._step
+    monkeypatch.setattr(netgrowth, "_step", lambda *args: steps.append(len(args[1])) or step(*args))
+    monkeypatch.setattr(netgrowth, "_CHUNK_REPLICATES", 3)
+    traces = grow_replicates(GrowthConfig(n_nodes=10, rng_seed=1), range(7))
+    next(traces)
+    assert steps == [3]
+    assert len(list(traces)) == 6 and steps == [3, 3, 1]
 
 
 # ---------------------------------------------------------------------------
