@@ -3,9 +3,9 @@
 A scenario is a JSON document with required keys ``kind``, ``master_seed``
 and ``replicates``, an optional non-empty ``output_dir`` (default ``out``) and a
 ``params`` block holding exactly the target model's parameters.  Unknown
-keys are rejected so experiment typos fail loudly.  Defaults live only in
-this loader (taken from the model modules) and are filled in at load time,
-so a loaded config is fully explicit.
+keys are rejected so experiment typos fail loudly.  Defaults are filled in
+at load time, so a loaded config is fully explicit; ``_params_of`` reads a
+kind's keys, types and defaults off its model's signature.
 
 Each scenario kind is one entry of ``KINDS``: its params schema, the build
 step, the runner of a slice of replicates, metrics, CSV writer, seed
@@ -41,6 +41,7 @@ import copy
 import errno
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -163,9 +164,15 @@ def _take(raw, spec: dict, where: str) -> dict:
     return out
 
 
-def _default(cls, name: str):
-    """Default of a model dataclass field, so the loader never restates it."""
-    return next(f.default for f in fields(cls) if f.name == name)
+_CASTS = {"int": _as_int, "float": _as_float, "str": _as_str}
+
+
+def _params_of(model, skip=(), **overrides) -> dict:
+    """Params schema of ``model``'s signature: a key per parameter not in
+    ``skip``, cast by its annotation and REQUIRED unless it has a default;
+    an override gives a key's whole ``(cast, default)`` entry."""
+    return {name: overrides.get(name) or (_CASTS[p.annotation], REQUIRED if p.default is p.empty else p.default)
+            for name, p in inspect.signature(model).parameters.items() if name not in skip}
 
 
 def _norm_game(raw, field: str) -> dict:
@@ -260,26 +267,21 @@ def _build_topology(topo: dict, n: int) -> abm.Topology:
 
 
 def _build_abm(params: dict) -> abm.AbmConfig:
-    """Template config, seed 0."""
+    """Template config, seed 0; plain fields pass through by name."""
     update = params["update"]
-    return abm.AbmConfig(
-        n=params["n"],
-        x0=params["x0"],
-        game=abm.GameMatrix(**params["game"]),
-        topology=_build_topology(params["topology"], params["n"]),
-        update=(abm.Fermi(update["beta"]) if update["kind"] == "fermi"
-                else abm.ProportionalImitation()),
-        noise=params["noise"],
-        rounds=params["rounds"],
-        s_c=params["s_c"],
-        s_d=params["s_d"],
-    )
+    return abm.AbmConfig(**{
+        **params,
+        "game": abm.GameMatrix(**params["game"]),
+        "topology": _build_topology(params["topology"], params["n"]),
+        "update": abm.Fermi(update["beta"]) if update["kind"] == "fermi" else abm.ProportionalImitation(),
+    })
 
 
 def _build_basin(params: dict) -> tuple[abm.AbmConfig, tuple[float, ...]]:
-    abm.check_x0(*params["x0_list"])
-    cfg = _build_abm({**params, "x0": params["x0_list"][0]})
-    return cfg, tuple(params["x0_list"])
+    x0_list = tuple(params["x0_list"])
+    abm.check_x0(*x0_list)
+    population = {key: value for key, value in params.items() if key != "x0_list"}
+    return _build_abm({**population, "x0": x0_list[0]}), x0_list
 
 
 def _each(run: Callable) -> Callable:
@@ -373,37 +375,28 @@ class _Kind:
     diagnostics: Callable = lambda params, result: {}  # (params, result) -> counts, same keys for every result
 
 
-_SWEEP = {
-    "theta": (_as_float, REQUIRED),
-    "lambda_lo": (_as_float, REQUIRED),
-    "lambda_hi": (_as_float, REQUIRED),
-    "step": (_as_float, REQUIRED),
-}
-
-_POPULATION = {
-    "n": (_as_int, REQUIRED),
-    "game": (_norm_game, REQUIRED),
-    "rounds": (_as_int, REQUIRED),
-    "topology": (_variant({
+# game, topology and update in their JSON forms; rounds is required here, not in the model
+_POPULATION = _params_of(
+    abm.AbmConfig, skip=("x0", "rng_seed"),
+    game=(_norm_game, REQUIRED),
+    topology=(_variant({
         "well_mixed": {},
         "ring_lattice": {"k": (_as_int, REQUIRED)},
         "imported": {"path": (_as_str, REQUIRED)},
     }), {"kind": "well_mixed"}),
-    "update": (_variant({
+    update=(_variant({
         "proportional_imitation": {},
         "fermi": {"beta": (_as_float, REQUIRED)},
     }), {"kind": "proportional_imitation"}),
-    "noise": (_as_float, _default(abm.AbmConfig, "noise")),
-    "s_c": (_as_float, _default(abm.AbmConfig, "s_c")),
-    "s_d": (_as_float, _default(abm.AbmConfig, "s_d")),
-}
+    rounds=(_as_int, REQUIRED),
+)
 
 KINDS: dict[str, _Kind] = {
     "replicator": _Kind(
         schema={
             "x0": (_as_float, REQUIRED),
             "t_end": (_as_float, REQUIRED),
-            "dt": (_as_float, _default(dynamics.OdeSpec, "dt")),
+            "dt": (_as_float, dynamics.DEFAULT_DT),
             "p_c": (_as_float, _OPTIONAL),
             "p_d": (_as_float, _OPTIONAL),
             "game": (_norm_game, _OPTIONAL),
@@ -414,7 +407,7 @@ KINDS: dict[str, _Kind] = {
         write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", _rows(t.times, t.states)),
     ),
     "bifurcation": _Kind(
-        schema={**_SWEEP, "grid_n": (_as_int, dynamics.DEFAULT_GRID_N)},
+        schema=_params_of(dynamics.sweep_bifurcation),
         build=lambda params: dynamics.check_bifurcation(**params) or params,
         run=_each(lambda params, master_seed, index: dynamics.sweep_bifurcation(**params)),
         metrics=lambda params, sweep: {
@@ -429,12 +422,7 @@ KINDS: dict[str, _Kind] = {
         deterministic=True,
     ),
     "hysteresis": _Kind(
-        schema={
-            **_SWEEP,
-            "relax_t": (_as_float, dynamics.DEFAULT_RELAX_T),
-            "relax_dt": (_as_float, dynamics.DEFAULT_RELAX_DT),
-            "jump_tol": (_as_float, dynamics.DEFAULT_JUMP_TOL),
-        },
+        schema=_params_of(dynamics.hysteresis_loop),
         build=lambda params: dynamics.check_hysteresis(**params) or params,
         run=_each(lambda params, master_seed, index: dynamics.hysteresis_loop(**params)),
         metrics=lambda params, report: {
@@ -456,15 +444,7 @@ KINDS: dict[str, _Kind] = {
         },
     ),
     "netgrowth": _Kind(
-        schema={
-            "n_nodes": (_as_int, REQUIRED),
-            "m": (_as_int, _default(netgrowth.GrowthConfig, "m")),
-            "seed_agi": (_as_int, _default(netgrowth.GrowthConfig, "seed_agi")),
-            "seed_dci": (_as_int, _default(netgrowth.GrowthConfig, "seed_dci")),
-            "mode": (_as_str, _default(netgrowth.GrowthConfig, "mode")),
-            "dci_boost": (_as_float, _default(netgrowth.GrowthConfig, "dci_boost")),
-            "tau": (_as_float, _default(netgrowth.GrowthConfig, "tau")),
-        },
+        schema=_params_of(netgrowth.GrowthConfig, skip=("rng_seed",)),
         build=lambda params: netgrowth.GrowthConfig(**params),
         run=lambda cfg, master_seed, indices: netgrowth.grow_replicates(
             replace(cfg, rng_seed=master_seed), indices

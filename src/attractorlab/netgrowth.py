@@ -53,6 +53,9 @@ MAX_NODES = 10_000_000
 _BLOCK_DRAWS = 2 ** 15
 # replicates grow_replicates steps together; each keeps n / 8 bytes of join bits
 _CHUNK_REPLICATES = 200
+# a smaller chunk runs grow per replicate: _step's numpy calls cost about 10 us an
+# arrival whatever the chunk, and break even with grow near 48 replicates
+_MIN_BATCH_REPLICATES = 48
 # bisection levels whose midpoints one intervention_cost pass evaluates
 _COST_LEVELS_PER_PASS = 3
 
@@ -218,11 +221,15 @@ def grow_replicates(config: GrowthConfig, indices: range) -> Iterator[GrowthTrac
     """``grow(replace(config, rng_seed=mix64(config.rng_seed, i)))`` for each
     ``i`` in ``indices``, in order and byte for byte: ``_step`` steps up to
     ``_CHUNK_REPLICATES`` of them together, and each trace is rebuilt from
-    its join bits as it is yielded."""
+    its join bits as it is yielded; a chunk below ``_MIN_BATCH_REPLICATES``
+    runs ``grow`` itself."""
     n, sa, sd = config.n_nodes, config.seed_agi, config.seed_dci
     nodes = sa + sd + np.arange(1, n + 1, dtype=float)
     for lo in range(0, len(indices), _CHUNK_REPLICATES):
         chunk = indices[lo:lo + _CHUNK_REPLICATES]
+        if len(chunk) < _MIN_BATCH_REPLICATES:
+            yield from (grow(replace(config, rng_seed=mix64(config.rng_seed, i))) for i in chunk)
+            continue
         bits = np.empty((len(chunk), (n + 7) // 8), dtype=np.uint8)
         for row, j in zip(bits, _step(config, chunk, [config.dci_boost], bits).tolist()):
             shares = (sa + np.cumsum(np.unpackbits(row, count=n), dtype=float)) / nodes

@@ -5,7 +5,7 @@ import json
 import os
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import field, make_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attractorlab import harness, netgrowth
+from attractorlab import cli, harness, netgrowth
 from attractorlab.harness import (
+    REQUIRED,
     ConfigError,
     ScenarioConfig,
     aggregate,
@@ -154,6 +155,97 @@ def test_basin_config_requires_x0_list():
         load_config(json.dumps(base))
 
 
+# The params schemas as they were written by hand before they were read off
+# the model signatures, with their defaults spelled out; every derived schema
+# must keep each key's cast, default and required status.  A cast of None is a
+# variant object, checked by behaviour in the test below.
+_SWEEP = {key: (harness._as_float, REQUIRED) for key in ("theta", "lambda_lo", "lambda_hi", "step")}
+_POPULATION = {
+    "n": (harness._as_int, REQUIRED),
+    "game": (harness._norm_game, REQUIRED),
+    "rounds": (harness._as_int, REQUIRED),
+    "topology": (None, {"kind": "well_mixed"}),
+    "update": (None, {"kind": "proportional_imitation"}),
+    "noise": (harness._as_float, 0.0),
+    "s_c": (harness._as_float, 0.1),
+    "s_d": (harness._as_float, 0.9),
+}
+WRITTEN_SCHEMAS = {
+    "replicator": {
+        "x0": (harness._as_float, REQUIRED),
+        "t_end": (harness._as_float, REQUIRED),
+        "dt": (harness._as_float, 1e-3),
+        "p_c": (harness._as_float, harness._OPTIONAL),
+        "p_d": (harness._as_float, harness._OPTIONAL),
+        "game": (harness._norm_game, harness._OPTIONAL),
+    },
+    "bifurcation": {**_SWEEP, "grid_n": (harness._as_int, 1024)},
+    "hysteresis": {**_SWEEP, "relax_t": (harness._as_float, 50.0),
+                   "relax_dt": (harness._as_float, 0.01), "jump_tol": (harness._as_float, 0.5)},
+    "netgrowth": {
+        "n_nodes": (harness._as_int, REQUIRED),
+        "m": (harness._as_int, 1),
+        "seed_agi": (harness._as_int, 1),
+        "seed_dci": (harness._as_int, 1),
+        "mode": (harness._as_str, "urn"),
+        "dci_boost": (harness._as_float, 1.0),
+        "tau": (harness._as_float, 0.9),
+    },
+    "abm": {**_POPULATION, "x0": (harness._as_float, REQUIRED)},
+    "basin": {**_POPULATION, "x0_list": (harness._norm_x0_list, REQUIRED)},
+}
+# (value, what the written cast gave: the loaded value, or None for a ConfigError)
+_VARIANTS = {
+    "topology": [({"kind": "well_mixed"}, {"kind": "well_mixed"}),
+                 ({"kind": "ring_lattice", "k": 4}, {"kind": "ring_lattice", "k": 4}),
+                 ({"kind": "imported", "path": "g"}, {"kind": "imported", "path": "g"}),
+                 ({"kind": "ring_lattice"}, None), ({"kind": "ring_lattice", "k": 0.5}, None),
+                 ({"kind": "well_mixed", "k": 4}, None), ({"kind": "lattice"}, None), ("ring", None)],
+    "update": [({"kind": "proportional_imitation"}, {"kind": "proportional_imitation"}),
+               ({"kind": "fermi", "beta": 2}, {"kind": "fermi", "beta": 2.0}),
+               ({"kind": "fermi"}, None), ({"kind": "fermi", "beta": "2"}, None),
+               ({"kind": "moran"}, None), (None, None)],
+}
+
+
+def _cast_or_none(cast, value, key):
+    try:
+        return cast(value, key)
+    except ConfigError:
+        return None
+
+
+@pytest.mark.parametrize("kind", list(WRITTEN_SCHEMAS))
+def test_derived_schemas_match_the_written_ones(kind):
+    schema = harness.KINDS[kind].schema
+    assert set(schema) == set(WRITTEN_SCHEMAS[kind])
+    for key, (cast, default) in WRITTEN_SCHEMAS[kind].items():
+        got_cast, got_default = schema[key]
+        assert got_default == default and type(got_default) is type(default), key
+        assert (got_default is REQUIRED) == (default is REQUIRED), key
+        if cast is None:
+            assert [_cast_or_none(got_cast, value, key) for value, _ in _VARIANTS[key]] == [
+                loaded for _, loaded in _VARIANTS[key]], key
+        else:
+            assert got_cast is cast, key
+
+
+def test_a_new_model_field_gets_a_key_and_a_flag(tmp_path, monkeypatch):
+    # a field added to the model reaches the loader and the CLI with no other edit
+    lockin = make_dataclass("LockinConfig", [("head_start", "int", field(default=0))],
+                            bases=(netgrowth.GrowthConfig,), frozen=True)
+    schema = harness._params_of(lockin, skip=("rng_seed",))
+    assert schema == {**harness.KINDS["netgrowth"].schema, "head_start": (harness._as_int, 0)}
+    monkeypatch.setitem(harness.KINDS, "netgrowth", replace(
+        harness.KINDS["netgrowth"], schema=schema, build=lambda params: lockin(**params)))
+    assert ("--head-start", ("head_start",), False) in list(cli._flags("netgrowth"))
+    assert cli.build_parser().parse_args(["netgrowth", "--nodes", "5", "--head-start", "3"]).head_start == 3
+    config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "run"))))
+    assert config.params["head_start"] == 0 and config.model.head_start == 0
+    with pytest.raises(ConfigError, match="'head_start' must be an integer"):
+        load_config(json.dumps(netgrowth_doc(str(tmp_path / "run"), head_start=0.5)))
+
+
 # ---------------------------------------------------------------------------
 # Seeds and aggregation
 # ---------------------------------------------------------------------------
@@ -250,8 +342,10 @@ def test_netgrowth_files_are_the_bytes_of_grow(tmp_path, params):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_netgrowth_chunks_and_worker_slices_straddle(tmp_path, monkeypatch, jobs):
-    # chunks of 3: [0, 3) [3, 6) [6, 7) serially; [0, 3) | [3, 6) [6, 7) at 2 workers
+    # chunks of 3: [0, 3) [3, 6) [6, 7) serially; [0, 3) | [3, 6) [6, 7) at 2 workers,
+    # every one of them stepped by _step
     monkeypatch.setattr(netgrowth, "_CHUNK_REPLICATES", 3)
+    monkeypatch.setattr(netgrowth, "_MIN_BATCH_REPLICATES", 0)
     out = str(tmp_path / "run")
     config = load_config(json.dumps(netgrowth_doc(out, replicates=7, n_nodes=37, mode="degree_pa")))
     records, _, manifest = run_scenario(config, jobs=jobs)
@@ -260,6 +354,24 @@ def test_netgrowth_chunks_and_worker_slices_straddle(tmp_path, monkeypatch, jobs
         data = read(os.path.join(out, f"shares_{i:04d}.csv"))
         assert data == grown_bytes(config, i)
         assert manifest.files[f"shares_{i:04d}.csv"] == hashlib.sha256(data).hexdigest()
+
+
+_THRESHOLD = netgrowth._MIN_BATCH_REPLICATES
+
+
+@pytest.mark.parametrize("replicates, steps", [(1, []), (_THRESHOLD - 1, []), (_THRESHOLD, [_THRESHOLD])],
+                         ids=["one", "below-threshold", "at-threshold"])
+def test_netgrowth_steps_only_chunks_at_the_threshold(tmp_path, monkeypatch, replicates, steps):
+    # a small run grows each replicate alone; both paths give grow's bytes
+    calls = []
+    step = netgrowth._step
+    monkeypatch.setattr(netgrowth, "_step", lambda *args: calls.append(len(args[1])) or step(*args))
+    out = str(tmp_path / "run")
+    config = load_config(json.dumps(netgrowth_doc(out, replicates=replicates, n_nodes=37, mode="degree_pa")))
+    run_scenario(config)
+    assert calls == steps
+    for i in range(replicates):
+        assert read(os.path.join(out, f"shares_{i:04d}.csv")) == grown_bytes(config, i)
 
 
 @pytest.mark.parametrize("params", [{}, {"mode": "degree_pa", "m": 2, "dci_boost": 0.6}])

@@ -332,6 +332,7 @@ def test_grow_replicates_match_grow(mode, m, seed_agi, seed_dci, boost, n, first
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netgrowth, "_CHUNK_REPLICATES", chunk)
         mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
+        mp.setattr(netgrowth, "_MIN_BATCH_REPLICATES", 0)  # every chunk goes through _step
         traces = list(grow_replicates(config, indices))
     assert len(traces) == replicates
     for i, trace in zip(indices, traces):
@@ -340,8 +341,8 @@ def test_grow_replicates_match_grow(mode, m, seed_agi, seed_dci, boost, n, first
 
 @pytest.mark.parametrize("mode", ["urn", "degree_pa"])
 def test_grow_replicates_match_grow_across_default_blocks(mode):
-    # 201 replicates make a full chunk and a chunk of one; 2**15 // 200 // 8 * 8 = 160
-    # arrivals per block, so 1003 arrivals end in a partial block of 43
+    # 201 replicates make a full chunk, stepped, and a chunk of one, grown alone;
+    # 2**15 // 200 // 8 * 8 = 160 arrivals per block, so 1003 arrivals end in a partial block of 43
     config = GrowthConfig(n_nodes=1003, m=2, seed_agi=2, seed_dci=1, mode=mode,
                           dci_boost=1.3, rng_seed=5)
     for i, trace in enumerate(grow_replicates(config, range(201))):
@@ -354,6 +355,7 @@ def test_grow_replicates_yields_before_the_next_chunk_steps(monkeypatch):
     step = netgrowth._step
     monkeypatch.setattr(netgrowth, "_step", lambda *args: steps.append(len(args[1])) or step(*args))
     monkeypatch.setattr(netgrowth, "_CHUNK_REPLICATES", 3)
+    monkeypatch.setattr(netgrowth, "_MIN_BATCH_REPLICATES", 0)
     traces = grow_replicates(GrowthConfig(n_nodes=10, rng_seed=1), range(7))
     next(traces)
     assert steps == [3]
