@@ -220,12 +220,14 @@ def _verified_manifest(run_dir: str) -> dict:
     manifest = read_manifest(run_dir)
     path = os.path.join(run_dir, "manifest.json")
     for name, digest in manifest["files"].items():
+        sha = hashlib.sha256()
         try:
             with open(os.path.join(run_dir, name), "rb") as fh:
-                data = fh.read()
+                while block := fh.read(1 << 20):  # 1 MiB at a time, so no file is whole in memory
+                    sha.update(block)
         except OSError:
             raise ConfigError(f"{name} is listed in {path!r} but missing") from None
-        if hashlib.sha256(data).hexdigest() != digest:
+        if sha.hexdigest() != digest:
             raise ConfigError(f"{name} does not match its digest in {path!r}")
     return manifest
 

@@ -23,16 +23,16 @@ Outputs are small CSV files (diff-able, golden-testable) plus a
 ``manifest.json`` carrying the config echo, per-replicate seeds, numerical
 diagnostics, the environment (Python, numpy and orjson versions, platform,
 cores, workers) and sha256 digests of every emitted file, taken from the
-bytes as they are written.  Every float is spelled as ``repr`` spells it;
-``_rows`` says how the trace files are formatted.
+bytes as they are written.  Every float is spelled as ``repr`` spells it.
 
 Each process runs one contiguous slice of the replicates (netgrowth steps
-them together, in chunks), formats, hashes and writes each file under a
-temporary name as its result comes, and hands the parent only a
-``ReplicateRecord`` (metric values, diagnostic counts, digests), so memory
-does not grow with the traces.  Files are renamed to their final names only
-once all are written, then the manifest is written; a failed run cleans up
-by the rule in ``run_scenario``.
+them together, in chunks), and ``_write_csv`` formats, hashes and writes
+each file in chunks of rows under a temporary name as its result comes.
+The parent gets only a ``ReplicateRecord`` (metric values, diagnostic
+counts, digests), so memory grows with neither the traces nor their
+length.  Files are renamed to their final names only once all are
+written, then the manifest is written; a failed run cleans up by the rule
+in ``run_scenario``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import math
 import os
 import re
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -239,10 +239,6 @@ def serialize_config(config: ScenarioConfig) -> str:
 # Scenario kinds: params -> model objects -> replicate results -> files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _build_replicator(params: dict) -> dynamics.OdeSpec:
     game = abm.GameMatrix(**params["game"]) if "game" in params else None
     return dynamics.OdeSpec(
@@ -311,54 +307,9 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _step_prefixes(steps: range) -> tuple[bytes, ...]:
-    """Row prefixes ``b"<s>,"``, then ``b"\\n<s>,"`` for every later step;
-    the last range asked for is kept, so the cache never outgrows one file."""
-    return (b"%d," % steps[0], *[b"\n%d," % s for s in steps[1:]])
-
-
-def _cells(col) -> list[bytes]:
-    """The values of a float column as orjson spells them, one dump per column."""
-    import orjson  # here, not at module level: it would add to every CLI call's start-up
-
-    flat = np.ascontiguousarray(col, dtype=np.float64)  # orjson rejects strided views
-    return orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-
-
-def _rows(first, second) -> bytes:
-    """CSV rows ``"<a>,<b>"`` of two equal-length numeric columns (each a
-    ``range`` or a float64 array), every value spelled as ``repr`` spells it.
-
-    orjson writes the same shortest round-trip digits as ``repr``, and on
-    finite values with 1e-4 <= |v| < 1e16, and on +-0.0, the same bytes.
-    Outside that range it spells them differently (``1e16`` for ``1e+16``,
-    ``0.00009999999999999999`` for ``9.999999999999999e-05``, ``null`` for
-    nan and inf).  So orjson writes the rows only when every float passes
-    that range check (nan fails every comparison); any other pair of
-    columns is written value by value with ``repr``.
-
-    On the orjson path no row becomes a Python object: each float column
-    is dumped once from its numpy array and split into cells, a ``range``
-    column takes its row prefixes from ``_step_prefixes``, and one join
-    interleaves prefixes and cells in a list filled by slice assignment.
-    A 10k-row netgrowth file takes about 1.7 ms on a 2-core x86 VM, where
-    one orjson call over the rows as Python tuples took 3.9 ms and ``repr``
-    per value takes 15 ms.
-    """
-    sizes = [abs(c) for c in (first, second) if not isinstance(c, range)]
-    if len(first) and all(((a < 1e16) & ((a >= 1e-4) | (a == 0))).all() for a in sizes):
-        if isinstance(first, range):
-            prefixes = _step_prefixes(first)
-        else:
-            prefixes = [b"\n%b," % c for c in _cells(first)]
-            prefixes[0] = prefixes[0][1:]
-        parts = [b"\n"] * (2 * len(first) + 1)  # the last one ends the file
-        parts[0:-1:2] = prefixes
-        parts[1::2] = _cells(second)
-        return b"".join(parts)
-    cols = [c if isinstance(c, range) else c.tolist() for c in (first, second)]
-    return "".join([f"{a!r},{b!r}\n" for a, b in zip(*cols)]).encode()
+def _pairs(points) -> np.ndarray:
+    """The two float64 columns of a sequence of ``(a, b)`` pairs."""
+    return np.array(points, dtype=np.float64).reshape(-1, 2).T
 
 
 @dataclass(frozen=True)
@@ -369,7 +320,7 @@ class _Kind:
     build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate indices) -> their results, in order
     metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
-    write: Callable | None  # (result, index) -> (file name, header, CSV rows as bytes)
+    write: Callable | None  # (result, index) -> (file name, header, columns), see ``_write_csv``
     streams: Callable = lambda params: 1  # seed streams per replicate
     deterministic: bool = False  # replicates must be 1
     diagnostics: Callable = lambda params, result: {}  # (params, result) -> counts, same keys for every result
@@ -404,7 +355,7 @@ KINDS: dict[str, _Kind] = {
         build=_build_replicator,
         run=_each(lambda spec, master_seed, index: dynamics.integrate(spec)),
         metrics=lambda params, t: {"final_x": float(t.states[-1])},
-        write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", _rows(t.times, t.states)),
+        write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", (t.times, t.states)),
     ),
     "bifurcation": _Kind(
         schema=_params_of(dynamics.sweep_bifurcation),
@@ -414,11 +365,10 @@ KINDS: dict[str, _Kind] = {
             "max_stable_roots": float(max(rep.stable_count() for _, rep in sweep)),
             "min_stable_roots": float(min(rep.stable_count() for _, rep in sweep)),
         },
-        write=lambda sweep, i: (
-            "bifurcation.csv", "lambda,root,stability",
-            "".join(f"{_fmt(lam)},{_fmt(root.location)},{root.stability}\n"
-                    for lam, rep in sweep for root in rep.roots).encode(),
-        ),
+        write=lambda sweep, i: ("bifurcation.csv", "lambda,root,stability", (
+            *_pairs([(lam, root.location) for lam, rep in sweep for root in rep.roots]),
+            [root.stability for _, rep in sweep for root in rep.roots],
+        )),
         deterministic=True,
     ),
     "hysteresis": _Kind(
@@ -430,12 +380,10 @@ KINDS: dict[str, _Kind] = {
             "jumps_up": float(len(report.jumps_up)),
             "jumps_down": float(len(report.jumps_down)),
         },
-        write=lambda report, i: (
-            "hysteresis.csv", "sweep,lambda,state",
-            "".join(f"{sweep},{_fmt(lam)},{_fmt(state)}\n"
-                    for sweep, branch in (("up", report.up_branch), ("down", report.down_branch))
-                    for lam, state in branch).encode(),
-        ),
+        write=lambda report, i: ("hysteresis.csv", "sweep,lambda,state", (
+            ["up"] * len(report.up_branch) + ["down"] * len(report.down_branch),
+            *_pairs(report.up_branch + report.down_branch),
+        )),
         deterministic=True,
         diagnostics=lambda params, report: {
             "non_equilibrated": len(report.non_equilibrated),
@@ -454,8 +402,7 @@ KINDS: dict[str, _Kind] = {
             "agi_lockin": float(t.locked_in == netgrowth.LOCKED_AGI),
             "dci_lockin": float(t.locked_in == netgrowth.LOCKED_DCI),
         },
-        write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share",
-                            _rows(range(1, len(t.shares) + 1), t.shares)),
+        write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share", (range(1, len(t.shares) + 1), t.shares)),
     ),
     "abm": _Kind(
         schema={**_POPULATION, "x0": (_as_float, REQUIRED)},
@@ -465,7 +412,7 @@ KINDS: dict[str, _Kind] = {
         )),
         metrics=_abm_metrics,
         write=lambda t, i: (f"abm_{i:04d}.csv", "round,coop_fraction",
-                            _rows(range(len(t.coop_fraction)), t.coop_fraction)),
+                            (range(len(t.coop_fraction)), t.coop_fraction)),
     ),
     # basin outcome rows have no trace file, they only feed summary.csv
     "basin": _Kind(
@@ -525,22 +472,72 @@ def aggregate(values) -> SummaryStats:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _write_data(path: str, header: str, rows: bytes) -> str:
-    """Write one CSV file (header, then rows) in one call; returns the sha256 of its bytes."""
-    data = header.encode() + b"\n" + rows
+_CHUNK_ROWS = 1 << 16  # rows formatted, written and hashed at a time
+
+
+@functools.lru_cache(maxsize=1)
+def _row_starts(steps: range) -> tuple[bytes, ...]:
+    """Row starts ``b"\\n<s>,"`` of a step column, kept for the last range asked for."""
+    return tuple(b"\n%d," % s for s in steps)
+
+
+def _cells(col) -> list[bytes]:
+    """The CSV cells of a chunk of a column, every value spelled as ``repr`` spells it.
+
+    orjson spells finite floats with 1e-4 <= |v| < 1e16, and +-0.0, as
+    ``repr`` does, and others not (``1e16``, ``0.00009999999999999999``,
+    ``null``).  So a float64 array whose values all pass that check (nan
+    fails every comparison) is dumped by one ``orjson.dumps``; any other
+    column, a ``range`` or a sequence of text, ints or floats included, is
+    spelled by ``str``, which is ``repr`` for a float.
+    """
+    if isinstance(col, np.ndarray):
+        size = abs(col)
+        if len(col) and ((size < 1e16) & ((size >= 1e-4) | (size == 0))).all():
+            import orjson  # here, not at module level: it would add to every CLI call's start-up
+
+            flat = np.ascontiguousarray(col, dtype=np.float64)  # orjson rejects strided views
+            return orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+        col = col.tolist()
+    return [str(v).encode() for v in col]
+
+
+def _chunk(columns, lead: bytes, tail: bytes) -> bytes:
+    """``lead``, the ``\\n``-led rows of equal-length columns, then ``tail``,
+    in one join of the first column's cells, each with its ``\\n`` and
+    comma, and the other columns' cells; no row becomes a Python object."""
+    first, *rest = columns
+    heads = _row_starts(first) if isinstance(first, range) else [b"\n%b," % c for c in _cells(first)]
+    width = 2 * len(rest)  # a row's parts: its head, then the other cells with commas between
+    parts = [b","] * (width * len(first) + 2)
+    parts[0], parts[-1] = lead, tail
+    parts[1:-1:width] = heads
+    for j, col in enumerate(rest):
+        parts[2 * j + 2:-1:width] = _cells(col)
+    return b"".join(parts)
+
+
+def _write_csv(path: str, header: str, columns) -> str:
+    """Write the header, one ``\\n``-led row per index of the equal-length
+    ``columns`` (each a ``range``, a float64 array or a sequence of text,
+    ints or floats) and a closing ``\\n``, ``_CHUNK_ROWS`` rows at a time,
+    in one write each and hashing as it goes, so no file is ever whole in
+    memory; returns the sha256."""
+    last = max(len(columns[0]) - 1, 0) // _CHUNK_ROWS * _CHUNK_ROWS  # where the last chunk starts
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for lo in range(0, last + 1, _CHUNK_ROWS):
+            data = _chunk([col[lo:lo + _CHUNK_ROWS] for col in columns],
+                          b"" if lo else header.encode(), b"\n" if lo == last else b"")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str = "") -> dict[str, str]:
     """Emit one CSV per trace in the schema of ``kind``, numbered from
-    ``start``, each named with ``suffix`` appended; returns the sha256 of
-    each file written, keyed by the path written.
-
-    The numeric traces (netgrowth, abm, replicator) are formatted by
-    ``_rows``; hysteresis and bifurcation rows hold strings and are
-    formatted with ``repr`` per value.
+    ``start``, each named with ``suffix`` appended, by ``_write_csv``;
+    returns the sha256 of each file written, keyed by the path written.
 
     Basin outcome rows have no trace file, they only feed summary.csv.
     """
@@ -548,9 +545,9 @@ def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str =
     write = KINDS[kind].write
     digests: dict[str, str] = {}
     for i, item in enumerate(traces if write else (), start):
-        name, header, rows = write(item, i)
+        name, header, columns = write(item, i)
         path = os.path.join(out_dir, name + suffix)
-        digests[path] = _write_data(path, header, rows)
+        digests[path] = _write_csv(path, header, columns)
     return digests
 
 
@@ -655,11 +652,9 @@ def run_scenario(
         diagnostics = {name: sum(r.diagnostics[name] for r in records)
                        for name in records[0].diagnostics}
         files = {name: digest for r in records for name, digest in r.files.items()}
-        files["summary.csv"] = _write_data(
-            os.path.join(out, "summary.csv" + suffix),
-            "metric,mean,std,min,max,ci95,n",
-            "".join(f"{name},{_fmt(s.mean)},{_fmt(s.std)},{_fmt(s.min)},{_fmt(s.max)},"
-                    f"{_fmt(s.ci95)},{s.n}\n" for name, s in summary.items()).encode(),
+        files["summary.csv"] = _write_csv(
+            os.path.join(out, "summary.csv" + suffix), "metric,mean,std,min,max,ci95,n",
+            (list(summary), *zip(*map(astuple, summary.values()))),
         )
 
         # a directory in the way fails the run before any file is replaced

@@ -45,7 +45,8 @@ DEFAULT_COST_REPLICATES = 200
 MAX_BOOST = 1024.0
 COST_LOG2_TOL = 0.05
 
-# arrivals per growth; writing one trace holds about 300 bytes per arrival (3 GB)
+# arrivals per growth; growing one trace holds about 85 bytes per arrival (0.9 GB),
+# and writing it a fixed ~22 MB, as its CSV is formatted in chunks of rows
 MAX_NODES = 10_000_000
 
 # uniforms drawn per block by _step, over all replicates, into one buffer

@@ -1,10 +1,11 @@
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from attractorlab.cli import SEED_ENV, build_parser, main
+from attractorlab.cli import SEED_ENV, _verified_manifest, build_parser, main
 from attractorlab.harness import KINDS, REQUIRED
 
 
@@ -268,6 +269,31 @@ def test_report_rejects_a_changed_data_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "shares_0000.csv" in captured.err and "digest" in captured.err
     assert captured.out == ""
+
+
+def test_report_hashes_a_long_trace_in_blocks(tmp_path, capsys):
+    # a 1M-row trace is about 26 MB; report holds a block of it at a time
+    out = tmp_path / "run"
+    assert main(["netgrowth", "--seeds", "2,1", "--nodes", "1000000", "--seed", "1",
+                 "--out", str(out), "--quiet"]) == 0
+    path = out / "shares_0000.csv"
+    assert path.stat().st_size > 20_000_000
+    tracemalloc.start()
+    try:
+        _verified_manifest(str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    # a byte past the first blocks still fails the digest
+    with open(path, "r+b") as fh:
+        fh.seek(-2, os.SEEK_END)
+        last = fh.read(1)
+        fh.seek(-2, os.SEEK_END)
+        fh.write(bytes([last[0] ^ 1]))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    assert "shares_0000.csv does not match its digest" in capsys.readouterr().err
 
 
 def test_report_rejects_a_missing_listed_file(tmp_path, capsys):

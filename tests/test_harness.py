@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import field, make_dataclass, replace
@@ -319,10 +320,11 @@ def test_run_scenario_jobs_match_serial(tmp_path, kind):
 
 
 def grown_bytes(config, index):
-    """The bytes of ``shares_<index>.csv`` as ``grow`` and the kind's writer give them."""
+    """The bytes of ``shares_<index>.csv`` as ``grow`` and ``write_outputs`` give them."""
     cfg = replace(config.model, rng_seed=mix64(config.master_seed, index))
-    _, header, rows = harness.KINDS["netgrowth"].write(netgrowth.grow(cfg), index)
-    return header.encode() + b"\n" + rows
+    with tempfile.TemporaryDirectory() as out:
+        (path,) = write_outputs("netgrowth", [netgrowth.grow(cfg)], out, index)
+        return read(path)
 
 
 @pytest.mark.parametrize("params", [
@@ -435,9 +437,61 @@ def test_run_scenario_memory_does_not_grow_with_traces(tmp_path):
     assert large - small < 0.1 * traces, (small, large)
 
 
+def test_write_outputs_memory_does_not_grow_with_trace_length(tmp_path):
+    # rows are formatted, written and hashed _CHUNK_ROWS at a time
+    def peak(n_nodes):
+        trace = netgrowth.grow(netgrowth.GrowthConfig(n_nodes=n_nodes, seed_agi=2, seed_dci=1, rng_seed=1))
+        tracemalloc.start()
+        try:
+            write_outputs("netgrowth", [trace], str(tmp_path / str(n_nodes)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200_000), peak(1_000_000)
+    assert abs(large - small) < 2_000_000, (small, large)
+
+
+# The per-value formatters that the one chunked writer replaces, kept as the reference.
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
 def _old_rows(start, values):
-    """Row bytes of the per-row formatter that the bulk writers replace."""
-    return "".join(",".join((str(s + start), harness._fmt(v))) + "\n" for s, v in enumerate(values))
+    return "".join(",".join((str(s + start), _fmt(v))) + "\n" for s, v in enumerate(values))
+
+
+def _old_pairs(first, second):
+    return "".join(f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(first, second))
+
+
+def _old_hysteresis(report):
+    return "".join(f"{sweep},{_fmt(lam)},{_fmt(state)}\n"
+                   for sweep, branch in (("up", report.up_branch), ("down", report.down_branch))
+                   for lam, state in branch)
+
+
+def _old_bifurcation(sweep):
+    return "".join(f"{_fmt(lam)},{_fmt(root.location)},{root.stability}\n"
+                   for lam, rep in sweep for root in rep.roots)
+
+
+def _old_summary(summary):
+    return "".join(f"{name},{_fmt(s.mean)},{_fmt(s.std)},{_fmt(s.min)},{_fmt(s.max)},"
+                   f"{_fmt(s.ci95)},{s.n}\n" for name, s in summary.items())
+
+
+def _written(columns, header="a,b") -> str:
+    """The rows ``_write_csv`` writes for ``columns``, after checking the
+    header line and the digest it returns."""
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "data.csv")
+        digest = harness._write_csv(path, header, columns)
+        data = read(path)
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert data.startswith(header.encode() + b"\n")
+    return data[len(header) + 1:].decode()
 
 
 _EDGE_FLOATS = st.sampled_from([
@@ -478,7 +532,7 @@ _OUT_OF_RANGE = [9.999999999999999e-05, -9.999999999999999e-05, 1e16, -1e16, flo
 @settings(max_examples=200, deadline=None)
 @given(_FLOAT64, st.integers(0, 2))
 def test_bulk_lines_match_row_formatting(values, start):
-    assert harness._rows(range(start, start + len(values)), values).decode() == _old_rows(start, values)
+    assert _written([range(start, start + len(values)), values]) == _old_rows(start, values)
 
 
 @contextmanager
@@ -493,9 +547,9 @@ def _orjson_spy():
 @given(_agreeing_arrays(10_000), st.integers(0, 2))
 def test_rows_in_the_agreement_range_match_repr(values, start):
     with _orjson_spy() as spy:
-        rows = harness._rows(range(start, start + len(values)), values)
+        rows = _written([range(start, start + len(values)), values])
     assert spy.called == (len(values) > 0)  # the orjson path
-    assert rows.decode() == _old_rows(start, values)
+    assert rows == _old_rows(start, values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -504,11 +558,10 @@ def test_rows_of_strided_views_match_repr(values, stride, start):
     # orjson serializes only C-contiguous arrays; the writers get views too
     view, other = values[::stride], values[: len(values[::stride])]
     with _orjson_spy() as spy:
-        assert harness._rows(range(start, start + len(view)), view).decode() == _old_rows(start, view)
+        assert _written([range(start, start + len(view)), view]) == _old_rows(start, view)
         # a float first column, as the replicator writes it, strided in either column
         for t, x in ((view, other), (other, view)):
-            assert harness._rows(t, x).decode() == "".join(
-                f"{harness._fmt(a)},{harness._fmt(b)}\n" for a, b in zip(t, x))
+            assert _written([t, x]) == _old_pairs(t, x)
     assert spy.called == (len(view) > 0)
 
 
@@ -519,8 +572,7 @@ def test_step_column_follows_start_and_size(first, second):
     # step-prefix cache keyed by the length alone, or never refreshed, fails
     for values in (first, second, first):
         for start in (0, 1, 0):
-            rows = harness._rows(range(start, start + len(values)), values)
-            assert rows.decode() == _old_rows(start, values)
+            assert _written([range(start, start + len(values)), values]) == _old_rows(start, values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -530,12 +582,18 @@ def test_one_value_out_of_range_keeps_repr_bytes(values, bad, data):
     values[data.draw(st.integers(0, len(values) - 1), label="position")] = bad
     agreeing = np.linspace(0.0, 1.0, len(values))
     with _orjson_spy() as spy:
-        assert harness._rows(range(1, len(values) + 1), values).decode() == _old_rows(1, values)
+        assert _written([range(1, len(values) + 1), values]) == _old_rows(1, values)
+        assert not spy.called
         # two float columns, as the replicator writes them, with the bad value in either
         for t, x in ((values, agreeing), (agreeing, values)):
-            assert harness._rows(t, x).decode() == "".join(
-                f"{harness._fmt(a)},{harness._fmt(b)}\n" for a, b in zip(t, x))
-    assert not spy.called
+            assert _written([t, x]) == _old_pairs(t, x)
+    # the range check is per column: orjson dumps the agreeing column, never the other
+    assert spy.call_count == 2
+    assert not any(_holds(call.args[0], bad) for call in spy.call_args_list)
+
+
+def _holds(array, value) -> bool:
+    return bool(np.isnan(array).any() if np.isnan(value) else (array == value).any())
 
 
 @settings(max_examples=100, deadline=None)
@@ -543,15 +601,65 @@ def test_one_value_out_of_range_keeps_repr_bytes(values, bad, data):
 def test_trace_writers_match_row_formatting(values):
     from attractorlab import abm, dynamics, netgrowth
 
+    floats = values.tolist()
+    cut = len(floats) // 3
+    report = dynamics.HysteresisReport(tuple(zip(floats[:cut], floats[::-1][:cut])),
+                                       tuple(zip(floats[cut:], floats[::-1][cut:])), (), (), 0.0)
+    labels = (dynamics.STABLE, dynamics.UNSTABLE, dynamics.MARGINAL)
+    sweep = [(lam, dynamics.FixedPointReport(tuple(dynamics.FixedPoint(x, labels[j % 3])
+                                                   for j, x in enumerate(floats[i:i + i % 4]))))
+             for i, lam in enumerate(floats)]
     header_rows = {
         "netgrowth": (netgrowth.GrowthTrace(values, None, None), "step,agi_share", _old_rows(1, values)),
         "abm": (abm.AbmTrace(values, abm.OUTCOME_UNDECIDED), "round,coop_fraction", _old_rows(0, values)),
-        "replicator": (dynamics.Trajectory(values[::-1], values), "t,x", "".join(
-            f"{harness._fmt(t)},{harness._fmt(x)}\n" for t, x in zip(values[::-1], values))),
+        "replicator": (dynamics.Trajectory(values[::-1], values), "t,x", _old_pairs(values[::-1], values)),
+        "hysteresis": (report, "sweep,lambda,state", _old_hysteresis(report)),
+        "bifurcation": (sweep, "lambda,root,stability", _old_bifurcation(sweep)),
     }
     for kind, (trace, header, rows) in header_rows.items():
-        _, got_header, got_rows = harness.KINDS[kind].write(trace, 0)
-        assert (got_header, got_rows.decode()) == (header, rows)
+        _, got_header, columns = harness.KINDS[kind].write(trace, 0)
+        assert (got_header, _written(columns, got_header)) == (header, rows)
+
+
+@pytest.mark.parametrize("kind", DETERMINISM_DOCS)
+def test_run_files_match_row_formatting(tmp_path, kind):
+    # summary.csv of every kind, and the sweep files of real sweeps, whose
+    # lambdas near 0 send a column to the per-value path
+    out = str(tmp_path / "run")
+    doc = {"kind": kind, "master_seed": 5, "replicates": DETERMINISM_DOCS[kind].get("replicates", 2),
+           "output_dir": out, "params": DETERMINISM_DOCS[kind]["params"]}
+    config = load_config(json.dumps(doc))
+    _, summary, _ = run_scenario(config)
+    assert read(os.path.join(out, "summary.csv")).decode() == (
+        "metric,mean,std,min,max,ci95,n\n" + _old_summary(summary))
+    if kind in ("hysteresis", "bifurcation"):
+        (result,) = harness.KINDS[kind].run(config.model, 5, range(1))
+        old = _old_hysteresis if kind == "hysteresis" else _old_bifurcation
+        name, header, _ = harness.KINDS[kind].write(result, 0)
+        assert read(os.path.join(out, name)).decode() == header + "\n" + old(result)
+
+
+_CHUNK_EDGE_LENGTHS = [0, 1, *(3 * k + d for k in (1, 2, 4) for d in (-1, 0, 1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_CHUNK_EDGE_LENGTHS).flatmap(
+           lambda n: arrays(np.float64, n, elements=_AGREEING)),
+       st.one_of(st.none(), st.sampled_from(_OUT_OF_RANGE)), st.integers(0, 2), st.data())
+def test_chunk_edges_keep_the_bytes(values, bad, start, data):
+    # chunks of 3 rows: lengths 0, 1, and one below, at and above a multiple
+    # of the chunk; a value out of orjson's range in one chunk only
+    if bad is not None and len(values):
+        values[data.draw(st.integers(0, len(values) - 1), label="position")] = bad
+    chunks = -(-len(values) // 3)
+    labels = [("up", "down")[i % 2] for i in range(len(values))]
+    with mock.patch.object(harness, "_CHUNK_ROWS", 3), _orjson_spy() as spy:
+        assert _written([range(start, start + len(values)), values]) == _old_rows(start, values)
+        assert spy.call_count == chunks - (bad is not None and len(values) > 0)
+        assert not any(_holds(call.args[0], bad) for call in spy.call_args_list if bad is not None)
+        assert _written([values[::-1], values]) == _old_pairs(values[::-1], values)
+        assert _written([labels, values, values[::-1]], "sweep,lambda,state") == "".join(
+            f"{s},{_fmt(a)},{_fmt(b)}\n" for s, a, b in zip(labels, values, values[::-1]))
 
 
 def test_run_scenario_martingale_summary(tmp_path):
