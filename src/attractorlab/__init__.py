@@ -7,7 +7,8 @@ Subpackages cover one model family each (``cogmodel`` is imported on use):
 * ``netgrowth``  - two-camp growing networks, urn and degree-proportional
                    modes, lock-in estimation, intervention cost
 * ``abm``        - evolutionary imitation game on a population topology
-* ``cogmodel``   - layered concept graphs with fitness bookkeeping
+* ``cogmodel``   - layered concept graphs (store/recall, reasoning, lift/project)
+                   and the fitness of agent minds (evaluate, adapt, bridge, stability)
 * ``harness``    - scenario configs, seeded replication, CSV persistence
 * ``cli``        - command-line front end
 """

@@ -15,10 +15,11 @@ Four graph operations cover use:
 * :func:`reason_s2` - deterministic shortest-path search.
 
 Minds pair a graph with a fitness triple (current, target, projected) and
-an append-only transform log.  The regulatory operations (adapt, bridge,
-decompose, stability and fitness tracking) carry minimal deterministic
-reference semantics; fitness is the edge density of layer 1
-(:func:`connectivity_ratio`).
+an append-only transform log.  :func:`fitness_eval` projects the fitness
+of an action and :func:`sustainable` compares it with the target; the
+regulatory operations (:func:`adapt`, :func:`bridge`, :func:`stability_score`)
+carry minimal deterministic reference semantics.  Fitness is the edge
+density of layer 1 (:func:`connectivity_ratio`).
 
 All operations are functional: inputs are never mutated.
 """
@@ -53,10 +54,6 @@ class OverlapError(GraphError):
 
 
 class UnsupportedActionError(GraphError):
-    pass
-
-
-class InsufficientHistoryError(GraphError):
     pass
 
 
@@ -560,92 +557,3 @@ def _components(graph: ConceptGraph) -> list[set[str]]:
             seen |= comp
             comps.append(comp)
     return comps
-
-
-def decompose(graph: ConceptGraph, problem: ProblemSpec) -> list[ProblemSpec]:
-    """Split a problem by layer-1 connected components of its premises;
-    sub-problems keep the goal and depth bound, ordered by each
-    component's smallest node id."""
-    problem.check_ids(graph)
-    if not problem.premises:
-        return []
-    comps = sorted(_components(graph), key=min)
-    out = []
-    for comp in comps:
-        inside = problem.premises & comp
-        if inside:
-            out.append(ProblemSpec(problem.goal, frozenset(inside), problem.max_depth))
-    return out
-
-
-def fitness_track(history: Sequence[FitnessTriple], window: int) -> float:
-    """Change of current fitness across the trailing window."""
-    if window < 2:
-        raise GraphError(f"window must be >= 2, got {window}")
-    if len(history) < window:
-        raise InsufficientHistoryError(
-            f"history of {len(history)} shorter than window {window}"
-        )
-    return history[-1].f_c - history[-window].f_c
-
-
-# ---------------------------------------------------------------------------
-# Interchange format
-# ---------------------------------------------------------------------------
-
-def serialize_graph(graph: ConceptGraph) -> str:
-    """Line format ``node <id> [payload]`` / ``edge <order> <id> <member>+``
-    with nodes first, layers ascending, ids and members sorted.
-
-    Re-serialization of a parsed dump is byte-stable.  Empty top layers
-    have no line representation and are dropped on a round trip.
-    """
-    validate_graph(graph)
-    lines = []
-    for node_id in sorted(graph.nodes):
-        payload = graph.nodes[node_id]
-        lines.append(f"node {node_id}" if payload is None else f"node {node_id} {payload}")
-    for depth, layer in enumerate(graph.layers, start=1):
-        for edge_id in sorted(layer):
-            members = " ".join(sorted(layer[edge_id]))
-            lines.append(f"edge {depth} {edge_id} {members}")
-    return "".join(line + "\n" for line in lines)
-
-
-def parse_graph(text: str) -> ConceptGraph:
-    """Inverse of :func:`serialize_graph`; blank lines are ignored and
-    malformed lines are reported with their line number."""
-    nodes: dict[str, str | None] = {}
-    edges_by_order: dict[int, dict[str, frozenset[str]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if raw.startswith("node "):
-            rest = raw[5:]
-            sep = rest.find(" ")
-            node_id, payload = (rest, None) if sep == -1 else (rest[:sep], rest[sep + 1:])
-            if node_id in nodes:
-                raise DuplicateIdError(f"line {lineno}: duplicate node id {node_id!r}")
-            nodes[node_id] = payload
-        elif raw.startswith("edge "):
-            parts = raw.split()
-            if len(parts) < 4:
-                raise GraphError(f"line {lineno}: expected 'edge <order> <id> <member>+'")
-            try:
-                order = int(parts[1])
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad order {parts[1]!r}") from None
-            if order < 1:
-                raise GraphError(f"line {lineno}: order must be >= 1")
-            edge_id, members = parts[2], frozenset(parts[3:])
-            layer = edges_by_order.setdefault(order, {})
-            if edge_id in layer:
-                raise DuplicateIdError(f"line {lineno}: duplicate edge id {edge_id!r}")
-            layer[edge_id] = members
-        else:
-            raise GraphError(f"line {lineno}: unknown record {raw.split()[0]!r}")
-    top = max(edges_by_order) if edges_by_order else 1
-    layers = tuple(edges_by_order.get(depth, {}) for depth in range(1, top + 1))
-    graph = ConceptGraph(nodes, layers)
-    validate_graph(graph)
-    return graph

@@ -57,6 +57,10 @@ from . import __version__, abm, dynamics, netgrowth
 from .rng import mix64
 
 _MAX_SEED = (1 << 64) - 1
+# Seed streams of one run (replicates times the kind's streams per replicate),
+# checked at load: the parent keeps about 1 KB of ReplicateRecord per replicate,
+# about 1 GB at the limit.  No scenario in the tests, scripts or benchmark runs over 400.
+MAX_STREAMS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -111,6 +115,10 @@ class ScenarioConfig:
         spec = KINDS[self.kind]
         if spec.deterministic and self.replicates != 1:
             raise ConfigError(f"{self.kind} scenarios are deterministic; use replicates=1")
+        streams = self.replicates * spec.streams(self.params)
+        if streams > MAX_STREAMS:
+            raise ConfigError(f"replicates={self.replicates:,} asks for {streams:,} seed streams, "
+                              f"above the limit of {MAX_STREAMS:,}")
         try:
             model = spec.build(self.params)
         except (ValueError, TypeError) as exc:  # ConfigError included

@@ -603,6 +603,8 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
      "invalid netgrowth params: n_nodes=10,000,001 is above the limit of 10,000,000 arrivals"),
     ({"kind": "netgrowth", "params": {"n_nodes": 10 ** 12}},
      "n_nodes=1,000,000,000,000 is above the limit of 10,000,000 arrivals"),
+    (["netgrowth", "--nodes", "10", "--replicates", "2000000"],
+     "replicates=2,000,000 asks for 2,000,000 seed streams, above the limit of 1,000,000"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
 def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypatch, argv, named):
     # the loader rejects the size, naming its key; no grid is built, nothing

@@ -13,7 +13,6 @@ from attractorlab.cogmodel import (
     EnvSignal,
     FitnessTriple,
     GraphError,
-    InsufficientHistoryError,
     Node,
     OverlapError,
     ProblemSpec,
@@ -21,19 +20,15 @@ from attractorlab.cogmodel import (
     adapt,
     bridge,
     connectivity_ratio,
-    decompose,
     fitness_eval,
-    fitness_track,
     lift,
     new_mind,
-    parse_graph,
     project,
     reason_s1,
     reason_s2,
     recall,
     remove,
     same_structure,
-    serialize_graph,
     stability_score,
     store,
     sustainable,
@@ -367,6 +362,29 @@ def _removable(g, edge_id):
     return all(edge_id not in members for members in g.layers[1].values())
 
 
+_AB = {"a": None, "b": None}
+
+
+@pytest.mark.parametrize("nodes, layers, error, match", [
+    ({}, (), GraphError, "at least the order-1 layer"),
+    ({"a": None}, ({"e1_0": frozenset(("a", "b"))},), DanglingMemberError, "order 1"),
+    (_AB, ({"e1_0": frozenset(("a", "b"))}, {"e2_0": frozenset(("e1_0", "e1_9"))}),
+     DanglingMemberError, "order 2"),
+    (_AB, ({"e1_0": frozenset()},), GraphError, "is empty"),
+    (_AB, ({"e1_0": frozenset(("a",))},), GraphError, "exactly 2"),
+    ({**_AB, "c": None}, ({"e1_0": frozenset(("a", "b", "c"))},), GraphError, "exactly 2"),
+    ({"": None}, ({},), GraphError, "whitespace-free"),
+    ({"a b": None}, ({},), GraphError, "whitespace-free"),
+    ({"a": "two\nlines"}, ({},), GraphError, "single-line"),
+], ids=["no-layers", "dangling-order-1", "dangling-order-2", "empty-edge", "order-1-one-node",
+        "order-1-three-nodes", "empty-id", "whitespace-id", "multi-line-payload"])
+def test_validate_graph_rejects_unsound_graphs(nodes, layers, error, match):
+    # built directly, so no store-time check stands between the fault and the validator
+    with pytest.raises(GraphError, match=match) as caught:
+        validate_graph(ConceptGraph(nodes, layers))
+    assert type(caught.value) is error
+
+
 # ---------------------------------------------------------------------------
 # Fitness space
 # ---------------------------------------------------------------------------
@@ -512,73 +530,6 @@ def test_bridge_rejects_overlap():
         bridge(mind, {"a"}, {"a", "b"})
     with pytest.raises(GraphError):
         bridge(mind, set(), {"b"})
-
-
-def test_decompose_single_component_identity():
-    g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    problem = ProblemSpec("c", frozenset(("a", "b")), 3)
-    subs = decompose(g, problem)
-    assert subs == [problem]
-
-
-def test_decompose_splits_components():
-    g = build_graph(["a", "b", "y", "z"], [("a", "b"), ("y", "z")])
-    subs = decompose(g, ProblemSpec("b", frozenset(("a", "z")), 2))
-    assert len(subs) == 2
-    assert subs[0].premises == frozenset(("a",))
-    assert subs[1].premises == frozenset(("z",))
-
-
-def test_decompose_empty_premises():
-    g = build_graph(["a"], [])
-    assert decompose(g, ProblemSpec("a", frozenset(), 1)) == []
-
-
-def test_fitness_track():
-    flat = [FitnessTriple(0.4, 0.5, 0.4)] * 5
-    assert fitness_track(flat, 3) == 0.0
-    rising = [FitnessTriple(v, 0.5, v) for v in (0.0, 0.25, 0.5, 1.0)]
-    assert fitness_track(rising, 4) == pytest.approx(1.0)
-    with pytest.raises(InsufficientHistoryError):
-        fitness_track(rising, 5)
-    with pytest.raises(GraphError):
-        fitness_track(rising, 1)
-
-
-# ---------------------------------------------------------------------------
-# Interchange format
-# ---------------------------------------------------------------------------
-
-def test_serialize_parse_round_trip():
-    g = build_graph(
-        ["a", "b", "c"], [("a", "b"), ("b", "c")], payloads={"a": "alpha one", "b": "beta"}
-    )
-    lifted = lift(g, [["e1_0", "e1_1"]])
-    text = serialize_graph(lifted)
-    parsed = parse_graph(text)
-    assert same_structure(parsed, lifted)
-    assert serialize_graph(parsed) == text
-
-
-def test_parse_reports_line_numbers():
-    with pytest.raises(GraphError, match="line 2"):
-        parse_graph("node a\nwhat is this\n")
-    with pytest.raises(GraphError, match="line 1"):
-        parse_graph("edge 1 e1_0\n")
-
-
-def test_parse_rejects_dangling_members():
-    with pytest.raises(DanglingMemberError):
-        parse_graph("node a\nedge 1 e1_0 a b\n")
-
-
-def test_serialize_layers_ascending():
-    g = build_graph(["a", "b"], [("a", "b")])
-    lifted = lift(g, [["e1_0"]])
-    lines = serialize_graph(lifted).splitlines()
-    assert lines[0].startswith("node a")
-    assert lines[2].startswith("edge 1 ")
-    assert lines[3].startswith("edge 2 ")
 
 
 def test_mind_log_is_append_only():

@@ -10,11 +10,15 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def attractorlab(cwd, *args):
+def python(cwd, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     env.pop("ATTRACTORLAB_SEED", None)
-    return subprocess.run([sys.executable, "-m", "attractorlab", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def attractorlab(cwd, *args):
+    return python(cwd, "-m", "attractorlab", *args)
 
 
 def test_run_and_report_exit_zero(tmp_path):
@@ -49,3 +53,25 @@ def test_write_failure_exits_two_and_leaves_only_what_was_there(tmp_path):
     assert "shares_0001.csv" in done.stderr
     assert sorted(os.listdir(out)) == before
     assert (out / "notes.txt").read_text() == "mine\n"
+
+
+_IMPORTED_BY_A_RUN = """
+import runpy, sys
+sys.argv = ["attractorlab", "netgrowth", "--seeds", "2,1", "--nodes", "50", "--replicates", "2",
+            "--out", "out", "--quiet"]
+try:
+    runpy.run_module("attractorlab", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(name for name in sys.modules if name.startswith("attractorlab"))))
+"""
+
+
+def test_a_run_does_not_import_cogmodel(tmp_path):
+    # the package imports cogmodel only on use, and no scenario kind uses it
+    done = python(tmp_path, "-c", _IMPORTED_BY_A_RUN)
+    assert done.returncode == 0, done.stderr
+    modules = done.stdout.split()
+    assert {"attractorlab.cli", "attractorlab.harness", "attractorlab.netgrowth"} <= set(modules)
+    assert "attractorlab.cogmodel" not in modules
+    assert (tmp_path / "out" / "manifest.json").exists()

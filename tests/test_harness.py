@@ -138,6 +138,36 @@ def test_deterministic_kinds_require_single_replicate():
         }))
 
 
+_BASIN_PARAMS = {"n": 10, "rounds": 2, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1}, "x0_list": [0.2, 0.8]}
+
+
+@pytest.mark.parametrize("kind, params, replicates, streams", [
+    ("netgrowth", {"n_nodes": 10}, 1_000_001, "1,000,001"),
+    ("netgrowth", {"n_nodes": 10}, 10 ** 12, "1,000,000,000,000"),
+    ("basin", _BASIN_PARAMS, 500_001, "1,000,002"),  # two streams per replicate
+], ids=["netgrowth", "netgrowth-10**12", "basin-two-x0"])
+def test_oversized_replicates_times_streams_is_a_config_error(monkeypatch, kind, params, replicates, streams):
+    # refused before the params are built, and before run_scenario makes a seed per stream
+    def no_build(params):
+        raise AssertionError("built")
+
+    monkeypatch.setitem(harness.KINDS, kind, replace(harness.KINDS[kind], build=no_build))
+    doc = {"kind": kind, "master_seed": 1, "replicates": replicates, "params": params}
+    with pytest.raises(ConfigError, match=f"replicates={replicates:,} asks for {streams} seed streams, "
+                                          "above the limit of 1,000,000"):
+        load_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, params, replicates", [
+    ("netgrowth", {"n_nodes": 10}, 1_000_000),
+    ("basin", _BASIN_PARAMS, 500_000),
+], ids=["netgrowth", "basin-two-x0"])
+def test_replicates_times_streams_at_the_limit_loads(kind, params, replicates):
+    assert harness.MAX_STREAMS == 1_000_000
+    doc = {"kind": kind, "master_seed": 1, "replicates": replicates, "params": params}
+    assert load_config(json.dumps(doc)).replicates == replicates
+
+
 def test_config_round_trip():
     doc = netgrowth_doc("somewhere", mode="degree_pa", m=2)
     cfg = load_config(json.dumps(doc))
