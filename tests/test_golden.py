@@ -2,7 +2,7 @@
 versions, not only across reruns of the same code.
 
 Every data file (``manifest.json`` excluded, it carries timestamps) of the
-criterion-10 scenario set and of five extra scenarios is compared with a
+criterion-10 scenario set and of seven extra scenarios is compared with a
 committed sha256.  The library results of ``intervention_cost`` and
 ``estimate_lockin``, which write no file, are pinned by their exact ``repr``.  A refactor or speed-up that changes any output byte fails
 here.  To re-pin after an intended change of outputs, print the digests of
@@ -54,6 +54,16 @@ EXTRA_DOCS = {
     "replicator_game": {
         "replicates": 2,
         "params": {"x0": 0.3, "t_end": 2.0, "game": {"r": 3, "sg": 0, "t": 5, "pu": 1}},
+    },
+    # a symmetric lambda grid with 0.0 on it, where the down sweep can mirror the up
+    # sweep, at a theta with a loop and at theta = 0, where the equilibrium is unique
+    "hysteresis_half": {
+        "replicates": 1,
+        "params": {"theta": 0.5, "lambda_lo": -1.0, "lambda_hi": 1.0, "step": 0.01},
+    },
+    "hysteresis_flat": {
+        "replicates": 1,
+        "params": {"theta": 0.0, "lambda_lo": -1.0, "lambda_hi": 1.0, "step": 0.01},
     },
 }
 
@@ -113,6 +123,14 @@ GOLDEN = {
         "summary.csv": "3482ebcdad2cdf93cbbd4a10d0095913b83c83cbf3421fbde3dabfafdb14d4fd",
         "trajectory_0000.csv": "880f33052447063f15c88773a7ec7aedc2f70c25ffbc21353b8011ad034f5cff",
         "trajectory_0001.csv": "880f33052447063f15c88773a7ec7aedc2f70c25ffbc21353b8011ad034f5cff",
+    },
+    "hysteresis_half": {
+        "hysteresis.csv": "2385fd1fce8146f932c827a4ce23824a6f9648fadc41cbb43d4afa38aceb9e2d",
+        "summary.csv": "ebcf397f8c1469fa58c82646d4b354831ecbb74402220cce5eddf56657044199",
+    },
+    "hysteresis_flat": {
+        "hysteresis.csv": "8b94839a39764febd9069a1a847813651be13d5487172aaeb9dd95bf093ce9f8",
+        "summary.csv": "f77468a66f5a265e2b91001bdeb82f93daa0499da45b54b8be6ee0aa004e9cf9",
     },
 }
 
