@@ -15,4 +15,13 @@ Subpackages cover one model family each (``cogmodel`` is imported on use):
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# Nothing here calls BLAS, yet numpy's bundled OpenBLAS starts a worker thread
+# at import that spins for about 0.1 s of CPU.  One thread starts none; a value
+# the user set wins, and once numpy is loaded the setting would come too late.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import abm, cli, dynamics, harness, netgrowth, rng  # noqa: F401,E402

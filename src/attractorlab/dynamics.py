@@ -21,6 +21,12 @@ keeps runs bit-reproducible).  The hysteresis relaxation inlines the step on
 the cusp rate in Python floats, which numpy's ``x**3`` would not match bit
 for bit.  All operations are pure functions of their inputs.
 
+The cusp rate is odd in ``(lam, s)`` and IEEE rounding to nearest is
+symmetric under negation, so relaxing at ``-lam`` from ``-s`` gives the
+negated state bit for bit (see :func:`_relax` for the zero exceptions).  On
+a symmetric lambda grid the down sweep of :func:`hysteresis_loop` reuses the
+up sweep's relaxations that way, with the bytes of relaxing every point.
+
 The sweep parameter rules live here, in :func:`check_bifurcation` and
 :func:`check_hysteresis`; each sweep and the scenario loader call them.
 """
@@ -67,7 +73,7 @@ def _cusp(lam: float, theta: float):
     """Cusp rate at fixed (lam, theta), bound as default arguments (fast locals)."""
 
     def f(s, lam=lam, theta=theta):
-        return lam + theta * s - s ** 3
+        return lam + theta * s - s ** 3.0
 
     return f
 
@@ -381,23 +387,34 @@ def _relax(lam: float, theta: float, s: float, relax_t: float, dt: float) -> tup
     of being smeared across several.  The RK4 step is ``_rk4_step`` on
     ``_cusp`` inlined bit for bit, with the settle test's rate as its k1, in
     Python floats: numpy's ``x**3`` differs in the last bit for about 2.7% of inputs.
+    The cube is ``s ** 3.0``: CPython turns an int exponent into 3.0 on every
+    call and then calls the same libm ``pow``, so the float exponent gives the
+    same bits and skips the conversion.
+
+    Every operation here is odd under negating ``lam`` and ``s`` together, so
+    ``_relax(-lam, theta, -s)`` is ``(-state, settled)`` bit for bit, with
+    one exception: a sum of opposite values is +0.0 in a run and in its
+    mirror alike, so a zero may carry the wrong sign.  A nonzero ``lam``
+    absorbs such a zero inside the rate, so for ``lam != 0`` only a returned
+    zero state (0.0 against -0.0) can differ.  ``hysteresis_loop`` mirrors
+    only under those two guards.
     """
     budget = relax_t * RELAX_CAP_FACTOR
     h, w = 0.5 * dt, dt / 6.0
     t = 0.0
     try:
         while True:
-            k1 = lam + theta * s - s ** 3
+            k1 = lam + theta * s - s ** 3.0
             if abs(k1) < SETTLE_TOL:
                 return s, True
             if t >= budget:
                 return s, False
             x = s + h * k1
-            k2 = lam + theta * x - x ** 3
+            k2 = lam + theta * x - x ** 3.0
             x = s + h * k2
-            k3 = lam + theta * x - x ** 3
+            k3 = lam + theta * x - x ** 3.0
             x = s + dt * k3
-            k4 = lam + theta * x - x ** 3
+            k4 = lam + theta * x - x ** 3.0
             s = s + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
             if not math.isfinite(s):
@@ -470,6 +487,12 @@ def hysteresis_loop(
     the previous equilibrium and recording where it settles.  A jump is a
     settled-state change larger than ``jump_tol`` between adjacent lam;
     ``loop_area`` is the trapezoidal area enclosed between the branches.
+
+    Down step ``k`` runs at ``lams[n - 1 - k]``.  Where that lam is nonzero
+    and exactly ``-lams[k]``, and the step starts from exactly the negated
+    start of up step ``k``, it is that up step's mirror (see ``_relax``): it
+    takes the negated up state and the up step's equilibration verdict
+    without relaxing, unless that state is zero.  Every other point relaxes.
     """
     check_hysteresis(theta, lambda_lo, lambda_hi, step, relax_t, relax_dt, jump_tol)
     if lambda_lo == lambda_hi:
@@ -481,20 +504,34 @@ def hysteresis_loop(
 
     start = find_fixed_points(_cusp(lams[0], theta), -bound, bound)
     stable = [r.location for r in start.roots if r.stability == STABLE]
-    s = min(stable) if stable else -bound
+    s0 = min(stable) if stable else -bound
 
-    def sweep(values, s0):
-        branch = []
-        s = s0
-        for lam in values:
-            s, settled = _relax(lam, theta, s, relax_t, relax_dt)
-            if not settled and abs(_cusp(lam, theta)(s)) > EQUILIBRATION_TOL:
+    def settle(lam, s):
+        s, settled = _relax(lam, theta, s, relax_t, relax_dt)
+        is_stuck = not settled and abs(_cusp(lam, theta)(s)) > EQUILIBRATION_TOL
+        if is_stuck:
+            stuck.append(lam)
+        return s, is_stuck
+
+    up_branch, up_stuck = [], []
+    s = s0
+    for lam in lams:
+        s, is_stuck = settle(lam, s)
+        up_branch.append((lam, s))
+        up_stuck.append(is_stuck)
+
+    down_branch = []
+    up_start = s0
+    for k, lam in enumerate(reversed(lams)):
+        mirror = -up_branch[k][1]
+        if lams[k] == -lam and s == -up_start and lam != 0.0 and mirror != 0.0:
+            s = mirror
+            if up_stuck[k]:
                 stuck.append(lam)
-            branch.append((lam, s))
-        return branch, s
-
-    up_branch, s = sweep(lams, s)
-    down_branch, _ = sweep(list(reversed(lams)), s)
+        else:
+            s, _ = settle(lam, s)
+        down_branch.append((lam, s))
+        up_start = up_branch[k][1]
 
     down_aligned = list(reversed(down_branch))
     gaps = [abs(u[1] - d[1]) for u, d in zip(up_branch, down_aligned)]

@@ -503,6 +503,156 @@ def test_relax_overflows_like_the_reference(lam, theta, s0, dt):
     assert outcome[0] in (OverflowError, NumericalDivergenceError)
 
 
+@settings(max_examples=80, deadline=None)
+@given(lam=st.floats(-1, 1).filter(lambda v: v != 0.0), theta=st.floats(-2, 2) | st.just(0.0),
+       s0=st.floats(-2, 2), relax_t=st.floats(1e-3, 5.0), dt=st.floats(0.01, 0.5))
+@example(lam=1e-12, theta=0.0, s0=0.0, relax_t=1.0, dt=0.01)  # settles at once on s = 0
+@example(lam=0.3, theta=1.0, s0=-1.2, relax_t=0.01, dt=0.01)  # budget runs out mid-transit
+def test_relax_is_odd_in_lambda_and_state(lam, theta, s0, relax_t, dt):
+    # the rate is odd in (lam, s) and rounding to nearest is odd too, so the
+    # mirrored relaxation gives the negated bits and the same settled flag;
+    # a returned zero is excluded, the one result whose sign may not mirror
+    outcome = relax_outcome(dynamics._relax, lam, theta, s0, relax_t, dt)
+    mirrored = relax_outcome(dynamics._relax, -lam, theta, -s0, relax_t, dt)
+    if isinstance(outcome[0], type):
+        assert mirrored[0] is outcome[0]
+        return
+    assume(struct.unpack("<d", outcome[0])[0] != 0.0)
+    assert mirrored == (struct.pack("<d", -struct.unpack("<d", outcome[0])[0]), outcome[1])
+
+
+def reference_hysteresis_loop(theta, lambda_lo, lambda_hi, step, relax_t=dynamics.DEFAULT_RELAX_T,
+                              relax_dt=dynamics.DEFAULT_RELAX_DT, jump_tol=dynamics.DEFAULT_JUMP_TOL):
+    """``hysteresis_loop`` before the down sweep reused mirrored relaxations:
+    every point of both sweeps relaxes."""
+    dynamics.check_hysteresis(theta, lambda_lo, lambda_hi, step, relax_t, relax_dt, jump_tol)
+    if lambda_lo == lambda_hi:
+        return dynamics.HysteresisReport((), (), (), (), 0.0)
+    lams = dynamics._param_grid(lambda_lo, lambda_hi, step)
+    bound = dynamics._cusp_bracket(theta, lambda_lo, lambda_hi)
+    stuck = []
+    start = find_fixed_points(dynamics._cusp(lams[0], theta), -bound, bound)
+    stable = [r.location for r in start.roots if r.stability == dynamics.STABLE]
+    s = min(stable) if stable else -bound
+
+    def sweep(values, s0):
+        branch = []
+        s = s0
+        for lam in values:
+            s, settled = dynamics._relax(lam, theta, s, relax_t, relax_dt)
+            if not settled and abs(dynamics._cusp(lam, theta)(s)) > dynamics.EQUILIBRATION_TOL:
+                stuck.append(lam)
+            branch.append((lam, s))
+        return branch, s
+
+    up_branch, s = sweep(lams, s)
+    down_branch, _ = sweep(list(reversed(lams)), s)
+    down_aligned = list(reversed(down_branch))
+    gaps = [abs(u[1] - d[1]) for u, d in zip(up_branch, down_aligned)]
+    area = 0.0
+    for i in range(len(gaps) - 1):
+        area += 0.5 * (gaps[i] + gaps[i + 1]) * (up_branch[i + 1][0] - up_branch[i][0])
+    return dynamics.HysteresisReport(
+        tuple(up_branch), tuple(down_branch), dynamics.find_jumps(up_branch, jump_tol),
+        dynamics.find_jumps(down_branch, jump_tol), area, tuple(stuck))
+
+
+def loop_outcome(loop, *args):
+    """The report's ``repr``, which spells every float exactly, or the error."""
+    try:
+        return repr(loop(*args))
+    except NumericalDivergenceError as exc:
+        return NumericalDivergenceError, str(exc)
+
+
+def assert_loop_matches(*args):
+    expected = loop_outcome(reference_hysteresis_loop, *args)
+    assert loop_outcome(hysteresis_loop, *args) == expected
+    return expected
+
+
+@st.composite
+def sweep_ranges(draw):
+    """(lambda_lo, lambda_hi, step) of at most about 80 points: symmetric
+    ranges, whose down sweep can mirror the up sweep, and asymmetric ones.
+    Decimal steps put 0.0 on some symmetric grids."""
+    hi = draw(st.sampled_from([0.1, 0.2, 0.5, 1.0]) | st.floats(0.01, 1.5))
+    lo = draw(st.just(-hi) | st.floats(-1.5, hi))
+    width = hi - lo
+    if width == 0.0:
+        return lo, hi, 0.01
+    step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25]).filter(lambda v: width / v <= 80)
+                | st.integers(1, 80).map(lambda m: width / m))
+    return lo, hi, step
+
+
+@settings(max_examples=50, deadline=None)
+@given(theta=st.sampled_from([0.0, 0.5, 1.0, -1.0]) | st.floats(-2, 2), sweep=sweep_ranges(),
+       relax_t=st.sampled_from([dynamics.DEFAULT_RELAX_T, 1.0]) | st.floats(1e-3, 0.5),
+       relax_dt=st.sampled_from([dynamics.DEFAULT_RELAX_DT]) | st.floats(0.01, 0.2))
+@example(theta=0.0, sweep=(-1.0, 1.0, 0.01), relax_t=50.0, relax_dt=0.01)  # 0.0 is on the grid
+@example(theta=1.0, sweep=(-0.5, 0.7, 0.01), relax_t=50.0, relax_dt=0.01)  # asymmetric
+@example(theta=1.0, sweep=(-0.5, 0.5, 0.25), relax_t=50.0, relax_dt=2.5)  # diverges
+def test_hysteresis_loop_matches_relaxing_every_point(theta, sweep, relax_t, relax_dt):
+    assert_loop_matches(theta, *sweep, relax_t, relax_dt)
+
+
+def relax_spy(monkeypatch):
+    """Patch ``_relax`` to record the lambda of each call; return the record."""
+    calls = []
+    relax = dynamics._relax
+
+    def spy(*args):
+        calls.append(args[0])
+        return relax(*args)
+
+    monkeypatch.setattr(dynamics, "_relax", spy)
+    return calls
+
+
+def test_mirrored_points_keep_their_up_twins_equilibration_verdict(monkeypatch):
+    # a budget too short for the fold transits leaves points stuck on both
+    # sweeps; the 94 mirrored ones are listed as relaxing them would list them
+    expected = reference_hysteresis_loop(0.5, -1.0, 1.0, 0.01, relax_t=0.01)
+    calls = relax_spy(monkeypatch)
+    report = hysteresis_loop(0.5, -1.0, 1.0, 0.01, relax_t=0.01)
+    assert repr(report) == repr(expected)
+    # the up sweep relaxes every point once, in order
+    mirrored = {lam for lam, _ in report.up_branch} - set(calls[len(report.up_branch):])
+    assert len(mirrored) == 94 and mirrored <= set(report.non_equilibrated)
+
+
+def test_a_zero_state_is_relaxed_not_mirrored(monkeypatch):
+    # an odd stand-in for _relax whose state is 0.0 for |lam| < 0.3: mirroring
+    # it would give -0.0 where relaxing gives 0.0, so the zero guard must fire
+    def odd_relax(lam, theta, s, relax_t, dt):
+        return (lam if abs(lam) > 0.3 else 0.0), True
+
+    monkeypatch.setattr(dynamics, "_relax", odd_relax)
+    report = hysteresis_loop(1.0, -0.5, 0.5, 0.25)
+    assert repr(report) == repr(reference_hysteresis_loop(1.0, -0.5, 0.5, 0.25))
+    assert [struct.pack("<d", s) for _, s in report.down_branch] == \
+        [struct.pack("<d", s) for s in (0.5, 0.0, 0.0, 0.0, -0.5)]
+
+
+@pytest.mark.parametrize("theta, lambda_lo, lambda_hi, step, points, reused", [
+    # the cusp_sweeps benchmark grids
+    (1.0, -0.6, 0.6, 1e-3, 2402, 293),
+    (0.5, -0.6, 0.6, 1e-3, 2402, 283),
+    # the golden grid, with 0.0 on it
+    (0.5, -1.0, 1.0, 0.01, 402, 108),
+    # an asymmetric range mirrors nothing
+    (1.0, -0.5, 0.7, 1e-3, 2402, 0),
+])
+def test_relaxations_the_down_sweep_reuses(theta, lambda_lo, lambda_hi, step, points, reused,
+                                           monkeypatch):
+    # a count of relaxations skipped, not a speed
+    calls = relax_spy(monkeypatch)
+    report = hysteresis_loop(theta, lambda_lo, lambda_hi, step)
+    assert len(report.up_branch) + len(report.down_branch) == points
+    assert len(calls) == points - reused
+
+
 def reference_fixed_points(rhs, lo, hi, grid_n):
     """``find_fixed_points`` before vectorizing: the grid scanned one index at a time."""
     xs = np.linspace(lo, hi, grid_n + 1)

@@ -75,3 +75,16 @@ def test_a_run_does_not_import_cogmodel(tmp_path):
     assert {"attractorlab.cli", "attractorlab.harness", "attractorlab.netgrowth"} <= set(modules)
     assert "attractorlab.cogmodel" not in modules
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+_OPENBLAS_THREADS = "import os; {}import attractorlab; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def test_import_asks_openblas_for_one_thread_unless_set(tmp_path, monkeypatch):
+    # numpy's OpenBLAS reads the variable when numpy loads: attractorlab sets
+    # it first, keeps a value the user set, and leaves it alone once numpy is in
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert python(tmp_path, "-c", _OPENBLAS_THREADS.format("")).stdout.split() == ["1"]
+    assert python(tmp_path, "-c", _OPENBLAS_THREADS.format("import numpy; ")).stdout.split() == ["None"]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert python(tmp_path, "-c", _OPENBLAS_THREADS.format("")).stdout.split() == ["3"]
