@@ -65,6 +65,17 @@ EXTRA_DOCS = {
         "replicates": 1,
         "params": {"theta": 0.0, "lambda_lo": -1.0, "lambda_hi": 1.0, "step": 0.01},
     },
+    # theta = 0 with 0.0 on both grids: at lambda = 0 the scan hits the triple root
+    # s = 0 as an exact grid zero and labels it marginal
+    "bifurcation_flat": {
+        "replicates": 1,
+        "params": {"theta": 0.0, "lambda_lo": -1.0, "lambda_hi": 1.0, "step": 0.05},
+    },
+    # theta > 1 on a coarse scan grid, three roots between the folds at -/+1.089
+    "bifurcation_steep": {
+        "replicates": 1,
+        "params": {"theta": 2.0, "lambda_lo": -1.5, "lambda_hi": 1.5, "step": 0.05, "grid_n": 64},
+    },
 }
 
 GOLDEN = {
@@ -132,6 +143,14 @@ GOLDEN = {
         "hysteresis.csv": "8b94839a39764febd9069a1a847813651be13d5487172aaeb9dd95bf093ce9f8",
         "summary.csv": "f77468a66f5a265e2b91001bdeb82f93daa0499da45b54b8be6ee0aa004e9cf9",
     },
+    "bifurcation_flat": {
+        "bifurcation.csv": "274ef561f2cf08c5db49b30da2a0ee6d3fe7519238117cc4801739b8ca23bfce",
+        "summary.csv": "2d49d8a453e3edf3cd31e2e3c996061e138dd9cbcbdb007c76cc29fad04a1162",
+    },
+    "bifurcation_steep": {
+        "bifurcation.csv": "4b18fd9e4d42455ac5186351a9643be16486e4bb7c6b2db1e8fbb898ccb53ea5",
+        "summary.csv": "a6ca54f209d8da4bf4cba99eb4190ca62a0b2a0a82d485393a2bf67d8f468c2f",
+    },
 }
 
 ALL_DOCS = {**DETERMINISM_DOCS, **EXTRA_DOCS}
@@ -168,6 +187,20 @@ def test_golden_covers_every_doc():
 @pytest.mark.parametrize("name", sorted(ALL_DOCS))
 def test_golden_digests(name, tmp_path):
     assert _run(name, tmp_path) == GOLDEN[name]
+
+
+def test_bifurcation_flat_labels_an_exact_grid_zero_marginal(tmp_path):
+    # the golden must take the scan's exact-zero branch, not only its brackets:
+    # lambda = 0 and s = 0 are both grid points, and the rate vanishes there
+    params = EXTRA_DOCS["bifurcation_flat"]["params"]
+    lams = dynamics._param_grid(params["lambda_lo"], params["lambda_hi"], params["step"])
+    bound = dynamics._cusp_bracket(0.0, params["lambda_lo"], params["lambda_hi"])
+    xs = np.linspace(-bound, bound, dynamics.DEFAULT_GRID_N + 1)
+    assert 0.0 in lams and 0.0 in xs.tolist()
+    assert dynamics._cusp(0.0, 0.0)(xs).tolist().count(0.0) == 1
+    _run("bifurcation_flat", tmp_path)
+    rows = (tmp_path / "bifurcation_flat" / "bifurcation.csv").read_text().splitlines()
+    assert [row for row in rows if row.endswith(",marginal")] == ["0.0,0.0,marginal"]
 
 
 def test_golden_catches_numpy_cube(tmp_path, monkeypatch):
