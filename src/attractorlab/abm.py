@@ -37,6 +37,15 @@ OUTCOME_DCI = "dci_first"
 OUTCOME_UNDECIDED = "undecided"
 OUTCOMES = (OUTCOME_AGI, OUTCOME_DCI, OUTCOME_UNDECIDED)
 
+# Work-size limits of one run, checked before its topology is built: 1000 and
+# 333 times the largest config in the tests and the benchmark (10,000 agents
+# x 30 rounds).  A run holds about 40 (well mixed) to 150 (graph) bytes per
+# agent, 1.5 GB at MAX_AGENTS, and takes 21-29 ns per agent-round at 10^5 to
+# 4 * 10^5 agents; n >= 2 caps its trace at 5 * 10^7 rounds, 400 MB, though
+# a round's fixed 13-24 us make that many rounds take 11-20 minutes.
+MAX_AGENTS = 10_000_000
+MAX_AGENT_ROUNDS = 100_000_000
+
 
 class IsolatedAgentError(ValueError):
     """An imported topology contains a degree-0 node."""
@@ -180,6 +189,20 @@ def check_x0(*x0s: float) -> None:
             raise ValueError(f"x0={x0} is repeated; the initial fractions must be distinct")
 
 
+def check_size(n: int, rounds: int) -> None:
+    """A run has 2 to MAX_AGENTS agents, rounds >= 0 and at most
+    MAX_AGENT_ROUNDS agent-rounds (n x rounds)."""
+    if n < 2:
+        raise ValueError(f"need at least 2 agents, got n={n}")
+    if n > MAX_AGENTS:
+        raise ValueError(f"n={n:,} is above the limit of {MAX_AGENTS:,} agents")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if n * rounds > MAX_AGENT_ROUNDS:
+        raise ValueError(f"n={n:,} x rounds={rounds:,} asks for {n * rounds:,} agent-rounds, "
+                         f"above the limit of {MAX_AGENT_ROUNDS:,}")
+
+
 def check_thresholds(s_c: float, s_d: float) -> None:
     """Outcome thresholds satisfy 0 <= s_c < s_d <= 1."""
     if not 0.0 <= s_c < s_d <= 1.0:
@@ -203,13 +226,10 @@ class AbmConfig:
     s_d: float = 0.9
 
     def validate(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 agents, got n={self.n}")
+        check_size(self.n, self.rounds)
         check_x0(self.x0)
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative 64-bit integer")
         if isinstance(self.topology, RingLattice) and self.topology.k >= self.n:

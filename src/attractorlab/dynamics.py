@@ -277,15 +277,20 @@ def find_fixed_points(
     fold locations come from the closed-form condition, not this scanner.
     Stability is the sign of a centered finite difference (step 1e-6) with a
     1e-8 dead band labelled marginal.  The grid scan runs on arrays; the
-    bisection and the difference call ``rhs`` on Python floats.
+    bisection and the difference call ``rhs`` on Python floats.  The checks
+    and the grid values are made here, the roots by ``_roots``, which
+    ``sweep_bifurcation`` calls directly with grid values it computed.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     xs = np.linspace(lo, hi, grid_n + 1)
-    vals = _eval_grid(rhs, xs)
+    return _roots(rhs, xs, _eval_grid(rhs, xs), lo, hi)
 
+
+def _roots(rhs, xs: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> FixedPointReport:
+    """Roots of ``rhs`` on [lo, hi], labelled, from its values ``vals`` on the scan grid ``xs``."""
     # exact zeros, then brackets with nonzero ends of opposite sign; NaN counts as > 0
     locations: list[float] = xs[vals == 0.0].tolist()
     neg, nonzero = vals < 0.0, vals != 0.0
@@ -364,11 +369,21 @@ def sweep_bifurcation(
     step: float,
     grid_n: int = DEFAULT_GRID_N,
 ) -> list[tuple[float, FixedPointReport]]:
-    """Fixed-point report of the cusp family at each lam on a regular grid."""
+    """Fixed-point report of the cusp family at each lam on a regular grid.
+
+    The scan grid and its lam-free terms ``theta * s`` and ``s ** 3.0`` are
+    computed once per sweep; each lam's grid values are then
+    ``(lam + theta * s) - s ** 3.0``, the operations of ``_cusp`` in its
+    order, one row at a time.  So the reports have the bytes of one
+    ``find_fixed_points(_cusp(lam, theta), -bound, bound, grid_n)`` per lam,
+    and no option selects the per-lam scan.
+    """
     check_bifurcation(theta, lambda_lo, lambda_hi, step, grid_n)
     bound = _cusp_bracket(theta, lambda_lo, lambda_hi)
+    xs = np.linspace(-bound, bound, grid_n + 1)
+    tx, cube = theta * xs, xs ** 3.0
     return [
-        (lam, find_fixed_points(_cusp(lam, theta), -bound, bound, grid_n))
+        (lam, _roots(_cusp(lam, theta), xs, (lam + tx) - cube, -bound, bound))
         for lam in _param_grid(lambda_lo, lambda_hi, step)
     ]
 

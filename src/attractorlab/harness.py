@@ -271,7 +271,9 @@ def _build_topology(topo: dict, n: int) -> abm.Topology:
 
 
 def _build_abm(params: dict) -> abm.AbmConfig:
-    """Template config, seed 0; plain fields pass through by name."""
+    """Template config, seed 0; plain fields pass through by name.  The work
+    size is checked first: an imported graph's arrays are sized by n."""
+    abm.check_size(params["n"], params["rounds"])
     update = params["update"]
     return abm.AbmConfig(**{
         **params,

@@ -518,6 +518,17 @@ def test_run_validates_config():
                       topology=RingLattice(k=3)))
 
 
+@pytest.mark.parametrize("n, rounds, message", [
+    (abm_mod.MAX_AGENTS + 1, 0, "n=10,000,001 is above the limit of 10,000,000 agents"),
+    (10 ** 12, 1, "n=1,000,000,000,000 is above the limit of 10,000,000 agents"),
+    (10_000, 10_001, "n=10,000 x rounds=10,001 asks for 100,010,000 agent-rounds, above the limit of 100,000,000"),
+    (2, 10 ** 12, "n=2 x rounds=1,000,000,000,000 asks for 2,000,000,000,000 agent-rounds"),
+])
+def test_work_size_is_checked_when_the_config_is_built(n, rounds, message):
+    with pytest.raises(ValueError, match=message):
+        AbmConfig(n=n, x0=0.5, game=COORDINATION, rounds=rounds)
+
+
 def test_drift_sign_matches_phase_line():
     # coordination game: drift negative below the interior point, positive above
     def one_step_mean_delta(x0, seed_base):

@@ -605,15 +605,27 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
      "n_nodes=1,000,000,000,000 is above the limit of 10,000,000 arrivals"),
     (["netgrowth", "--nodes", "10", "--replicates", "2000000"],
      "replicates=2,000,000 asks for 2,000,000 seed streams, above the limit of 1,000,000"),
+    (["abm", "--n", "10000001", "--x0", "0.5", "--game", "1,0,0,1", "--rounds", "1"],
+     "invalid abm params: n=10,000,001 is above the limit of 10,000,000 agents"),
+    (["basin", "--n", "10000", "--x0-list", "0.2,0.8", "--game", "1,0,0,1", "--rounds", "10001",
+      "--topology", "ring:4"],
+     "invalid basin params: n=10,000 x rounds=10,001 asks for 100,010,000 agent-rounds, "
+     "above the limit of 100,000,000"),
+    # the size is refused before the graph file is looked for
+    ({"kind": "abm", "params": {"n": 10 ** 12, "x0": 0.5, "rounds": 1, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1},
+                                "topology": {"kind": "imported", "path": "missing.edges"}}},
+     "n=1,000,000,000,000 is above the limit of 10,000,000 agents"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
 def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypatch, argv, named):
     # the loader rejects the size, naming its key; no grid is built, nothing
-    # is integrated, relaxed or grown and no output directory is made
-    from attractorlab import dynamics, netgrowth
+    # is integrated, relaxed, grown or simulated and no output directory is made
+    from attractorlab import abm, dynamics, netgrowth
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
+    monkeypatch.setattr(abm, "run", no_work)
+    monkeypatch.setattr(abm, "_Buffers", no_work)
     monkeypatch.setattr(dynamics, "_param_grid", no_work)
     monkeypatch.setattr(dynamics, "integrate", no_work)
     monkeypatch.setattr(dynamics, "_relax", no_work)

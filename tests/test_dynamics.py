@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -733,3 +734,53 @@ def test_scan_of_a_callable_matches_the_scalar_scan(grid_n, root_at, nan_above):
         return value
 
     assert_scan_matches(rhs, -1.0, 1.0, grid_n)
+
+
+def sweep_bytes(sweep):
+    """Each lambda, root location and label of a sweep, floats as their bytes."""
+    return [(struct.pack("<d", lam), [(struct.pack("<d", r.location), r.stability) for r in report.roots])
+            for lam, report in sweep]
+
+
+def assert_sweep_matches(theta, lambda_lo, lambda_hi, step, grid_n):
+    # the oracle: one full find_fixed_points per lambda, its grid evaluated by _cusp
+    bound = dynamics._cusp_bracket(theta, lambda_lo, lambda_hi)
+    expected = [(lam, find_fixed_points(dynamics._cusp(lam, theta), -bound, bound, grid_n))
+                for lam in dynamics._param_grid(lambda_lo, lambda_hi, step)]
+    assert sweep_bytes(sweep_bifurcation(theta, lambda_lo, lambda_hi, step, grid_n)) == sweep_bytes(expected)
+
+
+@pytest.mark.parametrize("theta, lambda_lo, lambda_hi, step, grid_n", [
+    # the cusp_sweeps benchmark grids
+    (1.0, -0.6, 0.6, 1e-3, dynamics.DEFAULT_GRID_N),
+    (0.5, -0.6, 0.6, 1e-3, dynamics.DEFAULT_GRID_N),
+    # theta = 0: at lambda = 0 the triple root s = 0 is an exact grid zero, labelled marginal
+    (0.0, -1.0, 1.0, 0.01, dynamics.DEFAULT_GRID_N),
+    (-1.0, -0.5, 0.5, 0.05, 512),
+    (2.0, -1.5, 1.5, 0.05, 64),
+    (0.3, -0.2, 0.9, 0.003, 301),  # asymmetric range, odd grid
+    (1.5, -3.0, 0.1, 0.01, 2),
+    (-0.4, -1.0, 1.0, 0.013, 2048),
+])
+def test_sweep_bifurcation_is_find_fixed_points_per_lambda(theta, lambda_lo, lambda_hi, step, grid_n):
+    assert_sweep_matches(theta, lambda_lo, lambda_hi, step, grid_n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2, 2),
+       sweep=sweep_ranges().filter(lambda sweep: sweep[0] < sweep[1]),
+       grid_n=st.sampled_from([2, 64, dynamics.DEFAULT_GRID_N]) | st.integers(2, 2048))
+@example(theta=0.0, sweep=(-1.0, 1.0, 0.05), grid_n=dynamics.DEFAULT_GRID_N)  # the marginal zero
+def test_sweep_bifurcation_matches_find_fixed_points_per_lambda(theta, sweep, grid_n):
+    assert_sweep_matches(theta, *sweep, grid_n)
+
+
+def test_sweep_bifurcation_holds_one_grid_row_at_a_time():
+    # a (points x grid) array of the benchmark sweep would be about 10 MB per temporary
+    tracemalloc.start()
+    try:
+        sweep_bifurcation(1.0, -0.6, 0.6, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000

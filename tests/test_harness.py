@@ -168,6 +168,52 @@ def test_replicates_times_streams_at_the_limit_loads(kind, params, replicates):
     assert load_config(json.dumps(doc)).replicates == replicates
 
 
+_COORDINATION = {"r": 1, "sg": 0, "t": 0, "pu": 1}
+
+
+def _abm_doc(n, rounds, topology):
+    params = {"n": n, "x0": 0.5, "rounds": rounds, "game": _COORDINATION, "topology": topology}
+    return json.dumps({"kind": "abm", "master_seed": 1, "replicates": 1, "params": params})
+
+
+_TOPOLOGIES = [{"kind": "well_mixed"}, {"kind": "ring_lattice", "k": 4}]
+
+
+@pytest.mark.parametrize("topology", _TOPOLOGIES, ids=["well_mixed", "ring"])
+@pytest.mark.parametrize("n, rounds, message", [
+    (10_000_001, 1, "n=10,000,001 is above the limit of 10,000,000 agents"),
+    (1000, 100_001, "n=1,000 x rounds=100,001 asks for 100,001,000 agent-rounds, above the limit of 100,000,000"),
+])
+def test_oversized_abm_is_a_config_error(topology, n, rounds, message):
+    with pytest.raises(ConfigError, match=f"invalid abm params: {message}"):
+        load_config(_abm_doc(n, rounds, topology))
+
+
+@pytest.mark.parametrize("topology", _TOPOLOGIES, ids=["well_mixed", "ring"])
+@pytest.mark.parametrize("n, rounds", [(10_000_000, 10), (1000, 100_000)])
+def test_abm_at_the_work_limits_loads(topology, n, rounds):
+    # neither topology allocates anything sized by n at load
+    assert load_config(_abm_doc(n, rounds, topology)).model.n == n
+
+
+@pytest.mark.parametrize("limit, value", [("MAX_AGENTS", 11), ("MAX_AGENT_ROUNDS", 12 * 3 - 1)])
+def test_abm_work_size_is_checked_before_the_graph_is_read(tmp_path, monkeypatch, limit, value):
+    # Imported(edges, n) sizes its arrays by n, so the check comes first; the
+    # limits are patched small so that no oversized graph is ever built
+    path = tmp_path / "ring.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
+    topology = {"kind": "imported", "path": str(path)}
+    assert load_config(_abm_doc(12, 3, topology)).model.topology.n == 12
+
+    def no_graph(*args):
+        raise AssertionError("topology built")
+
+    monkeypatch.setattr(harness.abm, limit, value)
+    monkeypatch.setattr(harness, "_build_topology", no_graph)
+    with pytest.raises(ConfigError, match=rf"invalid abm params: n=12 .*above the limit of {value}\b"):
+        load_config(_abm_doc(12, 3, topology))
+
+
 def test_config_round_trip():
     doc = netgrowth_doc("somewhere", mode="degree_pa", m=2)
     cfg = load_config(json.dumps(doc))
