@@ -10,12 +10,11 @@ per round equals one step of the replicator flow
 is provided for robustness checks.
 
 Each rule is written once: ``step`` takes every agent's payoff from
-``_payoffs_by_strategy`` (``payoff_of`` reads one entry) and its chance to
-imitate from ``adoption_probability``.  A run makes one set of work buffers,
-sized to n and the topology, which every round fills in place; an imported
-graph's neighbor counts carry over, updated for the agents that switched.
-An edge list goes from text to ``Imported`` as one ``(m, 2)`` int64 array,
-and the graph keeps only the CSR neighbor arrays it compiles from it.
+``_payoffs_by_strategy``, on a graph one gather from a table built per game
+(``payoff_of`` reads one entry), and its chance to imitate from
+``adoption_probability``.  Every round of a run fills one set of buffers in
+place; an imported graph's neighbor counts carry over, updated for the
+agents that switched, and the graph keeps only the arrays it compiles.
 
 All randomness flows through a Philox generator seeded per run, drawn in a
 fixed order each round (neighbors, adoptions, then mutations when noise > 0),
@@ -39,12 +38,13 @@ OUTCOMES = (OUTCOME_AGI, OUTCOME_DCI, OUTCOME_UNDECIDED)
 
 # Work-size limits of one run, checked before its topology is built: 1000 and
 # 333 times the largest config in the tests and the benchmark (10,000 agents
-# x 30 rounds).  A run holds about 40 (well mixed) to 150 (graph) bytes per
-# agent, 1.5 GB at MAX_AGENTS, and takes 21-29 ns per agent-round at 10^5 to
-# 4 * 10^5 agents; n >= 2 caps its trace at 5 * 10^7 rounds, 400 MB, though
-# a round's fixed 13-24 us make that many rounds take 11-20 minutes.
+# x 30 rounds).  A run holds about 37 (well mixed), 77 (ring) or 113
+# (imported, mean degree 4, whose graph holds 56 more) bytes per agent, 1.7 GB
+# at MAX_AGENTS, and takes 14-21 ns per agent-round at 10^5 to 4 * 10^5
+# agents.  A round's fixed 11-24 us make MAX_ROUNDS take 11-24 s at any n.
 MAX_AGENTS = 10_000_000
 MAX_AGENT_ROUNDS = 100_000_000
+MAX_ROUNDS = 1_000_000
 
 
 class IsolatedAgentError(ValueError):
@@ -138,8 +138,8 @@ class Imported:
 
     Building one validates the graph (ValueError naming the first bad node
     or edge, IsolatedAgentError for a node without neighbors) and compiles
-    its CSR neighbor arrays, which every simulation on it reuses.  The edges
-    are not kept: two graphs are equal when their neighbor arrays are.
+    its CSR neighbor arrays and payoff-table layout, reused by every run on it.
+    The edges are not kept: two graphs are equal when their neighbor arrays are.
     """
 
     edges: InitVar[object]
@@ -147,10 +147,15 @@ class Imported:
     degree: np.ndarray = field(init=False, repr=False)
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
+    blocks: np.ndarray = field(init=False, repr=False)  # the distinct degrees, ascending
+    base: np.ndarray = field(init=False, repr=False)  # each node's payoff-table block start
 
     def __post_init__(self, edges):
         for name, array in zip(("degree", "indptr", "indices"), _compile_edges(edges, self.n)):
             object.__setattr__(self, name, array)
+        blocks, block_of = np.unique(self.degree, return_inverse=True)  # a block of 2 (d + 1) keys per d
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "base", 2 * (np.cumsum(blocks + 1) - blocks - 1)[block_of])
 
     def __eq__(self, other):
         return (isinstance(other, Imported) and np.array_equal(self.indptr, other.indptr)
@@ -190,7 +195,7 @@ def check_x0(*x0s: float) -> None:
 
 
 def check_size(n: int, rounds: int) -> None:
-    """A run has 2 to MAX_AGENTS agents, rounds >= 0 and at most
+    """A run has 2 to MAX_AGENTS agents, 0 to MAX_ROUNDS rounds and at most
     MAX_AGENT_ROUNDS agent-rounds (n x rounds)."""
     if n < 2:
         raise ValueError(f"need at least 2 agents, got n={n}")
@@ -201,6 +206,8 @@ def check_size(n: int, rounds: int) -> None:
     if n * rounds > MAX_AGENT_ROUNDS:
         raise ValueError(f"n={n:,} x rounds={rounds:,} asks for {n * rounds:,} agent-rounds, "
                          f"above the limit of {MAX_AGENT_ROUNDS:,}")
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"rounds={rounds:,} is above the limit of {MAX_ROUNDS:,} rounds")
 
 
 def check_thresholds(s_c: float, s_d: float) -> None:
@@ -316,8 +323,10 @@ def payoff_of(agent: int, population: Population, game: GameMatrix) -> float:
     """
     if isinstance(population.topology, WellMixed) and population.n < 2:
         raise IsolatedAgentError("well-mixed payoff needs at least 2 agents")
-    pi_c, pi_d = _payoffs_by_strategy(population, game, _Buffers(population.n, population.topology))
-    return float(np.where(population.strategies, pi_c, pi_d)[agent])
+    b = _Buffers(population.n, population.topology)
+    payoffs = _payoffs_by_strategy(population, game, b)
+    mixed = isinstance(population.topology, WellMixed)
+    return float(payoffs[not population.strategies[agent] if mixed else b.key[agent]])
 
 
 def adoption_probability(update: UpdateRule, payoff_gap, payoff_span: float, out=None):
@@ -338,12 +347,14 @@ def adoption_probability(update: UpdateRule, payoff_gap, payoff_span: float, out
     return p[()]
 
 
-def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tuple:
+def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers):
     """Mean game payoff each agent earns as a cooperator and as a defector.
 
     Well-mixed populations play against the strategy mix excluding self, so
     both are scalars there: the payoff of any cooperator and any defector.
-    On a graph both are written into the buffers ``b``.
+    On a graph it returns their table (``2 (d + 1)`` entries per degree d,
+    built for each new game ``b`` meets) and writes each agent's own key
+    ``base + 2 c + s`` (c cooperating neighbors, strategy s) into ``b.key``.
     """
     strat = pop.strategies
     n = pop.n
@@ -352,29 +363,29 @@ def _payoffs_by_strategy(pop: Population, game: GameMatrix, b: _Buffers) -> tupl
         pi_c = ((nc - 1) * game.r + (n - nc) * game.sg) / (n - 1)
         pi_d = (nc * game.t + (n - nc - 1) * game.pu) / (n - 1)
         return pi_c, pi_d
-    ncn = b.ncn  # cooperating neighbors, an exact int64 count
-    if isinstance(pop.topology, RingLattice):
-        np.copyto(b.coop, strat)
-        ncn.fill(0)
+    if b.game is not game:  # c = 0..d in the block of each degree d
+        ncf = np.concatenate([np.arange(d + 1.0) for d in b.blocks])
+        deg = np.repeat(b.blocks.astype(np.float64), b.blocks + 1)
+        ndf, b.table, b.game = deg - ncf, np.empty(2 * deg.size), game
+        for out, on_c, on_d in ((b.table[1::2], game.r, game.sg), (b.table[::2], game.t, game.pu)):
+            out[...] = (np.multiply(on_c, ncf) + np.multiply(on_d, ndf)) / deg
+    if isinstance(pop.topology, RingLattice):  # one block: the key is 2 c + s
+        np.multiply(strat, 2, out=b.coop)
+        np.copyto(b.key, strat)
         for s in (pop.topology.offsets % n).tolist():  # neighbor i + o is (i + o) mod n
-            ncn[:n - s] += b.coop[s:]
-            ncn[n - s:] += b.coop[:s]
+            b.key[:n - s] += b.coop[s:]
+            b.key[n - s:] += b.coop[:s]
     else:
-        # counts of the row b.counted: each agent that differs adds +1 (now
-        # cooperating) or -1 to each neighbor; add.at sums shared neighbors
+        # keys of the row b.counted: each agent that differs adds +2 (now
+        # cooperating) or -2 to each neighbor's; add.at sums shared neighbors
         adj, changed = pop.topology, np.flatnonzero(strat != b.counted)
         reps = adj.degree[changed]  # the CSR slices of the changed rows, in turn
         skip = adj.indptr[changed] - np.cumsum(reps) + reps
         nbrs = adj.indices[np.arange(reps.sum()) + np.repeat(skip, reps)]
-        np.add.at(ncn, nbrs, np.repeat(np.where(strat[changed], 1, -1), reps))
+        np.add.at(b.ncn, nbrs, np.repeat(np.where(strat[changed], 2, -2), reps))
         np.copyto(b.counted, strat)
-    np.copyto(b.ncf, ncn)  # the counts as exact floats
-    ncf, ndf = b.ncf, np.subtract(b.degree, b.ncf, out=b.ndf)
-    for out, on_c, on_d in ((b.pc, game.r, game.sg), (b.pd, game.t, game.pu)):
-        np.multiply(on_c, ncf, out=out)
-        out += np.multiply(on_d, ndf, out=b.u)  # b.u is free until the round draws
-        out /= b.degree
-    return b.pc, b.pd
+        np.add(b.ncn, strat, out=b.key)
+    return b.table
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +396,21 @@ class _Buffers:
     """Work arrays of one run, sized to its n and topology.  A round writes
     the one of the two ``strategies`` rows that its input is not, so the
     population a round returns is overwritten two rounds later.  An imported
-    graph's counts ``ncn`` are of the row ``counted``; a ring recounts."""
+    graph's keys ``ncn`` (``base + 2 c``) are of the row ``counted``; a ring recounts."""
 
     def __init__(self, n: int, topology: Topology):
         self.nbr, self.adopt, *self.strategies = np.empty((4, n), dtype=bool)
         self.u, self.pi, self.pi_nbr = np.empty((3, n))
         if isinstance(topology, WellMixed):
             return
-        self.pc, self.pd, self.ncf, self.ndf = np.empty((4, n))
-        self.idx, self.ncn = np.zeros((2, n), dtype=np.int64)
+        self.idx, self.key = np.zeros((2, n), dtype=np.int64)
+        self.game = self.table = None
         if isinstance(topology, RingLattice):
-            self.degree, self.agents = float(topology.k), np.arange(n, dtype=np.int64)
-            self.coop = np.empty(n, dtype=np.int64)
-        else:  # zero counts of the all-defector row: a first round counts in full
-            self.counted = np.zeros(n, dtype=bool)
-            self.degree = topology.degree.astype(np.float64)
+            self.agents, self.coop = np.arange(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+            self.blocks = np.array([topology.k])
+        else:  # the keys of the all-defector row: a first round counts in full
+            self.counted, self.ncn = np.zeros(n, dtype=bool), topology.base.copy()
+            self.degree, self.blocks = topology.degree.astype(np.float64), topology.blocks
 
 
 def step(population: Population, config: AbmConfig, rng: np.random.Generator,
@@ -418,12 +429,12 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator,
     strat = population.strategies
     n = population.n
     b = _Buffers(n, population.topology) if buffers is None else buffers
-    pi_c, pi_d = _payoffs_by_strategy(population, config.game, b)
+    payoffs = _payoffs_by_strategy(population, config.game, b)
     pi, nbr, pi_nbr, u = b.pi, b.nbr, b.pi_nbr, b.u
-    np.copyto(pi, pi_d)
-    np.putmask(pi, strat, pi_c)  # np.where(strat, pi_c, pi_d), without a new array
-
     if isinstance(population.topology, WellMixed):
+        pi_c, pi_d = payoffs
+        np.copyto(pi, pi_d)
+        np.putmask(pi, strat, pi_c)  # np.where(strat, pi_c, pi_d), without a new array
         nc = np.count_nonzero(strat)
         pi_nbr.fill(nc / (n - 1))  # the chance the neighbor cooperates
         np.putmask(pi_nbr, strat, (nc - 1) / (n - 1))
@@ -431,6 +442,7 @@ def step(population: Population, config: AbmConfig, rng: np.random.Generator,
         np.copyto(pi_nbr, pi_d)
         np.putmask(pi_nbr, nbr, pi_c)
     else:
+        np.take(payoffs, b.key, out=pi, mode="wrap")  # each agent's entry of the table
         idx = b.idx
         if isinstance(population.topology, RingLattice):
             offsets = population.topology.offsets

@@ -486,9 +486,14 @@ _CHUNK_ROWS = 1 << 16  # rows formatted, written and hashed at a time
 
 
 @functools.lru_cache(maxsize=1)
-def _row_starts(steps: range) -> tuple[bytes, ...]:
-    """Row starts ``b"\\n<s>,"`` of a step column, kept for the last range asked for."""
-    return tuple(b"\n%d," % s for s in steps)
+def _template(first: range | int, cells: int) -> bytes:
+    """The ``%`` template of a chunk (the last asked for): ``%b`` (lead), a ``\\n``-led row of ``cells``
+    ``%b`` per step of a range ``first``, after the step, or per row of ``first`` rows, ``%b`` (tail)."""
+    if isinstance(first, range):
+        rows = (b"\n%d" + b",%%b" * cells) * len(first) % tuple(first)
+    else:
+        rows = (b"\n%b" + b",%b" * (cells - 1)) * first
+    return b"%b" + rows + b"%b"
 
 
 def _cells(col) -> list[bytes]:
@@ -514,17 +519,15 @@ def _cells(col) -> list[bytes]:
 
 def _chunk(columns, lead: bytes, tail: bytes) -> bytes:
     """``lead``, the ``\\n``-led rows of equal-length columns, then ``tail``,
-    in one join of the first column's cells, each with its ``\\n`` and
-    comma, and the other columns' cells; no row becomes a Python object."""
+    in one ``%`` of the cached template, whose arguments are ``lead``, the
+    cells row by row and ``tail``; no row becomes a Python object."""
     first, *rest = columns
-    heads = _row_starts(first) if isinstance(first, range) else [b"\n%b," % c for c in _cells(first)]
-    width = 2 * len(rest)  # a row's parts: its head, then the other cells with commas between
-    parts = [b","] * (width * len(first) + 2)
-    parts[0], parts[-1] = lead, tail
-    parts[1:-1:width] = heads
+    if not isinstance(first, range):  # its cells are arguments too
+        first, rest = len(first), columns
+    args = [lead] + [tail] * (len(rest) * len(columns[0]) + 1)
     for j, col in enumerate(rest):
-        parts[2 * j + 2:-1:width] = _cells(col)
-    return b"".join(parts)
+        args[1 + j:-1:len(rest)] = _cells(col)
+    return _template(first, len(rest)) % tuple(args)
 
 
 def _write_csv(path: str, header: str, columns) -> str:

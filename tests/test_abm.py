@@ -456,6 +456,73 @@ def test_a_round_on_run_buffers_allocates_at_most_half_of_the_oracle(kind):
     assert got <= oracle / 2, (got, oracle)
 
 
+@st.composite
+def many_block_populations(draw):
+    """A strategy vector on a graph with many degree blocks: a ring with
+    k = 2, 4 or 10, a hub joined to some nodes of a ring, or a graph whose
+    node i links to a drawn number of the nodes before it."""
+    kind = draw(st.sampled_from(["ring", "hub", "degrees"]))
+    if kind == "ring":
+        k = draw(st.sampled_from([2, 4, 10]))
+        n, topology = draw(st.integers(k + 1, 40)), RingLattice(k)
+    else:
+        n = draw(st.integers(4, 60))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "hub":  # the ring 1..n-1, and spokes from node 0
+            spokes = rng.choice(np.arange(1, n), rng.integers(1, n), replace=False)
+            edges = [(i, i % (n - 1) + 1) for i in range(1, n)] + [(0, int(j)) for j in spokes]
+        else:
+            edges = [(i, int(j)) for i in range(1, n)
+                     for j in rng.choice(i, rng.integers(1, i + 1), replace=False)]
+        topology = Imported(edges, n)
+    bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return population(bits, topology)
+
+
+NON_DYADIC_GAMES = st.sampled_from([GameMatrix(0.1, 1 / 3, 2 / 3, 0.2), GameMatrix(1 / 3, 0.1, -0.1, 1 / 3),
+                                    GameMatrix(0.1, 0.1, 0.1, 0.1)])
+
+
+@given(pop=many_block_populations(), game=st.one_of(NON_DYADIC_GAMES, games, zero_span_games),
+       flips=st.lists(st.integers(0, 59), max_size=8))
+def test_the_payoff_table_gives_the_reference_payoffs_bit_for_bit(pop, game, flips):
+    # each agent's entry under its own strategy (key) and under the other
+    # (key ^ 1) against the allocating formula, selected by strategy; then
+    # again on the same buffers after some agents switch
+    buffers = abm_mod._Buffers(pop.n, pop.topology)
+    for _ in range(2):
+        table = abm_mod._payoffs_by_strategy(pop, game, buffers)
+        pi_c, pi_d = reference_payoffs_by_strategy(pop, game)
+        strat = pop.strategies
+        assert table[buffers.key].tobytes() == np.where(strat, pi_c, pi_d).tobytes()
+        assert table[buffers.key ^ 1].tobytes() == np.where(strat, pi_d, pi_c).tobytes()
+        if isinstance(pop.topology, RingLattice):
+            assert table.size == 2 * (pop.topology.k + 1)
+        else:
+            assert table.size <= 2 * (pop.topology.indices.size + pop.n)
+        switched = strat.copy()
+        switched[[f % pop.n for f in flips]] ^= True
+        pop = Population(switched, pop.topology)
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPHS))
+def test_a_game_changed_between_steps_on_reused_buffers_matches_the_oracle(kind):
+    # the buffers keep the payoff table of the game they last met; a step
+    # with another game must use that game's payoffs
+    n = 300
+    topology = GRAPHS[kind](n)
+    buffers = abm_mod._Buffers(n, topology)
+    pop = Population(make_generator(13).random(n) < 0.5, topology)
+    rng, ref_rng = make_generator(14), make_generator(14)
+    for game in (COORDINATION, GameMatrix(3, 0, 5, 1), COORDINATION, DEFECT_WINS):
+        cfg = AbmConfig(n=n, x0=0.5, game=game, topology=topology)
+        want = np.where(pop.strategies, *reference_payoffs_by_strategy(pop, game))
+        ref = reference_step(Population(pop.strategies.copy(), topology), cfg, ref_rng)
+        pop = step(pop, cfg, rng, buffers)
+        assert buffers.pi.tobytes() == want.tobytes()
+        assert pop.strategies.tobytes() == ref.strategies.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Runs and classification
 # ---------------------------------------------------------------------------
@@ -523,6 +590,7 @@ def test_run_validates_config():
     (10 ** 12, 1, "n=1,000,000,000,000 is above the limit of 10,000,000 agents"),
     (10_000, 10_001, "n=10,000 x rounds=10,001 asks for 100,010,000 agent-rounds, above the limit of 100,000,000"),
     (2, 10 ** 12, "n=2 x rounds=1,000,000,000,000 asks for 2,000,000,000,000 agent-rounds"),
+    (2, abm_mod.MAX_ROUNDS + 1, "rounds=1,000,001 is above the limit of 1,000,000 rounds"),
 ])
 def test_work_size_is_checked_when_the_config_is_built(n, rounds, message):
     with pytest.raises(ValueError, match=message):
@@ -790,7 +858,7 @@ def test_imported_graphs_are_equal_when_their_edges_are(pop, data):
                 for u, v in data.draw(st.permutations(edges))]
     assert Imported(np.array(shuffled, dtype=np.int64), n) == graph
     assert Imported(tuple(reversed(shuffled)), n) == graph
-    assert vars(graph).keys() == {"n", "degree", "indptr", "indices"}
+    assert vars(graph).keys() == {"n", "degree", "indptr", "indices", "blocks", "base"}
     missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
     if missing:  # move one edge onto a pair that had none, keeping every node linked
         moved = data.draw(st.sampled_from(missing))

@@ -615,6 +615,11 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
     ({"kind": "abm", "params": {"n": 10 ** 12, "x0": 0.5, "rounds": 1, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1},
                                 "topology": {"kind": "imported", "path": "missing.edges"}}},
      "n=1,000,000,000,000 is above the limit of 10,000,000 agents"),
+    (["abm", "--n", "2", "--x0", "0.5", "--game", "1,0,0,1", "--rounds", "1000001"],
+     "invalid abm params: rounds=1,000,001 is above the limit of 1,000,000 rounds"),
+    ({"kind": "basin", "params": {"n": 2, "x0_list": [0.5], "rounds": 1000001,
+                                  "game": {"r": 1, "sg": 0, "t": 0, "pu": 1}}},
+     "invalid basin params: rounds=1,000,001 is above the limit of 1,000,000 rounds"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
 def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypatch, argv, named):
     # the loader rejects the size, naming its key; no grid is built, nothing

@@ -183,6 +183,7 @@ _TOPOLOGIES = [{"kind": "well_mixed"}, {"kind": "ring_lattice", "k": 4}]
 @pytest.mark.parametrize("n, rounds, message", [
     (10_000_001, 1, "n=10,000,001 is above the limit of 10,000,000 agents"),
     (1000, 100_001, "n=1,000 x rounds=100,001 asks for 100,001,000 agent-rounds, above the limit of 100,000,000"),
+    (2, 1_000_001, "rounds=1,000,001 is above the limit of 1,000,000 rounds"),
 ])
 def test_oversized_abm_is_a_config_error(topology, n, rounds, message):
     with pytest.raises(ConfigError, match=f"invalid abm params: {message}"):
@@ -190,10 +191,23 @@ def test_oversized_abm_is_a_config_error(topology, n, rounds, message):
 
 
 @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=["well_mixed", "ring"])
-@pytest.mark.parametrize("n, rounds", [(10_000_000, 10), (1000, 100_000)])
+@pytest.mark.parametrize("n, rounds", [(10_000_000, 10), (1000, 100_000), (5, 1_000_000)])
 def test_abm_at_the_work_limits_loads(topology, n, rounds):
     # neither topology allocates anything sized by n at load
     assert load_config(_abm_doc(n, rounds, topology)).model.n == n
+
+
+@pytest.mark.parametrize("rounds", [1_000_000, 1_000_001])
+def test_basin_rounds_are_checked_against_the_round_limit_at_load(rounds):
+    assert harness.abm.MAX_ROUNDS == 1_000_000
+    doc = json.dumps({"kind": "basin", "master_seed": 1, "replicates": 1,
+                      "params": {**_BASIN_PARAMS, "n": 2, "rounds": rounds}})
+    if rounds > harness.abm.MAX_ROUNDS:
+        with pytest.raises(ConfigError, match="invalid basin params: rounds=1,000,001 is above "
+                                              "the limit of 1,000,000 rounds"):
+            load_config(doc)
+    else:
+        assert load_config(doc).model[0].rounds == rounds  # (template, x0_list)
 
 
 @pytest.mark.parametrize("limit, value", [("MAX_AGENTS", 11), ("MAX_AGENT_ROUNDS", 12 * 3 - 1)])
@@ -736,6 +750,13 @@ def test_chunk_edges_keep_the_bytes(values, bad, start, data):
         assert _written([values[::-1], values]) == _old_pairs(values[::-1], values)
         assert _written([labels, values, values[::-1]], "sweep,lambda,state") == "".join(
             f"{s},{_fmt(a)},{_fmt(b)}\n" for s, a, b in zip(labels, values, values[::-1]))
+
+
+def test_a_percent_sign_in_a_header_or_a_cell_is_written_as_it_is():
+    # the header and the cells are arguments of the chunk's template, never part of it
+    values = np.array([0.5, 0.25])
+    assert _written([range(2), values], "step,%d%%b") == "0,0.5\n1,0.25\n"
+    assert _written([["%s", "%b%%"], values, values], "a%,b,c") == "%s,0.5,0.5\n%b%%,0.25,0.25\n"
 
 
 def test_run_scenario_martingale_summary(tmp_path):
