@@ -19,6 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from attractorlab.netgrowth import (  # noqa: E402
     GrowthConfig,
     _final_shares,
+    _generators,
     estimate_lockin,
     intervention_cost,
 )
@@ -35,7 +36,7 @@ def main():
     base = GrowthConfig(n_nodes=args.nodes, seed_agi=2, seed_dci=1,
                         tau=args.tau, rng_seed=args.seed)
     # replicate i's final share, byte-equal to its grow(...).shares[-1]
-    finals = _final_shares(base, args.replicates, [base.dci_boost])[0]
+    finals = _final_shares(base, _generators(base, range(args.replicates)), [base.dci_boost])[0]
     print(f"urn seeds (2,1): mean final AGI share {finals.mean():.4f} "
           f"(martingale predicts {2 / 3:.4f}); run-to-run sd {finals.std():.3f}")
 

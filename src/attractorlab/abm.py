@@ -237,7 +237,7 @@ class AbmConfig:
         check_x0(self.x0)
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
-        if self.rng_seed < 0:
+        if not 0 <= self.rng_seed < 2 ** 64:
             raise ValueError("rng_seed must be a non-negative 64-bit integer")
         if isinstance(self.topology, RingLattice) and self.topology.k >= self.n:
             raise ValueError(f"ring lattice degree k={self.topology.k} must be < n={self.n}")

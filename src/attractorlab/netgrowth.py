@@ -26,13 +26,14 @@ lock-in estimates step many replicates together, in ``_step``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import make_generator, mix64
+from .rng import make_generator, mix64, rewind
 
 MODE_URN = "urn"
 MODE_DEGREE_PA = "degree_pa"
@@ -50,13 +51,16 @@ COST_LOG2_TOL = 0.05
 MAX_NODES = 10_000_000
 
 # uniforms drawn per block by _step, over all replicates, into one buffer
-# filled in place; every boost of a call steps against the same block (256 KB)
+# filled in place; every boost of a call steps against the same block (256 KB).
+# Only a call that keeps join bits also holds the block's decisions, one bool
+# per cell and arrival, until it packs them
 _BLOCK_DRAWS = 2 ** 15
 # replicates grow_replicates steps together; each keeps n / 8 bytes of join bits
 _CHUNK_REPLICATES = 200
-# a smaller chunk runs grow per replicate: _step's numpy calls cost about 10 us an
-# arrival whatever the chunk, and break even with grow near 48 replicates
-_MIN_BATCH_REPLICATES = 48
+# a smaller chunk runs grow per replicate: _step's numpy calls cost 2.6-2.9 us an
+# arrival at 16-48 replicates and grow 85 ns a replicate and arrival, so with the
+# trace rebuild they break even at 33-36 replicates for n from 2,000 to 100,000
+_MIN_BATCH_REPLICATES = 36
 # bisection levels whose midpoints one intervention_cost pass evaluates
 _COST_LEVELS_PER_PASS = 3
 
@@ -100,7 +104,7 @@ class GrowthConfig:
             raise ValueError(f"dci_boost must be finite and >= 0, got {self.dci_boost}")
         if not 0.5 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0.5, 1], got {self.tau}")
-        if self.rng_seed < 0:
+        if not 0 <= self.rng_seed < 2 ** 64:
             raise ValueError("rng_seed must be a non-negative 64-bit integer")
 
     __post_init__ = validate
@@ -183,33 +187,49 @@ def grow(config: GrowthConfig) -> GrowthTrace:
     return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
-def _step(config: GrowthConfig, indices: range, boosts: list[float], bits=None) -> np.ndarray:
-    """AGI join counts of replicates ``indices`` (drawing from
-    ``mix64(rng_seed, i)``, in blocks of a multiple of 8 arrivals) after
-    ``config.n_nodes`` arrivals under each boost, one cell per (boost,
-    replicate), row-major; every boost meets the same uniforms with the
-    float64 operations of ``grow``.  With one boost, ``bits`` (uint8,
-    ``ceil(n / 8)`` per replicate) gets the join decisions by ``np.packbits``."""
-    n, reps = config.n_nodes, len(indices)
+def _generators(config: GrowthConfig, indices: range) -> list[np.random.Generator]:
+    """The streams of replicates ``indices``: ``mix64(config.rng_seed, i)``."""
+    return [make_generator(mix64(config.rng_seed, i)) for i in indices]
+
+
+def _step(config: GrowthConfig, gens: list[np.random.Generator], boosts: list[float],
+          bits=None) -> np.ndarray:
+    """AGI join counts of the replicates drawing from ``gens`` (in blocks of
+    a multiple of 8 arrivals) after ``config.n_nodes`` arrivals under each
+    boost, one cell per (boost, replicate), row-major; every boost meets the
+    same uniforms with the float64 operations of ``grow``.  With one boost,
+    ``bits`` (uint8, ``ceil(n / 8)`` per replicate) gets the join decisions
+    by ``np.packbits``.
+
+    An arrival is seven in-place numpy calls on buffers made once.  The DCI
+    weight of ``t - j`` joins is entry ``j`` of the reversed table from
+    ``n - t`` on, a contiguous slice, so no ``t - j`` array is built.  The
+    takes clip, as a join count never leaves its table: the default mode
+    copies ``out`` on every call.  Without ``bits`` one join row serves
+    every arrival."""
+    n, reps = config.n_nodes, len(gens)
     column = np.repeat(np.array(boosts, dtype=float), reps)  # each cell's boost
-    gens = [make_generator(mix64(config.rng_seed, i)) for i in indices]
-    joins = np.arange(n + 1.0)
-    w_agi = _camp_weight(config, config.seed_agi, joins)
-    w_dci = _camp_weight(config, config.seed_dci, joins)
+    w_agi = _camp_weight(config, config.seed_agi, np.arange(n + 1.0))
+    w_dci_rev = _camp_weight(config, config.seed_dci, np.arange(n, -1.0, -1.0))  # at n - k joins
     j_agi = np.zeros(column.size, dtype=np.int64)
+    a, d = np.empty(column.size), np.empty(column.size)
+    cells = d.reshape(-1, reps)  # a view: every row meets the same u
     block = min(n, max(8, _BLOCK_DRAWS // reps // 8 * 8))
     us = np.empty((block, reps), order="F")  # a generator fills its own column
-    joined = np.empty((block, column.size), dtype=bool)
+    fills = [g.random for g in gens]
+    if bits is None:
+        hits = itertools.repeat(np.empty(column.size, dtype=bool))
+    else:
+        hits = joined = np.empty((block, column.size), dtype=bool)
     for start in range(0, n, block):
         size = min(block, n - start)
-        for g, col in zip(gens, us.T):
-            g.random(out=col[:size])
-        for t, u, hit in zip(range(start, n), us[:size], joined):
-            a = w_agi.take(j_agi)
-            d = w_dci.take(t - j_agi)
+        for fill, col in zip(fills, us.T):
+            fill(out=col if size == block else col[:size])
+        for t, u, hit in zip(range(start, start + size), us, hits):
+            w_agi.take(j_agi, out=a, mode="clip")
+            w_dci_rev[n - t:].take(j_agi, out=d, mode="clip")
             d *= column  # u * (a + boost * d) < a, in place
             d += a
-            cells = d.reshape(-1, reps)  # a view: every row meets the same u
             cells *= u
             np.less(d, a, out=hit)
             j_agi += hit
@@ -232,17 +252,20 @@ def grow_replicates(config: GrowthConfig, indices: range) -> Iterator[GrowthTrac
             yield from (grow(replace(config, rng_seed=mix64(config.rng_seed, i))) for i in chunk)
             continue
         bits = np.empty((len(chunk), (n + 7) // 8), dtype=np.uint8)
-        for row, j in zip(bits, _step(config, chunk, [config.dci_boost], bits).tolist()):
+        joins = _step(config, _generators(config, chunk), [config.dci_boost], bits)
+        for row, j in zip(bits, joins.tolist()):
             shares = (sa + np.cumsum(np.unpackbits(row, count=n), dtype=float)) / nodes
             degrees = CampDegrees(int(_camp_weight(config, sa, j)), int(_camp_weight(config, sd, n - j)))
             yield GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
 
 
-def _final_shares(config: GrowthConfig, replicates: int, boosts: list[float]) -> np.ndarray:
-    """Final AGI share of replicates ``0..replicates-1`` under each boost in
-    ``boosts``, one row per boost; row ``k`` is byte-identical to each
-    replicate's ``grow(replace(config, dci_boost=boosts[k])).shares[-1]``."""
-    finals = config.seed_agi + _step(config, range(replicates), boosts)
+def _final_shares(config: GrowthConfig, gens: list[np.random.Generator],
+                  boosts: list[float]) -> np.ndarray:
+    """Final AGI share of the replicates drawing from ``gens`` under each
+    boost in ``boosts``, one row per boost; with ``_generators(config,
+    range(r))`` row ``k`` is byte-identical to each replicate's
+    ``grow(replace(config, dci_boost=boosts[k])).shares[-1]``."""
+    finals = config.seed_agi + _step(config, gens, boosts)
     return (finals / float(config.seed_agi + config.seed_dci + config.n_nodes)).reshape(len(boosts), -1)
 
 
@@ -255,7 +278,8 @@ def estimate_lockin(config: GrowthConfig, replicates: int, tau: float) -> LockIn
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    finals = _final_shares(replace(config, tau=tau), replicates, [config.dci_boost])  # validates tau
+    config = replace(config, tau=tau)  # validates tau
+    finals = _final_shares(config, _generators(config, range(replicates)), [config.dci_boost])
     labels = [_lockin_label(share, tau) for share in finals[0].tolist()]
     p_agi = labels.count(LOCKED_AGI) / replicates
     p_dci = labels.count(LOCKED_DCI) / replicates
@@ -293,7 +317,8 @@ def intervention_cost(
     are then replayed on those means in order, so the answer is the plain
     one-probe-at-a-time bisection's, whatever the shape of the mean in boost.
     A full search takes three passes, of 5, 7 and 7 boosts; an exit at 1 or
-    +inf takes the first.
+    +inf takes the first.  Each replicate's generator is built once and
+    rewound to its first draw after every pass.
     """
     if not 0.0 < target_dci_share < 1.0:
         raise ValueError(f"target share must lie in (0, 1), got {target_dci_share}")
@@ -303,9 +328,13 @@ def intervention_cost(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
 
     probe = replace(base, n_nodes=horizon)
+    seeds = [mix64(probe.rng_seed, i) for i in range(replicates)]
+    gens = [make_generator(seed) for seed in seeds]
 
     def mean_dci(log2_boosts: list[float]) -> dict[float, float]:
-        finals = _final_shares(probe, replicates, [2.0 ** x for x in log2_boosts])
+        finals = _final_shares(probe, gens, [2.0 ** x for x in log2_boosts])
+        for g, seed in zip(gens, seeds):  # the next pass meets the same uniforms
+            rewind(g, seed)
         return {x: float(np.mean(1.0 - row)) for x, row in zip(log2_boosts, finals)}
 
     lo, hi = 0.0, math.log2(MAX_BOOST)  # boosts 1 and MAX_BOOST

@@ -38,3 +38,18 @@ def mix64(master_seed: int, index: int) -> int:
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+
+
+def rewind(generator: np.random.Generator, seed: int) -> None:
+    """Return ``generator`` to the state of a fresh ``make_generator(seed)``:
+    Philox counter 0 and no buffered output, set through the public state
+    setter, which costs a fraction of building a new generator."""
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed & _MASK64, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

@@ -597,6 +597,14 @@ def test_work_size_is_checked_when_the_config_is_built(n, rounds, message):
         AbmConfig(n=n, x0=0.5, game=COORDINATION, rounds=rounds)
 
 
+def test_rng_seed_is_checked_as_a_64_bit_integer():
+    # a seed past 64 bits would be masked to another seed's streams
+    assert AbmConfig(n=10, x0=0.5, game=COORDINATION, rng_seed=2 ** 64 - 1).rng_seed == 2 ** 64 - 1
+    for seed in (2 ** 64, 2 ** 64 + 3, -1):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative 64-bit integer"):
+            AbmConfig(n=10, x0=0.5, game=COORDINATION, rng_seed=seed)
+
+
 def test_drift_sign_matches_phase_line():
     # coordination game: drift negative below the interior point, positive above
     def one_step_mean_delta(x0, seed_base):

@@ -41,7 +41,7 @@ from attractorlab.dynamics import (
     sweep_bifurcation,
 )
 from attractorlab.harness import load_config, run_scenario
-from attractorlab.netgrowth import GrowthConfig, _final_shares, intervention_cost
+from attractorlab.netgrowth import GrowthConfig, _final_shares, _generators, intervention_cost
 from attractorlab.rng import make_generator, mix64
 
 FOLD = 2.0 / (3.0 * math.sqrt(3.0))  # closed-form fold location for theta=1
@@ -63,7 +63,7 @@ def criterion(num, description, limit_s):
 def urn_final_shares(config, replicates):
     # replicate i grows from mix64(config.rng_seed, i); the batched kernel
     # gives the same bytes as grow(...).shares[-1] per replicate
-    return _final_shares(config, replicates, [config.dci_boost])[0]
+    return _final_shares(config, _generators(config, range(replicates)), [config.dci_boost])[0]
 
 
 def test_criterion_01_replicator_integrator_vs_closed_form():

@@ -472,7 +472,8 @@ def test_netgrowth_last_rows_are_the_final_shares(tmp_path, params):
     out = str(tmp_path / "run")
     config = load_config(json.dumps(netgrowth_doc(out, replicates=6, master_seed=3, **params)))
     run_scenario(config)
-    finals = netgrowth._final_shares(replace(config.model, rng_seed=3), 6, [config.model.dci_boost])
+    model = replace(config.model, rng_seed=3)
+    finals = netgrowth._final_shares(model, netgrowth._generators(model, range(6)), [model.dci_boost])
     for i, final in enumerate(finals[0].tolist()):
         last = read(os.path.join(out, f"shares_{i:04d}.csv")).splitlines()[-1]
         assert last == b"%d,%r" % (config.model.n_nodes, final)

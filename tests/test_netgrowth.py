@@ -20,6 +20,7 @@ from attractorlab.netgrowth import (
     estimate_lockin,
     _camp_weight,
     _final_shares,
+    _generators,
     _lockin_label,
     grow,
     grow_replicates,
@@ -91,6 +92,14 @@ def test_arrivals_are_checked_when_the_config_is_built(n_nodes):
     with pytest.raises(ValueError, match=f"n_nodes={n_nodes:,} is above the limit of 10,000,000"):
         GrowthConfig(n_nodes=n_nodes)
     assert GrowthConfig(n_nodes=MAX_NODES).n_nodes == MAX_NODES
+
+
+def test_rng_seed_is_checked_as_a_64_bit_integer():
+    # a seed past 64 bits would be masked to another seed's streams
+    assert GrowthConfig(n_nodes=50, rng_seed=2 ** 64 - 1).rng_seed == 2 ** 64 - 1
+    for seed in (2 ** 64, 2 ** 64 + 3, -1):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative 64-bit integer"):
+            GrowthConfig(n_nodes=50, rng_seed=seed)
 
 
 def test_grow_deterministic():
@@ -268,11 +277,15 @@ def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, boost
     # small draw blocks split the run mid-way: block = max(8, block_draws // replicates // 8 * 8)
     config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
                           dci_boost=boost, rng_seed=n * 31 + replicates)
+
+    def streams():  # fresh per call, so each call draws from the streams' start
+        return _generators(config, range(replicates))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
-        batched = _final_shares(config, replicates, [boost])
-        rows = _final_shares(config, replicates, boosts)
-        singles = [_final_shares(config, replicates, [b]) for b in boosts]
+        batched = _final_shares(config, streams(), [boost])
+        rows = _final_shares(config, streams(), boosts)
+        singles = [_final_shares(config, streams(), [b]) for b in boosts]
     assert batched.shape == (1, replicates)
     assert batched[0].tobytes() == final_shares(config, replicates).tobytes()
     # every boost row steps against the same uniforms as its own one-boost call
@@ -285,14 +298,14 @@ def test_final_shares_match_grow_across_default_blocks(mode):
     # 7 replicates draw 2**15 // 7 // 8 * 8 = 4680 arrivals per block: five blocks, the last partial
     config = GrowthConfig(n_nodes=20_000, m=2, seed_agi=2, seed_dci=1, mode=mode,
                           dci_boost=1.3, rng_seed=41)
-    batched = _final_shares(config, 7, [config.dci_boost])
+    batched = _final_shares(config, _generators(config, range(7)), [config.dci_boost])
     assert batched[0].tobytes() == final_shares(config, 7).tobytes()
 
 
 def test_final_shares_urn_polya_limit():
     # urn(2, 1) final AGI shares follow Beta(2, 1) in the large-n limit
     config = GrowthConfig(n_nodes=2000, seed_agi=2, seed_dci=1, rng_seed=1)
-    finals = _final_shares(config, 500, [config.dci_boost])[0]
+    finals = _final_shares(config, _generators(config, range(500)), [config.dci_boost])[0]
     assert stats.kstest(finals, stats.beta(2, 1).cdf).pvalue > 0.01
 
 
@@ -435,12 +448,12 @@ def test_intervention_cost_unreachable_target_is_inf():
 
 def reference_intervention_cost(base, target_dci_share, horizon, replicates):
     """``intervention_cost`` before its batched passes: one one-boost
-    ``_final_shares`` call per bisection probe, looked up on the module so a
-    spy sees it."""
+    ``_final_shares`` call per bisection probe, on freshly built streams,
+    looked up on the module so a spy sees it."""
     probe = replace(base, n_nodes=horizon)
 
     def mean_dci(boost):
-        finals = netgrowth._final_shares(probe, replicates, [boost])
+        finals = netgrowth._final_shares(probe, _generators(probe, range(replicates)), [boost])
         return float(np.mean(1.0 - finals[0]))
 
     if mean_dci(1.0) >= target_dci_share:
@@ -507,6 +520,22 @@ def test_intervention_cost_makes_three_kernel_calls(monkeypatch):
     assert count(intervention_cost, symmetric, 0.3, 200, 20) == (1.0, 1)
     hopeless = GrowthConfig(n_nodes=4, seed_agi=30, seed_dci=1, rng_seed=9)
     assert count(intervention_cost, hopeless, 0.999, 4, 10) == (math.inf, 1)
+
+
+def test_intervention_cost_builds_each_replicate_generator_once(monkeypatch):
+    # every pass of a search steps the same streams, rewound between passes, not rebuilt
+    seeds = []
+    make = netgrowth.make_generator
+    monkeypatch.setattr(netgrowth, "make_generator", lambda seed: seeds.append(seed) or make(seed))
+    for base, target, horizon, replicates, cost in (
+        (GrowthConfig(n_nodes=300, seed_agi=6, seed_dci=1, rng_seed=2), 0.5, 300, 30, None),
+        (GrowthConfig(n_nodes=200, seed_agi=3, seed_dci=3, rng_seed=6), 0.3, 200, 20, 1.0),
+        (GrowthConfig(n_nodes=4, seed_agi=30, seed_dci=1, rng_seed=9), 0.999, 4, 10, math.inf),
+    ):
+        seeds.clear()
+        boost = intervention_cost(base, target, horizon, replicates)
+        assert boost == cost if cost is not None else 1.0 < boost < MAX_BOOST
+        assert seeds == [mix64(base.rng_seed, i) for i in range(replicates)]
 
 
 def test_intervention_cost_validates():
