@@ -1,6 +1,7 @@
 """attractorlab: deterministic models of path-dependent intelligence scaling.
 
-Subpackages cover one model family each (``cogmodel`` is imported on use):
+Submodules cover one model family each; each is imported the first time it
+is named (``attractorlab.abm``), so a CLI call runs only what it uses:
 
 * ``dynamics``   - replicator flows and a bistable control-parameter family
                    (fixed points, bifurcation sweeps, hysteresis loops)
@@ -24,4 +25,12 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import abm, cli, dynamics, harness, netgrowth, rng  # noqa: F401,E402
+_SUBMODULES = ("abm", "cli", "cogmodel", "dynamics", "harness", "netgrowth", "rng")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .rng import make_generator, mix64
+from .rng import check_seed, make_generator, mix64
 
 OUTCOME_AGI = "agi_first"
 OUTCOME_DCI = "dci_first"
@@ -237,8 +237,7 @@ class AbmConfig:
         check_x0(self.x0)
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
-        if not 0 <= self.rng_seed < 2 ** 64:
-            raise ValueError("rng_seed must be a non-negative 64-bit integer")
+        check_seed(self.rng_seed)
         if isinstance(self.topology, RingLattice) and self.topology.k >= self.n:
             raise ValueError(f"ring lattice degree k={self.topology.k} must be < n={self.n}")
         if isinstance(self.topology, Imported) and self.topology.n != self.n:

@@ -15,6 +15,9 @@ sha256, then pretty-prints summary.csv and every non-zero diagnostic; a
 missing or changed file fails it with exit code 1.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+``main`` is the in-process API and returns the code; ``entry``, the
+process entry of the ``attractorlab`` command and ``python -m
+attractorlab``, ends the process with it.
 Diagnostics go to stderr; data files never contain log lines.  A run whose
 manifest reports a non-zero numerical diagnostic prints a warning to stderr,
 also under ``--quiet``.  The env var ``ATTRACTORLAB_SEED`` overrides the
@@ -25,11 +28,13 @@ seed and ``--out`` are applied to the config document before its one load.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .harness import (KINDS, REQUIRED, ConfigError, load_config, parse_json, read_manifest,
                       run_scenario)
@@ -257,7 +262,10 @@ def _add_common(sub, out_help: str) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress status lines")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; when ``commands`` is given, only the
+    shortcut subcommands in it get their flags, so a call reads only its
+    own kind's schema and runs only its kind's model modules."""
     parser = _Parser(prog="attractorlab",
                      description="Deterministic path-dependence simulations.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -269,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, (kind, help_line) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, help=help_line)
+        if commands is not None and command not in commands:
+            continue
         for name, keys, required in _flags(kind):
             sub.add_argument(name, dest=keys[0], metavar=name[2:].replace("-", "_").upper(),
                              type=_PARSERS.get(keys[0], _scalar), required=required,
@@ -288,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[:1])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
@@ -304,5 +315,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> NoReturn:
+    """Run ``main`` on the command line, flush stdout and stderr, and end
+    the process with its code through ``os._exit``, which skips the
+    interpreter's teardown: once ``main`` returns, every file it wrote is
+    closed and any worker pool joined.  Output that cannot
+    be flushed, as into a pipe whose reader is gone, is a runtime failure
+    told in one line on stderr.  KeyboardInterrupt and SystemExit raised
+    out of ``main`` end the process as Python ends it."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # a pipe whose reader is gone, a full disk
+        if code == 0:
+            code = 2
+            with contextlib.suppress(OSError, ValueError):
+                _err(f"{type(exc).__name__}: {exc}")
+    with contextlib.suppress(OSError, ValueError):  # with stderr gone, nothing is left to tell
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

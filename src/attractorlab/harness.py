@@ -41,20 +41,39 @@ import copy
 import errno
 import functools
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
 import os
 import re
-from collections.abc import Callable
+import sys
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 
 import numpy as np
 
-from . import __version__, abm, dynamics, netgrowth
+from . import __version__
 from .rng import mix64
+
+
+def _lazy(name: str):
+    """This package's module ``name``, bound now and executed the first time
+    one of its attributes is read (``importlib.util.LazyLoader``), so a call
+    runs only the model modules of the kind it runs.  One already imported is
+    returned as it is."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+abm, dynamics, netgrowth = map(_lazy, ("abm", "dynamics", "netgrowth"))
 
 _MAX_SEED = (1 << 64) - 1
 # Seed streams of one run (replicates times the kind's streams per replicate),
@@ -322,11 +341,29 @@ def _pairs(points) -> np.ndarray:
     return np.array(points, dtype=np.float64).reshape(-1, 2).T
 
 
+class _Schema(Mapping):
+    """A params schema that ``make`` returns the first time it is read:
+    most are read off a model's signature, and reading one runs the model's
+    module.  A ``Mapping``, so a plain dict can stand in for one."""
+
+    def __init__(self, make: Callable[[], dict]):
+        self._schema = functools.cache(make)
+
+    def __getitem__(self, key):
+        return self._schema()[key]
+
+    def __iter__(self):
+        return iter(self._schema())
+
+    def __len__(self) -> int:
+        return len(self._schema())
+
+
 @dataclass(frozen=True)
 class _Kind:
     """Everything the harness knows about one scenario kind."""
 
-    schema: dict  # params key -> (cast, default), see ``_take``
+    schema: Mapping  # params key -> (cast, default), see ``_take``
     build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate indices) -> their results, in order
     metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
@@ -337,7 +374,7 @@ class _Kind:
 
 
 # game, topology and update in their JSON forms; rounds is required here, not in the model
-_POPULATION = _params_of(
+_POPULATION = _Schema(lambda: _params_of(
     abm.AbmConfig, skip=("x0", "rng_seed"),
     game=(_norm_game, REQUIRED),
     topology=(_variant({
@@ -350,25 +387,25 @@ _POPULATION = _params_of(
         "fermi": {"beta": (_as_float, REQUIRED)},
     }), {"kind": "proportional_imitation"}),
     rounds=(_as_int, REQUIRED),
-)
+))
 
 KINDS: dict[str, _Kind] = {
     "replicator": _Kind(
-        schema={
+        schema=_Schema(lambda: {
             "x0": (_as_float, REQUIRED),
             "t_end": (_as_float, REQUIRED),
             "dt": (_as_float, dynamics.DEFAULT_DT),
             "p_c": (_as_float, _OPTIONAL),
             "p_d": (_as_float, _OPTIONAL),
             "game": (_norm_game, _OPTIONAL),
-        },
+        }),
         build=_build_replicator,
         run=_each(lambda spec, master_seed, index: dynamics.integrate(spec)),
         metrics=lambda params, t: {"final_x": float(t.states[-1])},
         write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", (t.times, t.states)),
     ),
     "bifurcation": _Kind(
-        schema=_params_of(dynamics.sweep_bifurcation),
+        schema=_Schema(lambda: _params_of(dynamics.sweep_bifurcation)),
         build=lambda params: dynamics.check_bifurcation(**params) or params,
         run=_each(lambda params, master_seed, index: dynamics.sweep_bifurcation(**params)),
         metrics=lambda params, sweep: {
@@ -382,7 +419,7 @@ KINDS: dict[str, _Kind] = {
         deterministic=True,
     ),
     "hysteresis": _Kind(
-        schema=_params_of(dynamics.hysteresis_loop),
+        schema=_Schema(lambda: _params_of(dynamics.hysteresis_loop)),
         build=lambda params: dynamics.check_hysteresis(**params) or params,
         run=_each(lambda params, master_seed, index: dynamics.hysteresis_loop(**params)),
         metrics=lambda params, report: {
@@ -402,7 +439,7 @@ KINDS: dict[str, _Kind] = {
         },
     ),
     "netgrowth": _Kind(
-        schema=_params_of(netgrowth.GrowthConfig, skip=("rng_seed",)),
+        schema=_Schema(lambda: _params_of(netgrowth.GrowthConfig, skip=("rng_seed",))),
         build=lambda params: netgrowth.GrowthConfig(**params),
         run=lambda cfg, master_seed, indices: netgrowth.grow_replicates(
             replace(cfg, rng_seed=master_seed), indices
@@ -415,7 +452,7 @@ KINDS: dict[str, _Kind] = {
         write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share", (range(1, len(t.shares) + 1), t.shares)),
     ),
     "abm": _Kind(
-        schema={**_POPULATION, "x0": (_as_float, REQUIRED)},
+        schema=_Schema(lambda: {**_POPULATION, "x0": (_as_float, REQUIRED)}),
         build=_build_abm,
         run=_each(lambda cfg, master_seed, index: abm.run(
             replace(cfg, rng_seed=mix64(master_seed, index))
@@ -426,7 +463,7 @@ KINDS: dict[str, _Kind] = {
     ),
     # basin outcome rows have no trace file, they only feed summary.csv
     "basin": _Kind(
-        schema={**_POPULATION, "x0_list": (_norm_x0_list, REQUIRED)},
+        schema=_Schema(lambda: {**_POPULATION, "x0_list": (_norm_x0_list, REQUIRED)}),
         build=_build_basin,
         run=_each(_run_basin),
         metrics=_basin_metrics,
@@ -564,6 +601,20 @@ def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str =
     return digests
 
 
+def _platform() -> str:
+    """``platform.platform()`` on Linux where ``uname -p`` prints ``unknown``
+    or the machine name, built without the ``uname -p`` process it starts
+    for the processor name: system, release, machine, ``with`` and the libc,
+    spelled by its rules.  Other systems get ``platform.platform()``."""
+    import platform
+
+    if platform.system() != "Linux":
+        return platform.platform()
+    parts = (platform.system(), platform.release(), platform.machine(), "with", "".join(platform.libc_ver()))
+    name = re.sub(r'[/\\:;"()]', "-", "-".join(p.strip() for p in parts if p).replace(" ", "_"))
+    return re.sub("-{2,}", "-", name.replace("unknown", "")).rstrip("-")
+
+
 def _env(jobs: int) -> dict:
     """What the data bytes may depend on besides the config: the versions
     that compute and spell the numbers, the host, and the worker count."""
@@ -571,7 +622,7 @@ def _env(jobs: int) -> dict:
     import orjson
 
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "orjson": orjson.__version__, "platform": platform.platform(),
+            "orjson": orjson.__version__, "platform": _platform(),
             "cpu_count": os.cpu_count(), "jobs": jobs}
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import make_generator, mix64, rewind
+from .rng import check_seed, make_generator, mix64, rewind
 
 MODE_URN = "urn"
 MODE_DEGREE_PA = "degree_pa"
@@ -104,8 +104,7 @@ class GrowthConfig:
             raise ValueError(f"dci_boost must be finite and >= 0, got {self.dci_boost}")
         if not 0.5 < self.tau <= 1.0:
             raise ValueError(f"tau must lie in (0.5, 1], got {self.tau}")
-        if not 0 <= self.rng_seed < 2 ** 64:
-            raise ValueError("rng_seed must be a non-negative 64-bit integer")
+        check_seed(self.rng_seed)
 
     __post_init__ = validate
 

@@ -22,6 +22,14 @@ def splitmix64(value: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def check_seed(seed) -> None:
+    """ValueError unless ``seed`` is an ``int`` in [0, 2**64): a wider one
+    would be masked to another seed's streams, and a bool or a float is not
+    a seed."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError("rng_seed must be a non-negative 64-bit integer")
+
+
 def mix64(master_seed: int, index: int) -> int:
     """Derive the 64-bit seed of stream ``index`` under ``master_seed``.
 

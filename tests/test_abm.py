@@ -598,9 +598,10 @@ def test_work_size_is_checked_when_the_config_is_built(n, rounds, message):
 
 
 def test_rng_seed_is_checked_as_a_64_bit_integer():
-    # a seed past 64 bits would be masked to another seed's streams
+    # a seed past 64 bits would be masked to another seed's streams; a float
+    # failed inside make_generator at the first draw, and True ran seed 1's streams
     assert AbmConfig(n=10, x0=0.5, game=COORDINATION, rng_seed=2 ** 64 - 1).rng_seed == 2 ** 64 - 1
-    for seed in (2 ** 64, 2 ** 64 + 3, -1):
+    for seed in (2 ** 64, 2 ** 64 + 3, -1, 1.5, 1.0, True, "1", None):
         with pytest.raises(ValueError, match="rng_seed must be a non-negative 64-bit integer"):
             AbmConfig(n=10, x0=0.5, game=COORDINATION, rng_seed=seed)
 

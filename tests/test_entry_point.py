@@ -1,19 +1,33 @@
 """The exit-code contract through a real ``python -m attractorlab`` process:
 0 for a run and its report, 1 for a bad config, 2 for a runtime failure,
-which leaves the output directory as it found it."""
+which leaves the output directory as it found it.  Also how that process
+ends through ``cli.entry``: which modules it executed, its output flushed
+whole, its workers joined."""
 
 import json
 import os
+import platform
 import subprocess
 import sys
+
+import pytest
+
+from attractorlab.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def python(cwd, *args):
+def child_env() -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     env.pop("ATTRACTORLAB_SEED", None)
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    # stdout block-buffered into a pipe, as Python sets it up by default, so
+    # what the process prints reaches the reader only when it is flushed
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def python(cwd, *args):
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -55,26 +69,132 @@ def test_write_failure_exits_two_and_leaves_only_what_was_there(tmp_path):
     assert (out / "notes.txt").read_text() == "mine\n"
 
 
-_IMPORTED_BY_A_RUN = """
-import runpy, sys
-sys.argv = ["attractorlab", "netgrowth", "--seeds", "2,1", "--nodes", "50", "--replicates", "2",
-            "--out", "out", "--quiet"]
-try:
-    runpy.run_module("attractorlab", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(" ".join(sorted(name for name in sys.modules if name.startswith("attractorlab"))))
+# os._exit ends the process before any code after the entry could run, so the
+# script wraps it: just before the CLI process ends, it prints one JSON line with
+# the exit code, the attractorlab modules that were executed (a module bound
+# lazily whose code never ran is still a _LazyModule) and whether a child
+# process is left unjoined.  A forked worker also ends through os._exit and
+# prints nothing.
+_AT_EXIT = """
+import json, os, runpy, sys, types
+parent, real_exit = os.getpid(), os._exit
+
+def at_exit(code):
+    if os.getpid() == parent:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            children = True
+        except ChildProcessError:
+            children = False
+        executed = sorted(name for name, module in sys.modules.items()
+                          if name.startswith("attractorlab") and type(module) is types.ModuleType)
+        print(json.dumps({"code": code, "executed": executed, "children": children}))
+        sys.stdout.flush()
+    real_exit(code)
+
+os._exit = at_exit
+sys.argv = ["attractorlab", *sys.argv[1:]]
+runpy.run_module("attractorlab", run_name="__main__")
 """
 
 
+def attractorlab_at_exit(cwd, *args) -> dict:
+    """``python -m attractorlab *args`` through ``_AT_EXIT``: its last JSON line."""
+    done = python(cwd, "-c", _AT_EXIT, *args)
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0 and lines, done.stderr
+    return json.loads(lines[-1])
+
+
 def test_a_run_does_not_import_cogmodel(tmp_path):
-    # the package imports cogmodel only on use, and no scenario kind uses it
-    done = python(tmp_path, "-c", _IMPORTED_BY_A_RUN)
-    assert done.returncode == 0, done.stderr
-    modules = done.stdout.split()
+    # the package imports cogmodel only on use, and no scenario kind uses it;
+    # a netgrowth run runs neither of the other kinds' model modules
+    at_exit = attractorlab_at_exit(tmp_path, "netgrowth", "--seeds", "2,1", "--nodes", "50",
+                                   "--replicates", "2", "--out", "out", "--quiet")
+    assert at_exit["code"] == 0
+    modules = at_exit["executed"]
     assert {"attractorlab.cli", "attractorlab.harness", "attractorlab.netgrowth"} <= set(modules)
     assert "attractorlab.cogmodel" not in modules
+    assert not {"attractorlab.abm", "attractorlab.dynamics"} & set(modules)
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+MODELS = {"attractorlab.abm", "attractorlab.cogmodel", "attractorlab.dynamics", "attractorlab.netgrowth"}
+
+
+@pytest.mark.parametrize("args, models", [
+    (("hysteresis", "--theta", "1", "--lambda-lo", "-0.2", "--lambda-hi", "0.2", "--step", "0.1",
+      "--out", "out", "--quiet"), {"attractorlab.dynamics"}),
+    (("--help",), set()),
+])
+def test_a_call_executes_only_the_models_it_uses(tmp_path, args, models):
+    at_exit = attractorlab_at_exit(tmp_path, *args)
+    assert at_exit["code"] == 0
+    assert MODELS & set(at_exit["executed"]) == models
+
+
+def test_a_two_worker_run_joins_its_pool_before_the_process_ends(tmp_path):
+    at_exit = attractorlab_at_exit(tmp_path, "netgrowth", "--seeds", "2,1", "--nodes", "50",
+                                   "--replicates", "4", "--jobs", "2", "--out", "out", "--quiet")
+    assert at_exit == {"code": 0, "executed": at_exit["executed"], "children": False}
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["env"]["jobs"] == min(2, os.cpu_count())
+    assert sorted(manifest["files"]) == [f"shares_{i:04d}.csv" for i in range(4)] + ["summary.csv"]
+    assert sorted(os.listdir(tmp_path / "out")) == sorted([*manifest["files"], "manifest.json"])
+    assert attractorlab(tmp_path, "report", "out").returncode == 0
+
+
+def basin_run(cwd, x0_count: int) -> str:
+    """A basin run whose summary has three rows per initial fraction."""
+    x0_list = ",".join(str(i / x0_count) for i in range(1, x0_count))
+    done = attractorlab(cwd, "basin", "--n", "10", "--x0-list", x0_list, "--game", "1,0,0,1",
+                        "--rounds", "1", "--out", "out", "--quiet")
+    assert done.returncode == 0, done.stderr
+    return "out"
+
+
+def test_report_output_arrives_whole_through_a_pipe(tmp_path, capsys):
+    # more than a pipe holds, so the process writes while the reader reads
+    run_dir = basin_run(tmp_path, 1000)
+    done = attractorlab(tmp_path, "report", run_dir)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout) > 1 << 16
+    assert main(["report", str(tmp_path / run_dir)]) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x0_count", [2, 1000])
+def test_a_closed_stdout_prints_no_traceback(tmp_path, x0_count):
+    # a short report fails when the entry flushes it, a long one inside main,
+    # once it is past the buffer
+    run_dir = basin_run(tmp_path, x0_count)
+    proc = subprocess.Popen([sys.executable, "-m", "attractorlab", "report", run_dir], cwd=tmp_path,
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == "attractorlab: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+_ENV_STARTS_NO_PROCESS = """
+import json, subprocess
+
+def refuse(*args, **kwargs):
+    raise AssertionError(f"started a process: {args}")
+
+subprocess.Popen = refuse
+from attractorlab import harness
+print(json.dumps(harness._env(1)))
+"""
+
+
+def test_the_environment_is_read_without_starting_a_process(tmp_path):
+    # platform.platform() forks uname -p for the processor name; a fresh
+    # interpreter, since platform caches what it read
+    done = python(tmp_path, "-c", _ENV_STARTS_NO_PROCESS)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["platform"] == platform.platform()
 
 
 _OPENBLAS_THREADS = "import os; {}import attractorlab; print(os.environ.get('OPENBLAS_NUM_THREADS'))"

@@ -95,9 +95,10 @@ def test_arrivals_are_checked_when_the_config_is_built(n_nodes):
 
 
 def test_rng_seed_is_checked_as_a_64_bit_integer():
-    # a seed past 64 bits would be masked to another seed's streams
+    # a seed past 64 bits would be masked to another seed's streams; a float
+    # failed inside make_generator at the first draw, and True ran seed 1's streams
     assert GrowthConfig(n_nodes=50, rng_seed=2 ** 64 - 1).rng_seed == 2 ** 64 - 1
-    for seed in (2 ** 64, 2 ** 64 + 3, -1):
+    for seed in (2 ** 64, 2 ** 64 + 3, -1, 1.5, 1.0, True, "1", None):
         with pytest.raises(ValueError, match="rng_seed must be a non-negative 64-bit integer"):
             GrowthConfig(n_nodes=50, rng_seed=seed)
 
