@@ -26,13 +26,15 @@ cores, workers) and sha256 digests of every emitted file, taken from the
 bytes as they are written.  Every float is spelled as ``repr`` spells it.
 
 Each process runs one contiguous slice of the replicates (netgrowth steps
-them together, in chunks), and ``_write_csv`` formats, hashes and writes
-each file in chunks of rows under a temporary name as its result comes.
-The parent gets only a ``ReplicateRecord`` (metric values, diagnostic
-counts, digests), so memory grows with neither the traces nor their
-length.  Files are renamed to their final names only once all are
-written, then the manifest is written; a failed run cleans up by the rule
-in ``run_scenario``.
+them together, in chunks) and writes each file under a temporary name as
+its result comes: the calling thread formats it in chunks of rows, and one
+writer thread per slice opens, writes, hashes and closes, with at most one
+chunk queued between the two (``_write_files``, the one path that writes
+data files).  The parent gets only a ``ReplicateRecord`` (metric values,
+diagnostic counts, digests), so memory grows with neither the traces nor
+their length.  Files are renamed to their final names only once all are
+written and the writer thread is joined, then the manifest is written; a
+failed run cleans up by the rule in ``run_scenario``.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ class _Kind:
     build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate indices) -> their results, in order
     metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
-    write: Callable | None  # (result, index) -> (file name, header, columns), see ``_write_csv``
+    write: Callable | None  # (result, index) -> (file name, header, columns), see ``_csv_chunks``
     streams: Callable = lambda params: 1  # seed streams per replicate
     deterministic: bool = False  # replicates must be 1
     diagnostics: Callable = lambda params, result: {}  # (params, result) -> counts, same keys for every result
@@ -485,16 +487,28 @@ class ReplicateRecord:
 
 def _replicates(config: ScenarioConfig, indices: range, suffix: str) -> list[ReplicateRecord]:
     """Run the replicates ``indices`` and write each data file under its
-    name plus ``suffix``; top-level so process pools can pickle it.  Each
-    result is written, hashed and dropped as soon as the runner yields it,
-    so no trace outlives its file."""
+    name plus ``suffix``; top-level so process pools can pickle it.  One
+    ``write_outputs`` call per slice makes the output directory and draws
+    the results as the runner yields them: this thread formats each one
+    while the slice's writer thread hashes and writes the one before, so the
+    slice holds one trace at a time.  A kind without files (basin) starts
+    no writer thread.  Every file is closed, and its digest in its record,
+    before this returns; an error stops the writer before it propagates."""
     spec = KINDS[config.kind]
-    records = []
-    for index, result in zip(indices, spec.run(config.model, config.master_seed, indices)):
-        written = write_outputs(config.kind, [result], config.output_dir, index, suffix)
-        files = {os.path.basename(path).removesuffix(suffix): digest for path, digest in written.items()}
-        records.append(ReplicateRecord(spec.metrics(config.params, result),
-                                       spec.diagnostics(config.params, result), files))
+    records = []  # a record per result drawn; write_outputs's digests are filled in below
+
+    def results():
+        for result in spec.run(config.model, config.master_seed, indices):
+            records.append(ReplicateRecord(spec.metrics(config.params, result),
+                                           spec.diagnostics(config.params, result), {}))
+            yield result
+
+    drawn = results()
+    written = write_outputs(config.kind, drawn, config.output_dir, indices.start, suffix)
+    for _ in drawn:  # the results of a kind without files, which write_outputs leaves
+        pass
+    for record, (path, digest) in zip(records, written.items()):  # one file per result
+        record.files[os.path.basename(path).removesuffix(suffix)] = digest
     return records
 
 
@@ -567,38 +581,106 @@ def _chunk(columns, lead: bytes, tail: bytes) -> bytes:
     return _template(first, len(rest)) % tuple(args)
 
 
-def _write_csv(path: str, header: str, columns) -> str:
-    """Write the header, one ``\\n``-led row per index of the equal-length
+def _csv_chunks(header: str, columns):
+    """The header, one ``\\n``-led row per index of the equal-length
     ``columns`` (each a ``range``, a float64 array or a sequence of text,
-    ints or floats) and a closing ``\\n``, ``_CHUNK_ROWS`` rows at a time,
-    in one write each and hashing as it goes, so no file is ever whole in
-    memory; returns the sha256."""
+    ints or floats) and a closing ``\\n``, in non-empty chunks of
+    ``_CHUNK_ROWS`` rows, each formatted as it is drawn."""
     last = max(len(columns[0]) - 1, 0) // _CHUNK_ROWS * _CHUNK_ROWS  # where the last chunk starts
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for lo in range(0, last + 1, _CHUNK_ROWS):
-            data = _chunk([col[lo:lo + _CHUNK_ROWS] for col in columns],
-                          b"" if lo else header.encode(), b"\n" if lo == last else b"")
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+    for lo in range(0, last + 1, _CHUNK_ROWS):
+        yield _chunk([col[lo:lo + _CHUNK_ROWS] for col in columns],
+                     b"" if lo else header.encode(), b"\n" if lo == last else b"")
+
+
+def _writer(handoff, done) -> None:
+    """The writer thread of ``_write_files``: for each path taken from
+    ``handoff``, open it, write and hash the chunks up to a ``b""``, close
+    it and put its sha256 on ``done``; stop at a ``None``.  The first error
+    goes on ``done`` instead, and what follows is dropped up to the ``None``."""
+    data = b""
+    try:
+        while (path := handoff.get()) is not None:
+            digest = hashlib.sha256()
+            with open(path, "wb") as fh:
+                while data := handoff.get():
+                    fh.write(data)
+                    digest.update(data)
+            if data is None:
+                return
+            done.put(digest.hexdigest())
+    except BaseException as exc:
+        done.put(exc)
+        while data is not None:
+            data = handoff.get()
+
+
+def _write_files(files) -> dict[str, str]:
+    """Write each ``(path, chunks)`` of ``files``; return each file's sha256
+    keyed by path once all are closed.  The one place where data files are
+    opened, written and hashed: this thread draws ``files`` and the chunks
+    (formatting, and any runner behind them), one writer thread writes and
+    hashes, and a queue holds one chunk between them.  Having handed over a
+    file, this thread takes the digest of the one before, so the writer's
+    first error is raised here, with its type, before another file is
+    drawn.  The thread is joined before this returns or raises."""
+    import queue
+    import threading
+
+    handoff = queue.Queue(maxsize=1)  # one chunk waits while the next is formatted
+    done = queue.SimpleQueue()  # the sha256 of each file closed, or the writer's error
+
+    def digest() -> str:
+        result = done.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    thread = threading.Thread(target=_writer, args=(handoff, done))
+    thread.start()
+    digests, last = {}, None
+    try:
+        for path, chunks in files:
+            handoff.put(path)
+            for data in chunks:  # none is empty: b"" ends a file
+                handoff.put(data)
+            handoff.put(b"")
+            if last is not None:
+                digests[last] = digest()  # closed while this file was formatted
+            last = path
+        if last is not None:
+            digests[last] = digest()
+    finally:
+        handoff.put(None)
+        thread.join()
+    return digests
+
+
+def _write_csv(path: str, header: str, columns) -> str:
+    """Write one CSV file of ``_csv_chunks`` by ``_write_files``; returns its sha256."""
+    return _write_files([(path, _csv_chunks(header, columns))])[path]
 
 
 def write_outputs(kind: str, traces, out_dir: str, start: int = 0, suffix: str = "") -> dict[str, str]:
-    """Emit one CSV per trace in the schema of ``kind``, numbered from
-    ``start``, each named with ``suffix`` appended, by ``_write_csv``;
-    returns the sha256 of each file written, keyed by the path written.
+    """Make ``out_dir`` and emit one CSV per trace in the schema of
+    ``kind``, numbered from ``start``, each named with ``suffix`` appended,
+    by ``_write_files``; returns the sha256 of each file, keyed by the path
+    written, once every file is on disk.  ``traces`` is drawn lazily, so it
+    may be a runner's results.
 
-    Basin outcome rows have no trace file, they only feed summary.csv.
+    Basin outcome rows have no trace file, they only feed summary.csv; no
+    trace is drawn and no thread starts.
     """
     os.makedirs(out_dir, exist_ok=True)
     write = KINDS[kind].write
-    digests: dict[str, str] = {}
-    for i, item in enumerate(traces if write else (), start):
-        name, header, columns = write(item, i)
-        path = os.path.join(out_dir, name + suffix)
-        digests[path] = _write_csv(path, header, columns)
-    return digests
+    if write is None:
+        return {}
+
+    def files():
+        for i, item in enumerate(traces, start):
+            name, header, columns = write(item, i)
+            yield os.path.join(out_dir, name + suffix), _csv_chunks(header, columns)
+
+    return _write_files(files())
 
 
 def _platform() -> str:
@@ -662,12 +744,15 @@ def run_scenario(
 ) -> tuple[list[ReplicateRecord], dict[str, SummaryStats], RunManifest]:
     """Run all replicates, commit their data files, then write the manifest.
 
-    Each replicate writes and hashes its own file under a temporary name in
-    the output directory, in the process that computed it, and returns only
-    a ``ReplicateRecord``.  Once every data file and ``summary.csv`` is
-    written, each is renamed over its final name, and then the manifest is
-    written.  Until the renames, no file that was in the directory is
-    changed.
+    Each replicate's file is written under a temporary name in the output
+    directory by the process that computed it: its thread formats the file,
+    and the one writer thread of its slice hashes and writes it
+    (``_replicates``); only a ``ReplicateRecord`` comes back.  Every writer
+    thread is joined before its slice returns or raises, so no write is in
+    flight when the run commits or cleans up, or when a pool forks.  Once
+    every data file and ``summary.csv`` is written, each is renamed over its
+    final name, and then the manifest is written.  Until the renames, no
+    file that was in the directory is changed.
 
     If anything fails, simulation included, every file the run created
     (temporary files too), every file the directory's previous manifest

@@ -3,7 +3,10 @@ import errno
 import hashlib
 import json
 import os
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import field, make_dataclass, replace
@@ -901,6 +904,119 @@ def test_failed_run_keeps_the_bytes_of_an_unlisted_file(tmp_path, monkeypatch, b
         run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=3, n_nodes=50))))
     assert sorted(os.listdir(out)) == before
     assert (out / "shares_0000.csv").read_text() == "mine\n"
+
+
+def counting_runner(monkeypatch, fail_at=None):
+    """Swaps netgrowth's runner for one that raises instead of yielding
+    replicate ``fail_at``; returns the indices it yields and an event that
+    is set when it raises."""
+    kind = harness.KINDS["netgrowth"]
+    drawn, failed = [], threading.Event()
+
+    def run(model, master_seed, indices):
+        for i, result in zip(indices, kind.run(model, master_seed, indices)):
+            if i == fail_at:
+                failed.set()
+                raise RuntimeError(f"runner failed at replicate {i}")
+            drawn.append(i)
+            yield result
+
+    monkeypatch.setitem(harness.KINDS, "netgrowth", replace(kind, run=run))
+    return drawn, failed
+
+
+@pytest.mark.parametrize("kind, writers", [("netgrowth", 2), ("abm", 2), ("basin", 1)])
+def test_one_writer_thread_per_slice_and_none_left(tmp_path, monkeypatch, kind, writers):
+    # one for the slice's trace files, none for basin, which writes none, and one for summary.csv
+    started = []
+    writer = harness._writer
+    monkeypatch.setattr(harness, "_writer", lambda *args: started.append(1) or writer(*args))
+    threads = threading.active_count()
+    doc = {"kind": kind, "master_seed": 42, "replicates": 3, "output_dir": str(tmp_path / "run"),
+           "params": DETERMINISM_DOCS[kind]["params"]}
+    _, _, manifest = run_scenario(load_config(json.dumps(doc)))
+    assert threading.active_count() == threads
+    assert len(started) == writers
+    for name, digest in manifest.files.items():
+        assert hashlib.sha256(read(tmp_path / "run" / name)).hexdigest() == digest
+
+
+def test_concurrent_writers_under_a_short_switch_interval(tmp_path):
+    # three calls, each with its own writer thread, on two cores, switching threads every microsecond
+    traces = [netgrowth.grow(netgrowth.GrowthConfig(n_nodes=300, seed_agi=2, seed_dci=1, rng_seed=s))
+              for s in range(12)]
+    expected = {os.path.basename(path): read(path)
+                for path in write_outputs("netgrowth", traces, str(tmp_path / "serial"))}
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        calls = [threading.Thread(target=lambda k=k: results.__setitem__(
+            k, write_outputs("netgrowth", traces, str(tmp_path / f"call{k}")))) for k in range(3)]
+        for call in calls:
+            call.start()
+        for call in calls:
+            call.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2]
+    for k, digests in results.items():
+        assert [os.path.basename(path) for path in digests] == list(expected)
+        for path, digest in digests.items():
+            assert read(path) == expected[os.path.basename(path)]
+            assert hashlib.sha256(read(path)).hexdigest() == digest
+
+
+def test_runner_error_waits_for_the_file_in_flight(tmp_path, monkeypatch):
+    # the writer is still closing replicate 1's file when the runner fails at replicate 2
+    drawn, failed = counting_runner(monkeypatch, fail_at=2)
+
+    class SlowClose:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self.fh
+
+        def __exit__(self, *exc):
+            failed.wait(10)
+            time.sleep(0.3)
+            self.fh.close()
+
+    def slow_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "r" not in mode and os.path.basename(path).startswith("shares_0001.csv"):
+            return SlowClose(fh)
+        return fh
+
+    monkeypatch.setattr(harness, "open", slow_open, raising=False)
+    threads = threading.active_count()
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="runner failed at replicate 2"):
+        run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=4, n_nodes=50))))
+    assert drawn == [0, 1]
+    assert threading.active_count() == threads
+    assert os.listdir(out) == []
+
+
+def test_failed_open_stops_the_simulation(tmp_path, monkeypatch):
+    # shares_0001's open fails: replicate 2 may be simulated, none after it
+    drawn, _ = counting_runner(monkeypatch)
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "r" not in mode and os.path.basename(path).startswith("shares_0001.csv"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", failing_open, raising=False)
+    threads = threading.active_count()
+    out = tmp_path / "run"
+    with pytest.raises(OSError) as info:
+        run_scenario(load_config(json.dumps(netgrowth_doc(str(out), replicates=8, n_nodes=50))))
+    assert info.value.errno == errno.ENOSPC
+    assert drawn in ([0, 1], [0, 1, 2])
+    assert threading.active_count() == threads
+    assert os.listdir(out) == []
 
 
 def test_replicator_game_mode_matches_constant_payoffs(tmp_path):
