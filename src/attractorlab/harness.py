@@ -27,10 +27,10 @@ bytes as they are written.  Every float is spelled as ``repr`` spells it.
 
 Each process runs one contiguous slice of the replicates (netgrowth steps
 them together, in chunks) and writes each file under a temporary name as
-its result comes: the calling thread formats it in chunks of rows, and one
-writer thread per slice opens, writes, hashes and closes, with at most one
-chunk queued between the two (``_write_files``, the one path that writes
-data files).  The parent gets only a ``ReplicateRecord`` (metric values,
+its result comes: the calling thread formats and hashes it in chunks of
+rows, and one writer thread per slice opens, writes and closes, with at
+most one chunk queued between the two (``_write_files``, the one path that
+writes data files).  The parent gets only a ``ReplicateRecord`` (metric values,
 diagnostic counts, digests), so memory grows with neither the traces nor
 their length.  Files are renamed to their final names only once all are
 written and the writer thread is joined, then the manifest is written; a
@@ -489,8 +489,8 @@ def _replicates(config: ScenarioConfig, indices: range, suffix: str) -> list[Rep
     """Run the replicates ``indices`` and write each data file under its
     name plus ``suffix``; top-level so process pools can pickle it.  One
     ``write_outputs`` call per slice makes the output directory and draws
-    the results as the runner yields them: this thread formats each one
-    while the slice's writer thread hashes and writes the one before, so the
+    the results as the runner yields them: this thread formats and hashes
+    each one while the slice's writer thread writes the one before, so the
     slice holds one trace at a time.  A kind without files (basin) starts
     no writer thread.  Every file is closed, and its digest in its record,
     before this returns; an error stops the writer before it propagates."""
@@ -585,70 +585,74 @@ def _csv_chunks(header: str, columns):
     """The header, one ``\\n``-led row per index of the equal-length
     ``columns`` (each a ``range``, a float64 array or a sequence of text,
     ints or floats) and a closing ``\\n``, in non-empty chunks of
-    ``_CHUNK_ROWS`` rows, each formatted as it is drawn."""
+    ``_CHUNK_ROWS`` rows, each formatted as it is drawn; each comes as
+    ``(chunk, last)``, ``last`` true for the file's last chunk."""
     last = max(len(columns[0]) - 1, 0) // _CHUNK_ROWS * _CHUNK_ROWS  # where the last chunk starts
     for lo in range(0, last + 1, _CHUNK_ROWS):
-        yield _chunk([col[lo:lo + _CHUNK_ROWS] for col in columns],
-                     b"" if lo else header.encode(), b"\n" if lo == last else b"")
+        yield (_chunk([col[lo:lo + _CHUNK_ROWS] for col in columns],
+                      b"" if lo else header.encode(), b"\n" if lo == last else b""), lo == last)
 
 
 def _writer(handoff, done) -> None:
-    """The writer thread of ``_write_files``: for each path taken from
-    ``handoff``, open it, write and hash the chunks up to a ``b""``, close
-    it and put its sha256 on ``done``; stop at a ``None``.  The first error
-    goes on ``done`` instead, and what follows is dropped up to the ``None``."""
-    data = b""
+    """The writer thread of ``_write_files``: take ``(path, chunk, last)``
+    items from ``handoff``, open ``path`` at its first chunk, write each and
+    close it after the ``last``, then put ``None`` on ``done``; stop at a
+    ``None`` item.  The first error goes on ``done`` instead, and what
+    follows is dropped up to the ``None``."""
+    item = ()
     try:
-        while (path := handoff.get()) is not None:
-            digest = hashlib.sha256()
+        while (item := handoff.get()) is not None:
+            path, data, last = item
             with open(path, "wb") as fh:
-                while data := handoff.get():
+                fh.write(data)
+                while not last and (item := handoff.get()) is not None:
+                    _, data, last = item
                     fh.write(data)
-                    digest.update(data)
-            if data is None:
+            if item is None:  # the calling thread stopped within the file
                 return
-            done.put(digest.hexdigest())
+            done.put(None)
     except BaseException as exc:
         done.put(exc)
-        while data is not None:
-            data = handoff.get()
+        while item is not None:
+            item = handoff.get()
 
 
 def _write_files(files) -> dict[str, str]:
-    """Write each ``(path, chunks)`` of ``files``; return each file's sha256
-    keyed by path once all are closed.  The one place where data files are
-    opened, written and hashed: this thread draws ``files`` and the chunks
-    (formatting, and any runner behind them), one writer thread writes and
-    hashes, and a queue holds one chunk between them.  Having handed over a
-    file, this thread takes the digest of the one before, so the writer's
+    """Write each ``(path, chunks)`` of ``files``, ``chunks`` as
+    ``_csv_chunks`` gives them; return each file's sha256 keyed by path once
+    all are closed.  The one place where data files are opened, written and
+    hashed: this thread draws ``files`` and the chunks (formatting, and any
+    runner behind them) and hashes each chunk before it hands it over, while
+    one writer thread opens, writes and closes, with one chunk queued
+    between them.  hashlib lets go of the GIL while it hashes a chunk, which
+    is the writer's time to run.  Having handed over a file, this thread
+    takes the writer's word that the one before is closed, so the writer's
     first error is raised here, with its type, before another file is
     drawn.  The thread is joined before this returns or raises."""
     import queue
     import threading
 
     handoff = queue.Queue(maxsize=1)  # one chunk waits while the next is formatted
-    done = queue.SimpleQueue()  # the sha256 of each file closed, or the writer's error
+    done = queue.SimpleQueue()  # None for each file closed, or the writer's error
 
-    def digest() -> str:
-        result = done.get()
-        if isinstance(result, BaseException):
-            raise result
-        return result
+    def closed() -> None:
+        if (error := done.get()) is not None:
+            raise error
 
     thread = threading.Thread(target=_writer, args=(handoff, done))
     thread.start()
-    digests, last = {}, None
+    digests = {}
     try:
         for path, chunks in files:
-            handoff.put(path)
-            for data in chunks:  # none is empty: b"" ends a file
-                handoff.put(data)
-            handoff.put(b"")
-            if last is not None:
-                digests[last] = digest()  # closed while this file was formatted
-            last = path
-        if last is not None:
-            digests[last] = digest()
+            digest = hashlib.sha256()
+            for data, last in chunks:
+                digest.update(data)
+                handoff.put((path, data, last))
+            if digests:
+                closed()  # the file before, closed while this one was formatted
+            digests[path] = digest.hexdigest()
+        if digests:
+            closed()
     finally:
         handoff.put(None)
         thread.join()
@@ -745,8 +749,8 @@ def run_scenario(
     """Run all replicates, commit their data files, then write the manifest.
 
     Each replicate's file is written under a temporary name in the output
-    directory by the process that computed it: its thread formats the file,
-    and the one writer thread of its slice hashes and writes it
+    directory by the process that computed it: its thread formats and
+    hashes the file, and the one writer thread of its slice writes it
     (``_replicates``); only a ``ReplicateRecord`` comes back.  Every writer
     thread is joined before its slice returns or raises, so no write is in
     flight when the run commits or cleans up, or when a pool forks.  Once

@@ -941,12 +941,16 @@ def test_one_writer_thread_per_slice_and_none_left(tmp_path, monkeypatch, kind, 
         assert hashlib.sha256(read(tmp_path / "run" / name)).hexdigest() == digest
 
 
-def test_concurrent_writers_under_a_short_switch_interval(tmp_path):
-    # three calls, each with its own writer thread, on two cores, switching threads every microsecond
-    traces = [netgrowth.grow(netgrowth.GrowthConfig(n_nodes=300, seed_agi=2, seed_dci=1, rng_seed=s))
+@pytest.mark.parametrize("chunk_rows", [harness._CHUNK_ROWS, 3], ids=["one-chunk", "three-row-chunks"])
+def test_concurrent_writers_under_a_short_switch_interval(tmp_path, monkeypatch, chunk_rows):
+    # three calls, each with its own writer thread, on two cores, switching threads every microsecond;
+    # with three-row chunks every file is many chunks, and its rows end one below, at and one above
+    # a chunk edge, so each call hands over the first chunk of a file right after the last of the one before
+    traces = [netgrowth.grow(netgrowth.GrowthConfig(n_nodes=299 + s % 3, seed_agi=2, seed_dci=1, rng_seed=s))
               for s in range(12)]
     expected = {os.path.basename(path): read(path)
                 for path in write_outputs("netgrowth", traces, str(tmp_path / "serial"))}
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk_rows)
     results = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
