@@ -57,8 +57,11 @@ EQUILIBRATION_TOL = 1e-6
 # what exhausts memory: the limit's lambda list holds 32 MB of Python floats,
 # its states list about 320 MB.  MAX_RK4_STEPS also bounds the relaxation
 # budget of one hysteresis sweep point, which is 500,000 steps at the defaults.
+# MAX_GRID_N, 1024 times the default root-scan grid, holds that grid and its
+# lambda-free terms in a few tens of MB.
 MAX_SWEEP_POINTS = 1_000_000
 MAX_RK4_STEPS = 10_000_000
+MAX_GRID_N = 2 ** 20
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -353,13 +356,15 @@ def _check_work(what: str, size: float, limit: int, unit: str) -> None:
 
 def check_bifurcation(theta: float, lambda_lo: float, lambda_hi: float, step: float, grid_n: int) -> None:
     """Rules of ``sweep_bifurcation``: finite theta, lambda_lo < lambda_hi and step > 0,
-    at most MAX_SWEEP_POINTS lambdas; grid_n >= 2."""
+    at most MAX_SWEEP_POINTS lambdas; 2 <= grid_n <= MAX_GRID_N."""
     if not (math.isfinite(theta) and -math.inf < lambda_lo < lambda_hi < math.inf):
         raise ValueError(f"need finite theta and lambda_lo < lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
     _check_positive(step=step)
     _check_work(f"step={step!r}", _grid_size(lambda_lo, lambda_hi, step), MAX_SWEEP_POINTS, "sweep points")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    # an int past the float range (a 400-digit --grid-n) reads inf
+    _check_work(f"grid_n={grid_n!r}", grid_n if grid_n < 1e300 else math.inf, MAX_GRID_N, "root-scan intervals")
 
 
 def sweep_bifurcation(

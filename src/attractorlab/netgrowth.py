@@ -21,7 +21,9 @@ affects camp choice: endpoints are neither simulated nor observable.
 A camp's weight steps evenly after its first join (by 1 in urn mode, by
 ``2m`` in degree_pa mode, where only a bare camp's first join adds less),
 so ``grow`` is one loop for both modes.  ``grow_replicates`` and the
-lock-in estimates step many replicates together, in ``_step``.
+lock-in estimates step many replicates together, in ``_step``.  Either way
+a trace is its join decisions, one 0/1 flag per arrival, and ``_trace``
+turns them into AGI shares.
 """
 
 from __future__ import annotations
@@ -46,36 +48,25 @@ DEFAULT_COST_REPLICATES = 200
 MAX_BOOST = 1024.0
 COST_LOG2_TOL = 0.05
 
-# arrivals per growth; growing one trace holds about 85 bytes per arrival (0.9 GB),
-# and writing it a fixed ~22 MB, as its CSV is formatted in chunks of rows
+# arrivals per growth, and the largest seed count and m, so every camp weight is an
+# integer below 2**53, exact in float64.  Growing one trace holds 17 bytes per arrival
+# (170 MB), and writing it a fixed ~22 MB, as its CSV is formatted in chunks of rows
 MAX_NODES = 10_000_000
 
-# uniforms drawn per block by _step, over all replicates, into one buffer
-# filled in place; every boost of a call steps against the same block (256 KB).
-# Only a call that keeps join bits also holds the block's decisions, one bool
-# per cell and arrival, until it packs them
+# uniforms drawn per block: by grow as one list of Python floats (about 1 MB),
+# by _step over all replicates into one buffer filled in place, where every
+# boost of a call steps against the same block (256 KB).  Only a _step call that
+# keeps join bits also holds the block's decisions, one bool per cell and
+# arrival, until it packs them
 _BLOCK_DRAWS = 2 ** 15
 # replicates grow_replicates steps together; each keeps n / 8 bytes of join bits
 _CHUNK_REPLICATES = 200
 # a smaller chunk runs grow per replicate: _step's numpy calls cost 2.6-2.9 us an
-# arrival at 16-48 replicates and grow 85 ns a replicate and arrival, so with the
-# trace rebuild they break even at 33-36 replicates for n from 2,000 to 100,000
+# arrival at 16-48 replicates and grow 85-115 ns a replicate and arrival (by host), so
+# with the trace rebuild they break even at 33-42 replicates for n from 2,000 to 100,000
 _MIN_BATCH_REPLICATES = 36
 # bisection levels whose midpoints one intervention_cost pass evaluates
 _COST_LEVELS_PER_PASS = 3
-
-
-@dataclass(frozen=True)
-class CampDegrees:
-    """Camp weights: node counts (urn) or degree sums (degree_pa, where a
-    bare one-node camp weighs 1)."""
-
-    k_agi: int
-    k_dci: int
-
-    def __post_init__(self):
-        if self.k_agi < 0 or self.k_dci < 0:
-            raise ValueError("camp degrees must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -98,6 +89,11 @@ class GrowthConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.seed_agi < 1 or self.seed_dci < 1:
             raise ValueError("both camps need at least one seed node")
+        for name, value, unit in (("seed_agi", self.seed_agi, "seed nodes"),
+                                  ("seed_dci", self.seed_dci, "seed nodes"),
+                                  ("m", self.m, "edges per arrival")):
+            if value > MAX_NODES:
+                raise ValueError(f"{name}={value:,} is above the limit of {MAX_NODES:,} {unit}")
         if self.mode not in (MODE_URN, MODE_DEGREE_PA):
             raise ValueError(f"unknown growth mode {self.mode!r}")
         if not (self.dci_boost >= 0.0 and math.isfinite(self.dci_boost)):
@@ -112,8 +108,7 @@ class GrowthConfig:
 @dataclass
 class GrowthTrace:
     shares: np.ndarray  # AGI node share after each arrival
-    final_degrees: CampDegrees
-    locked_in: str | None
+    locked_in: str | None  # the camp holding at least tau of the nodes at the end, if either
 
 
 @dataclass(frozen=True)
@@ -122,14 +117,6 @@ class LockInEstimate:
     p_agi_lockin: float
     p_dci_lockin: float
     ci_halfwidth: float
-
-
-def attach_probability(k: CampDegrees, dci_boost: float = 1.0) -> float:
-    """P(next arrival joins the AGI camp) = k_agi / (k_agi + boost * k_dci)."""
-    denom = k.k_agi + dci_boost * k.k_dci
-    if denom <= 0.0:
-        raise ZeroDivisionError("attachment weights sum to zero")
-    return k.k_agi / denom
 
 
 def _lockin_label(final_share: float, tau: float) -> str | None:
@@ -154,36 +141,41 @@ def _camp_weight(config: GrowthConfig, seeds: int, joins):
     return weight + (weight == 0)
 
 
+def _trace(config: GrowthConfig, joins: np.ndarray) -> GrowthTrace:
+    """The trace of ``config`` whose arrival ``t`` joined the AGI camp iff
+    ``joins[t]`` is 1."""
+    sa, seeds = config.seed_agi, config.seed_agi + config.seed_dci
+    shares = (sa + np.cumsum(joins, dtype=float)) / np.arange(seeds + 1.0, seeds + config.n_nodes + 1.0)
+    return GrowthTrace(shares, _lockin_label(float(shares[-1]), config.tau))
+
+
 def grow(config: GrowthConfig) -> GrowthTrace:
     """Simulate ``config.n_nodes`` arrivals; deterministic given rng_seed.
 
-    The trace records the AGI node share after every arrival and the final
-    camp weights (node counts in urn mode, degree sums in degree_pa mode).
     One loop serves both modes, with every weight from ``_camp_weight``: a
     camp's weight steps evenly after its first join, so the loop adds the
-    first step on that join and the even step on every later one.
+    first step on that join and the even step on every later one.  It draws
+    its uniforms in blocks of ``_BLOCK_DRAWS`` and keeps one byte per
+    arrival, set on an AGI join, for ``_trace``.
     """
     n = config.n_nodes
     boost = config.dci_boost
-    sa, sd = config.seed_agi, config.seed_dci
-    a0, a1, a2 = _camp_weight(config, sa, np.arange(3.0)).tolist()
-    d, d1 = _camp_weight(config, sd, np.arange(2.0)).tolist()
+    a, a1, a2 = _camp_weight(config, config.seed_agi, np.arange(3.0)).tolist()
+    d, d1 = _camp_weight(config, config.seed_dci, np.arange(2.0)).tolist()
     step = a2 - a1
-    a, step_a, step_d = a0, a1 - a0, d1 - d
-    weights = []
-    for u in make_generator(config.rng_seed).random(n).tolist():
-        if u * (a + boost * d) < a:
-            a += step_a
-            step_a = step
-        else:
-            d += step_d
-            step_d = step
-        weights.append(a)
-    # j joins weigh a0 + first step + (j - 1) * step, with 0 < first step <= step
-    agi_nodes = sa + np.ceil((np.fromiter(weights, float, n) - a0) / step)
-    shares = agi_nodes / (sa + sd + np.arange(1, n + 1, dtype=float))
-    degrees = CampDegrees(int(a), int(d))
-    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+    step_a, step_d = a1 - a, d1 - d
+    joins = bytearray(n)
+    rng = make_generator(config.rng_seed)
+    for start in range(0, n, _BLOCK_DRAWS):
+        for t, u in enumerate(rng.random(min(_BLOCK_DRAWS, n - start)).tolist(), start):
+            if u * (a + boost * d) < a:
+                a += step_a
+                step_a = step
+                joins[t] = 1
+            else:
+                d += step_d
+                step_d = step
+    return _trace(config, np.frombuffer(joins, dtype=np.uint8))
 
 
 def _generators(config: GrowthConfig, indices: range) -> list[np.random.Generator]:
@@ -243,19 +235,16 @@ def grow_replicates(config: GrowthConfig, indices: range) -> Iterator[GrowthTrac
     ``_CHUNK_REPLICATES`` of them together, and each trace is rebuilt from
     its join bits as it is yielded; a chunk below ``_MIN_BATCH_REPLICATES``
     runs ``grow`` itself."""
-    n, sa, sd = config.n_nodes, config.seed_agi, config.seed_dci
-    nodes = sa + sd + np.arange(1, n + 1, dtype=float)
+    n = config.n_nodes
     for lo in range(0, len(indices), _CHUNK_REPLICATES):
         chunk = indices[lo:lo + _CHUNK_REPLICATES]
         if len(chunk) < _MIN_BATCH_REPLICATES:
             yield from (grow(replace(config, rng_seed=mix64(config.rng_seed, i))) for i in chunk)
             continue
         bits = np.empty((len(chunk), (n + 7) // 8), dtype=np.uint8)
-        joins = _step(config, _generators(config, chunk), [config.dci_boost], bits)
-        for row, j in zip(bits, joins.tolist()):
-            shares = (sa + np.cumsum(np.unpackbits(row, count=n), dtype=float)) / nodes
-            degrees = CampDegrees(int(_camp_weight(config, sa, j)), int(_camp_weight(config, sd, n - j)))
-            yield GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+        _step(config, _generators(config, chunk), [config.dci_boost], bits)
+        for row in bits:
+            yield _trace(config, np.unpackbits(row, count=n))
 
 
 def _final_shares(config: GrowthConfig, gens: list[np.random.Generator],

@@ -560,6 +560,8 @@ _POPULATION_ARGS = ["--n", "20", "--game", "1,0,0,1", "--rounds", "2"]
     (["bifurcate", *_SWEEP_ARGS, "--step", "0"], "step"),
     (["bifurcate", *_SWEEP_ARGS, "--lambda-hi", "-0.2"], "lambda_lo"),
     (["bifurcate", *_SWEEP_ARGS, "--grid-n", "1"], "grid_n"),
+    (["bifurcate", *_SWEEP_ARGS, "--grid-n", "99999999999999999999"],
+     "grid_n=99999999999999999999 asks for 1e+20 root-scan intervals, above the limit of 1,048,576"),
     (["bifurcate", *_SWEEP_ARGS, "--theta", "nan"], "theta"),
     (["hysteresis", *_SWEEP_ARGS, "--lambda-hi", "-0.3"], "lambda_lo"),
     (["hysteresis", *_SWEEP_ARGS, "--step", "-0.1"], "step"),
@@ -603,6 +605,14 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
      "invalid netgrowth params: n_nodes=10,000,001 is above the limit of 10,000,000 arrivals"),
     ({"kind": "netgrowth", "params": {"n_nodes": 10 ** 12}},
      "n_nodes=1,000,000,000,000 is above the limit of 10,000,000 arrivals"),
+    (["netgrowth", "--nodes", "10", "--seeds", "99999999999999999999,1"],
+     "invalid netgrowth params: seed_agi=99,999,999,999,999,999,999 is above the limit of 10,000,000 seed nodes"),
+    (["netgrowth", "--nodes", "10", "--seeds", "9007199254740993,9007199254740992", "--replicates", "40"],
+     "seed_agi=9,007,199,254,740,993 is above the limit of 10,000,000 seed nodes"),
+    (["netgrowth", "--nodes", "10", "--seeds", "1,10000001"],
+     "seed_dci=10,000,001 is above the limit of 10,000,000 seed nodes"),
+    ({"kind": "netgrowth", "params": {"n_nodes": 10, "m": 10000001, "mode": "degree_pa"}},
+     "m=10,000,001 is above the limit of 10,000,000 edges per arrival"),
     (["netgrowth", "--nodes", "10", "--replicates", "2000000"],
      "replicates=2,000,000 asks for 2,000,000 seed streams, above the limit of 1,000,000"),
     (["abm", "--n", "10000001", "--x0", "0.5", "--game", "1,0,0,1", "--rounds", "1"],
@@ -635,6 +645,7 @@ def test_oversized_work_exits_one_before_any_is_done(tmp_path, capsys, monkeypat
     monkeypatch.setattr(dynamics, "integrate", no_work)
     monkeypatch.setattr(dynamics, "_relax", no_work)
     monkeypatch.setattr(netgrowth, "_step", no_work)
+    monkeypatch.setattr(netgrowth, "grow", no_work)
     if isinstance(argv, dict):  # a config file
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"master_seed": 0, "replicates": 1, **argv}))

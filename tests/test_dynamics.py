@@ -355,7 +355,7 @@ def test_hysteresis_rules_raise_before_relaxing(bad, monkeypatch):
 
 @pytest.mark.parametrize("bad", [
     {"step": 0.0}, {"step": -1.0}, {"lambda_hi": -0.6}, {"lambda_lo": -math.inf}, {"grid_n": 1},
-    {"theta": math.inf},
+    {"theta": math.inf}, {"grid_n": 2 ** 20 + 1}, {"grid_n": 10 ** 20}, {"grid_n": 10 ** 400},
 ])
 def test_bifurcation_rules_raise_before_scanning(bad, monkeypatch):
     def no_scan(*args):

@@ -704,7 +704,7 @@ def test_trace_writers_match_row_formatting(values):
                                                    for j, x in enumerate(floats[i:i + i % 4]))))
              for i, lam in enumerate(floats)]
     header_rows = {
-        "netgrowth": (netgrowth.GrowthTrace(values, None, None), "step,agi_share", _old_rows(1, values)),
+        "netgrowth": (netgrowth.GrowthTrace(values, None), "step,agi_share", _old_rows(1, values)),
         "abm": (abm.AbmTrace(values, abm.OUTCOME_UNDECIDED), "round,coop_fraction", _old_rows(0, values)),
         "replicator": (dynamics.Trajectory(values[::-1], values), "t,x", _old_pairs(values[::-1], values)),
         "hysteresis": (report, "sweep,lambda,state", _old_hysteresis(report)),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +14,8 @@ from attractorlab.netgrowth import (
     MAX_BOOST,
     MAX_NODES,
     MODE_URN,
-    CampDegrees,
     GrowthConfig,
     GrowthTrace,
-    attach_probability,
     estimate_lockin,
     _camp_weight,
     _final_shares,
@@ -36,42 +35,6 @@ def final_shares(config, replicates):
     )
 
 
-def seed_edge_count(k):
-    # founding wiring: none for 1 node, single edge for 2, ring otherwise
-    return 0 if k == 1 else (1 if k == 2 else k)
-
-
-# ---------------------------------------------------------------------------
-# Attachment probability
-# ---------------------------------------------------------------------------
-
-def test_attach_probability_direct():
-    assert attach_probability(CampDegrees(3, 1)) == pytest.approx(0.75)
-    assert attach_probability(CampDegrees(7, 7)) == pytest.approx(0.5)
-    assert attach_probability(CampDegrees(0, 5)) == 0.0
-
-
-def test_attach_probability_boost():
-    assert attach_probability(CampDegrees(2, 1), dci_boost=2.0) == pytest.approx(0.5)
-
-
-def test_attach_probability_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        attach_probability(CampDegrees(0, 0))
-    with pytest.raises(ZeroDivisionError):
-        attach_probability(CampDegrees(0, 3), dci_boost=0.0)
-
-
-@given(a=st.integers(0, 10_000), b=st.integers(0, 10_000))
-def test_attach_probability_complement(a, b):
-    if a + b == 0:
-        return
-    p = attach_probability(CampDegrees(a, b))
-    q = attach_probability(CampDegrees(b, a))
-    assert p + q == pytest.approx(1.0)
-    assert 0.0 <= p <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # Growth
 # ---------------------------------------------------------------------------
@@ -87,11 +50,17 @@ def test_grow_validates_config():
         grow(GrowthConfig(n_nodes=5, tau=0.5))
 
 
-@pytest.mark.parametrize("n_nodes", [MAX_NODES + 1, 10 ** 12])
-def test_arrivals_are_checked_when_the_config_is_built(n_nodes):
-    with pytest.raises(ValueError, match=f"n_nodes={n_nodes:,} is above the limit of 10,000,000"):
-        GrowthConfig(n_nodes=n_nodes)
-    assert GrowthConfig(n_nodes=MAX_NODES).n_nodes == MAX_NODES
+@pytest.mark.parametrize("field, value, unit", [
+    ("n_nodes", MAX_NODES + 1, "arrivals"), ("n_nodes", 10 ** 12, "arrivals"),
+    # past the limit a camp weight may pass 2**53, where float64 rounds it and grow
+    # and _step part ways; seeds of 10**20 made grow's shares NaN
+    ("seed_agi", MAX_NODES + 1, "seed nodes"), ("seed_agi", 10 ** 20, "seed nodes"),
+    ("seed_dci", 2 ** 53 + 1, "seed nodes"), ("m", MAX_NODES + 1, "edges per arrival"),
+])
+def test_sizes_are_checked_when_the_config_is_built(field, value, unit):
+    with pytest.raises(ValueError, match=f"{field}={value:,} is above the limit of 10,000,000 {unit}"):
+        GrowthConfig(**{"n_nodes": 10, field: value})
+    assert getattr(GrowthConfig(**{"n_nodes": 10, field: MAX_NODES}), field) == MAX_NODES
 
 
 def test_rng_seed_is_checked_as_a_64_bit_integer():
@@ -107,7 +76,6 @@ def test_grow_deterministic():
     config = GrowthConfig(n_nodes=300, seed_agi=2, seed_dci=1, rng_seed=99)
     a, b = grow(config), grow(config)
     assert np.array_equal(a.shares, b.shares)
-    assert a.final_degrees == b.final_degrees
     assert a.locked_in == b.locked_in
 
 
@@ -124,22 +92,6 @@ def test_grow_share_bounds_and_length():
     trace = grow(GrowthConfig(n_nodes=250, seed_agi=3, seed_dci=2, rng_seed=1))
     assert len(trace.shares) == 250
     assert np.all((trace.shares >= 0.0) & (trace.shares <= 1.0))
-
-
-def test_urn_conservation():
-    config = GrowthConfig(n_nodes=400, seed_agi=3, seed_dci=2, rng_seed=17)
-    trace = grow(config)
-    # urn camp weights are node counts, one implicit edge per node
-    assert trace.final_degrees.k_agi + trace.final_degrees.k_dci == 400 + 5
-
-
-def test_degree_pa_conservation():
-    config = GrowthConfig(
-        n_nodes=400, m=3, seed_agi=4, seed_dci=2, mode="degree_pa", rng_seed=17
-    )
-    trace = grow(config)
-    edges = seed_edge_count(4) + seed_edge_count(2) + 3 * 400
-    assert trace.final_degrees.k_agi + trace.final_degrees.k_dci == 2 * edges
 
 
 def test_urn_martingale_mean_share():
@@ -195,8 +147,7 @@ def _grow_urn(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
         agi_counts.append(a)
     totals = config.seed_agi + config.seed_dci + np.arange(1, n + 1, dtype=float)
     shares = np.asarray(agi_counts) / totals
-    degrees = CampDegrees(int(a), int(d))
-    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+    return GrowthTrace(shares, _lockin_label(float(shares[-1]), config.tau))
 
 
 def _grow_degree_pa(config: GrowthConfig, rng: np.random.Generator) -> GrowthTrace:
@@ -216,8 +167,7 @@ def _grow_degree_pa(config: GrowthConfig, rng: np.random.Generator) -> GrowthTra
         agi_counts.append(sa + j_agi)
     totals = sa + sd + np.arange(1, n + 1, dtype=float)
     shares = np.asarray(agi_counts, dtype=float) / totals
-    degrees = CampDegrees(_camp_weight(config, sa, j_agi), _camp_weight(config, sd, j_dci))
-    return GrowthTrace(shares, degrees, _lockin_label(float(shares[-1]), config.tau))
+    return GrowthTrace(shares, _lockin_label(float(shares[-1]), config.tau))
 
 
 def reference_grow(config: GrowthConfig) -> GrowthTrace:
@@ -239,19 +189,40 @@ def reference_grow(config: GrowthConfig) -> GrowthTrace:
     boost=st.sampled_from([0.0, 0.5, 1.0, 3.7]),
     n=st.integers(1, 300),
     rng_seed=st.integers(0, 2 ** 64 - 1),
+    block_draws=st.sampled_from([1, 5, 2 ** 15]),
 )
-@example(mode="degree_pa", m=1, seed_agi=1, seed_dci=1, boost=1.0, n=300, rng_seed=3)
-@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=2, boost=0.0, n=1, rng_seed=0)
-@example(mode="degree_pa", m=3, seed_agi=2, seed_dci=1, boost=0.0, n=40, rng_seed=5)
-@example(mode="urn", m=1, seed_agi=1, seed_dci=1, boost=0.0, n=1, rng_seed=0)
-def test_grow_matches_the_per_mode_loops(mode, m, seed_agi, seed_dci, boost, n, rng_seed):
-    # bare one-node camps step by 2m - 1 on their first join and by 2m after it
+@example(mode="degree_pa", m=1, seed_agi=1, seed_dci=1, boost=1.0, n=300, rng_seed=3, block_draws=5)
+@example(mode="degree_pa", m=2, seed_agi=1, seed_dci=2, boost=0.0, n=1, rng_seed=0, block_draws=1)
+@example(mode="degree_pa", m=3, seed_agi=2, seed_dci=1, boost=0.0, n=40, rng_seed=5, block_draws=5)
+@example(mode="urn", m=1, seed_agi=1, seed_dci=1, boost=0.0, n=1, rng_seed=0, block_draws=2 ** 15)
+def test_grow_matches_the_per_mode_loops(mode, m, seed_agi, seed_dci, boost, n, rng_seed,
+                                         block_draws):
+    # bare one-node camps step by 2m - 1 on their first join and by 2m after it;
+    # small draw blocks put block edges mid-run, where grow's uniforms must go on
     config = GrowthConfig(n_nodes=n, m=m, seed_agi=seed_agi, seed_dci=seed_dci, mode=mode,
                           dci_boost=boost, rng_seed=rng_seed)
-    got, expected = grow(config), reference_grow(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netgrowth, "_BLOCK_DRAWS", block_draws)
+        got = grow(config)
+    expected = reference_grow(config)
     assert got.shares.tobytes() == expected.shares.tobytes()
-    assert got.final_degrees == expected.final_degrees
     assert got.locked_in == expected.locked_in
+
+
+@pytest.mark.parametrize("mode", ["urn", "degree_pa"])
+def test_grow_memory_is_its_flags_and_shares(mode):
+    # one byte of join flags and the float64 shares and denominators per
+    # arrival, plus a block of uniforms: about 17 bytes an arrival at 200k
+    n = 200_000
+    config = GrowthConfig(n_nodes=n, m=2, seed_agi=2, seed_dci=1, mode=mode, rng_seed=3)
+    tracemalloc.start()
+    try:
+        trace = grow(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.shares) == n
+    assert peak < 24 * n, peak / n
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +244,8 @@ def test_grow_matches_the_per_mode_loops(mode, m, seed_agi, seed_dci, boost, n, 
 )
 @example(mode="degree_pa", m=2, seed_agi=1, seed_dci=1, boost=1.0, boosts=[1.0, 1024.0], n=40,
          replicates=1, block_draws=16)
+@example(mode="degree_pa", m=MAX_NODES, seed_agi=MAX_NODES, seed_dci=MAX_NODES - 1, boost=1.0,
+         boosts=[1.0, 3.7], n=60, replicates=7, block_draws=16)  # the largest camp weights
 def test_final_shares_match_grow_bytes(mode, m, seed_agi, seed_dci, boost, boosts, n,
                                        replicates, block_draws):
     # small draw blocks split the run mid-way: block = max(8, block_draws // replicates // 8 * 8)
@@ -316,7 +289,6 @@ def test_final_shares_urn_polya_limit():
 
 def assert_same_trace(got, expected):
     assert got.shares.tobytes() == expected.shares.tobytes()
-    assert got.final_degrees == expected.final_degrees
     assert got.locked_in == expected.locked_in
 
 
