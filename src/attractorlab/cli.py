@@ -242,6 +242,8 @@ def _cmd_report(args) -> int:
     if not os.path.exists(path):
         raise ConfigError(f"no summary at {path!r}")
     manifest = _verified_manifest(args.dir)
+    if "summary.csv" not in manifest["files"]:  # its bytes are not vouched for
+        raise ConfigError(f"summary.csv is not listed in {os.path.join(args.dir, 'manifest.json')!r}")
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:

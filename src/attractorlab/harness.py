@@ -30,11 +30,12 @@ them together, in chunks) and writes each file under a temporary name as
 its result comes: the calling thread formats and hashes it in chunks of
 rows, and one writer thread per slice opens, writes and closes, with at
 most one chunk queued between the two (``_write_files``, the one path that
-writes data files).  The parent gets only a ``ReplicateRecord`` (metric values,
-diagnostic counts, digests), so memory grows with neither the traces nor
-their length.  Files are renamed to their final names only once all are
-written and the writer thread is joined, then the manifest is written; a
-failed run cleans up by the rule in ``run_scenario``.
+writes data files).  The parent gets only each slice's metric columns,
+diagnostic sums and digests, so its memory grows with neither the traces
+nor their length, and by about 0.5 KB per replicate.  Files are renamed to
+their final names only once all are written and the writer thread is
+joined, then the manifest is written; a failed run cleans up by the rule
+in ``run_scenario``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ import math
 import os
 import re
 import sys
+from array import array
+from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -79,8 +82,8 @@ abm, dynamics, netgrowth = map(_lazy, ("abm", "dynamics", "netgrowth"))
 
 _MAX_SEED = (1 << 64) - 1
 # Seed streams of one run (replicates times the kind's streams per replicate),
-# checked at load: the parent keeps about 1 KB of ReplicateRecord per replicate,
-# about 1 GB at the limit.  No scenario in the tests, scripts or benchmark runs over 400.
+# checked at load: the parent keeps about 0.5 KB per replicate (seed, metric values,
+# file name, digest), 0.5 GB at the limit.  No scenario in the tests, scripts or benchmark runs over 400.
 MAX_STREAMS = 1_000_000
 
 
@@ -475,41 +478,32 @@ KINDS: dict[str, _Kind] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicateRecord:
-    """What the parent keeps of one replicate: its metric values, its
-    diagnostic counts and the sha256 of each data file it wrote."""
-
-    metrics: dict[str, float]
-    diagnostics: dict[str, int]
-    files: dict[str, str]  # file name -> sha256
-
-
-def _replicates(config: ScenarioConfig, indices: range, suffix: str) -> list[ReplicateRecord]:
+def _replicates(config: ScenarioConfig, indices: range, suffix: str) -> tuple[dict[str, array], Counter, dict[str, str]]:
     """Run the replicates ``indices`` and write each data file under its
     name plus ``suffix``; top-level so process pools can pickle it.  One
     ``write_outputs`` call per slice makes the output directory and draws
     the results as the runner yields them: this thread formats and hashes
     each one while the slice's writer thread writes the one before, so the
     slice holds one trace at a time.  A kind without files (basin) starts
-    no writer thread.  Every file is closed, and its digest in its record,
-    before this returns; an error stops the writer before it propagates."""
+    no writer thread.  Returns a float64 column per metric, the diagnostics
+    summed and each data file's sha256 by name once every file is closed;
+    an error stops the writer before it propagates."""
     spec = KINDS[config.kind]
-    records = []  # a record per result drawn; write_outputs's digests are filled in below
+    columns, counts = {}, Counter()
 
     def results():
         for result in spec.run(config.model, config.master_seed, indices):
-            records.append(ReplicateRecord(spec.metrics(config.params, result),
-                                           spec.diagnostics(config.params, result), {}))
+            for name, value in spec.metrics(config.params, result).items():
+                columns.setdefault(name, array("d")).append(value)
+            counts.update(spec.diagnostics(config.params, result))
             yield result
 
     drawn = results()
     written = write_outputs(config.kind, drawn, config.output_dir, indices.start, suffix)
     for _ in drawn:  # the results of a kind without files, which write_outputs leaves
         pass
-    for record, (path, digest) in zip(records, written.items()):  # one file per result
-        record.files[os.path.basename(path).removesuffix(suffix)] = digest
-    return records
+    files = {os.path.basename(path).removesuffix(suffix): digest for path, digest in written.items()}
+    return columns, counts, files
 
 
 def aggregate(values) -> SummaryStats:
@@ -745,18 +739,20 @@ def read_manifest(run_dir: str) -> dict:
 
 def run_scenario(
     config: ScenarioConfig, jobs: int = 1
-) -> tuple[list[ReplicateRecord], dict[str, SummaryStats], RunManifest]:
+) -> tuple[dict[str, array], dict[str, SummaryStats], RunManifest]:
     """Run all replicates, commit their data files, then write the manifest.
 
     Each replicate's file is written under a temporary name in the output
     directory by the process that computed it: its thread formats and
     hashes the file, and the one writer thread of its slice writes it
-    (``_replicates``); only a ``ReplicateRecord`` comes back.  Every writer
-    thread is joined before its slice returns or raises, so no write is in
-    flight when the run commits or cleans up, or when a pool forks.  Once
-    every data file and ``summary.csv`` is written, each is renamed over its
-    final name, and then the manifest is written.  Until the renames, no
-    file that was in the directory is changed.
+    (``_replicates``); only its slice's metric columns, diagnostic sums and
+    digests come back.  Every writer thread is joined before its slice
+    returns or raises, so no write is in flight when the run commits or
+    cleans up, or when a pool forks.  Once every data file and
+    ``summary.csv`` is written, each is renamed over its final name, and
+    then the manifest is written.  Until the renames, no file that was in
+    the directory is changed.  Returns the metric columns, their summaries
+    and the manifest.
 
     If anything fails, simulation included, every file the run created
     (temporary files too), every file the directory's previous manifest
@@ -766,9 +762,8 @@ def run_scenario(
     that runs killed before their commit left.  At most ``jobs`` worker
     processes run, and never more than the replicates or the cores, each on
     one contiguous slice of the replicates; a ``jobs`` below 1 runs one,
-    in-process, and is recorded as 1.  Records are gathered in replicate
-    order regardless of ``jobs``, so parallel runs emit the same bytes as
-    serial ones.
+    in-process, and is recorded as 1.  Slices are joined in replicate
+    order, so parallel runs emit the same bytes as serial ones.
     """
     started = datetime.now(timezone.utc).isoformat()
     spec = KINDS[config.kind]
@@ -795,16 +790,16 @@ def run_scenario(
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_replicates, *args))
+                parts = pool.map(_replicates, *args)  # drawn once every worker is done
         else:
             parts = map(_replicates, *args)
-        records = [record for part in parts for record in part]
-
-        summary = {name: aggregate([r.metrics[name] for r in records])
-                   for name in records[0].metrics}
-        diagnostics = {name: sum(r.diagnostics[name] for r in records)
-                       for name in records[0].diagnostics}
-        files = {name: digest for r in records for name, digest in r.files.items()}
+        columns, diagnostics, files = next(parts)  # the first slice's, which the others extend
+        for part_columns, part_counts, part_files in parts:  # in replicate order
+            for name, column in columns.items():
+                column.extend(part_columns[name])
+            diagnostics.update(part_counts)
+            files.update(part_files)
+        summary = {name: aggregate(column) for name, column in columns.items()}
         files["summary.csv"] = _write_csv(
             os.path.join(out, "summary.csv" + suffix), "metric,mean,std,min,max,ci95,n",
             (list(summary), *zip(*map(astuple, summary.values()))),
@@ -824,11 +819,11 @@ def run_scenario(
             finished=datetime.now(timezone.utc).isoformat(),
             replicate_seeds=seeds,
             files=files,
-            diagnostics=diagnostics,
+            diagnostics=dict(diagnostics),
             env=_env(workers),
         )
         with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+            json.dump(vars(manifest), fh, indent=2, sort_keys=True)  # its fields, not a copy
             fh.write("\n")
     except BaseException:
         created = (set(os.listdir(out)) if os.path.isdir(out) else set()) - before
@@ -837,4 +832,4 @@ def run_scenario(
         raise
     for name in (previous - manifest.files.keys()).union(stale):
         _unlink(os.path.join(out, name))
-    return records, summary, manifest
+    return columns, summary, manifest

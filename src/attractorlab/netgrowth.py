@@ -62,9 +62,10 @@ _BLOCK_DRAWS = 2 ** 15
 # replicates grow_replicates steps together; each keeps n / 8 bytes of join bits
 _CHUNK_REPLICATES = 200
 # a smaller chunk runs grow per replicate: _step's numpy calls cost 2.6-2.9 us an
-# arrival at 16-48 replicates and grow 85-115 ns a replicate and arrival (by host), so
-# with the trace rebuild they break even at 33-42 replicates for n from 2,000 to 100,000
-_MIN_BATCH_REPLICATES = 36
+# arrival at 16-48 replicates and grow 85-115 ns a replicate and arrival (by host).  With
+# the trace rebuild, stepping takes 0.91-0.93x of growing's CPU time at 42 replicates in
+# both modes for n of 2,000 and 20,000, 0.92-1.02x at 40 and 0.98-1.08x at 38 (2-vCPU VM)
+_MIN_BATCH_REPLICATES = 42
 # bisection levels whose midpoints one intervention_cost pass evaluates
 _COST_LEVELS_PER_PASS = 3
 

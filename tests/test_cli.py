@@ -307,6 +307,20 @@ def test_report_rejects_a_missing_listed_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_report_rejects_a_summary_the_manifest_does_not_list(tmp_path, capsys):
+    out = tmp_path / "run"
+    _netgrowth_run(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["files"]["summary.csv"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    (out / "summary.csv").write_text("metric,mean\nedited,1.0\n")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "summary.csv is not listed" in captured.err
+    assert captured.out == ""
+
+
 def test_report_rejects_a_run_without_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     _netgrowth_run(out)

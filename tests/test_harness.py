@@ -443,8 +443,8 @@ def test_netgrowth_chunks_and_worker_slices_straddle(tmp_path, monkeypatch, jobs
     monkeypatch.setattr(netgrowth, "_MIN_BATCH_REPLICATES", 0)
     out = str(tmp_path / "run")
     config = load_config(json.dumps(netgrowth_doc(out, replicates=7, n_nodes=37, mode="degree_pa")))
-    records, _, manifest = run_scenario(config, jobs=jobs)
-    assert [list(record.files) for record in records] == [[f"shares_{i:04d}.csv"] for i in range(7)]
+    _, _, manifest = run_scenario(config, jobs=jobs)
+    assert list(manifest.files) == [f"shares_{i:04d}.csv" for i in range(7)] + ["summary.csv"]
     for i in range(7):
         data = read(os.path.join(out, f"shares_{i:04d}.csv"))
         assert data == grown_bytes(config, i)
@@ -529,6 +529,23 @@ def test_run_scenario_memory_does_not_grow_with_traces(tmp_path):
     small, large = peak(25), peak(400)
     traces = (400 - 25) * n_nodes * 8  # float64 shares of the extra replicates
     assert large - small < 0.1 * traces, (small, large)
+
+
+def test_run_scenario_memory_per_replicate_is_small(tmp_path):
+    # the parent keeps a float64 per metric, a seed, a file name and a digest per replicate
+    def peak(replicates):
+        config = load_config(json.dumps(netgrowth_doc(str(tmp_path / f"r{replicates}"),
+                                                      replicates=replicates, n_nodes=10)))
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations and per-process caches
+    small, large = peak(200), peak(2000)
+    assert (large - small) / 1800 <= 600, (small, large)
 
 
 def test_write_outputs_memory_does_not_grow_with_trace_length(tmp_path):
