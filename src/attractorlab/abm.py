@@ -45,6 +45,9 @@ OUTCOMES = (OUTCOME_AGI, OUTCOME_DCI, OUTCOME_UNDECIDED)
 MAX_AGENTS = 10_000_000
 MAX_AGENT_ROUNDS = 100_000_000
 MAX_ROUNDS = 1_000_000
+# Largest payoff magnitude: a sum of MAX_AGENTS of them, and so any mean,
+# payoff-table entry, payoff gap or span, stays inside the float range.
+MAX_PAYOFF = 1e300
 
 
 class IsolatedAgentError(ValueError):
@@ -62,8 +65,9 @@ class GameMatrix:
 
     def __post_init__(self):
         for name in ("r", "sg", "t", "pu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"game matrix entry {name} must be finite")
+            if not abs(getattr(self, name)) <= MAX_PAYOFF:  # nan included
+                raise ValueError(f"game matrix entry {name} must be finite and at most "
+                                 f"{MAX_PAYOFF:g} in magnitude, got {getattr(self, name)!r}")
 
     def span(self) -> float:
         """Largest minus smallest matrix entry (payoff normalization)."""

@@ -30,14 +30,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import os
+import re
 import sys
 from typing import NoReturn
 
-from .harness import (KINDS, REQUIRED, ConfigError, load_config, parse_json, read_manifest,
-                      run_scenario)
+from .harness import (KINDS, REQUIRED, ConfigError, load_config, new_sha256, parse_json,
+                      read_manifest, run_scenario)
 
 SEED_ENV = "ATTRACTORLAB_SEED"
 
@@ -52,6 +52,13 @@ def _info(args, message: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3", "-1,0,0,1" or "-inf" after a flag for an option,
+        # since only "-5" and "-.5" look like numbers to it; no option here
+        # looks like this, as every one but -h is a --long flag
+        self._negative_number_matcher = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
     # argparse exits 2 on usage errors; the contract reserves 2 for runtime
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -221,15 +228,20 @@ def _cmd_shortcut(args) -> int:
 
 def _verified_manifest(run_dir: str) -> dict:
     """A run directory's manifest, once every file it lists is re-hashed
-    and matches its digest."""
+    and matches its digest; each file by ``new_sha256`` of the bytes read
+    once its first block is, so a small run's report never loads OpenSSL."""
     manifest = read_manifest(run_dir)
     path = os.path.join(run_dir, "manifest.json")
+    hashed = 0
     for name, digest in manifest["files"].items():
-        sha = hashlib.sha256()
         try:
             with open(os.path.join(run_dir, name), "rb") as fh:
-                while block := fh.read(1 << 20):  # 1 MiB at a time, so no file is whole in memory
+                block = fh.read(1 << 20)  # 1 MiB at a time, so no file is whole in memory
+                sha = new_sha256(hashed + len(block))
+                while block:
                     sha.update(block)
+                    hashed += len(block)
+                    block = fh.read(1 << 20)
         except OSError:
             raise ConfigError(f"{name} is listed in {path!r} but missing") from None
         if sha.hexdigest() != digest:

@@ -340,6 +340,17 @@ def _cusp_bracket(theta: float, lo: float, hi: float) -> float:
     return max(1.0, abs(theta) + max(abs(lo), abs(hi))) + 0.5
 
 
+def _check_bracket(theta: float, lambda_lo: float, lambda_hi: float) -> None:
+    """Reject a root bracket whose cube, which the scan computes, is past
+    the float range: |theta| + max(|lambda_lo|, |lambda_hi|) above about 5.6e102."""
+    bound = _cusp_bracket(theta, lambda_lo, lambda_hi)
+    try:
+        bound ** 3.0
+    except OverflowError:
+        raise ValueError(f"theta={theta!r}, lambda_lo={lambda_lo!r} and lambda_hi={lambda_hi!r} give a root "
+                         f"bracket of {bound:.8g}, whose cube is past the float range (above about 5.6e102)") from None
+
+
 def _check_positive(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 < value < math.inf:
@@ -355,10 +366,12 @@ def _check_work(what: str, size: float, limit: int, unit: str) -> None:
 
 
 def check_bifurcation(theta: float, lambda_lo: float, lambda_hi: float, step: float, grid_n: int) -> None:
-    """Rules of ``sweep_bifurcation``: finite theta, lambda_lo < lambda_hi and step > 0,
-    at most MAX_SWEEP_POINTS lambdas; 2 <= grid_n <= MAX_GRID_N."""
+    """Rules of ``sweep_bifurcation``: finite theta, lambda_lo < lambda_hi, a root
+    bracket whose cube is finite and step > 0, at most MAX_SWEEP_POINTS lambdas;
+    2 <= grid_n <= MAX_GRID_N."""
     if not (math.isfinite(theta) and -math.inf < lambda_lo < lambda_hi < math.inf):
         raise ValueError(f"need finite theta and lambda_lo < lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
+    _check_bracket(theta, lambda_lo, lambda_hi)
     _check_positive(step=step)
     _check_work(f"step={step!r}", _grid_size(lambda_lo, lambda_hi, step), MAX_SWEEP_POINTS, "sweep points")
     if grid_n < 2:
@@ -448,11 +461,12 @@ def check_hysteresis(
     theta: float, lambda_lo: float, lambda_hi: float, step: float,
     relax_t: float, relax_dt: float, jump_tol: float,
 ) -> None:
-    """Rules of ``hysteresis_loop``: finite theta and lambda_lo <= lambda_hi; finite
-    step, relax_t, relax_dt and jump_tol, each > 0; at most MAX_SWEEP_POINTS lambdas
-    and at most MAX_RK4_STEPS relaxation steps per lambda."""
+    """Rules of ``hysteresis_loop``: finite theta and lambda_lo <= lambda_hi, a root
+    bracket whose cube is finite; finite step, relax_t, relax_dt and jump_tol, each
+    > 0; at most MAX_SWEEP_POINTS lambdas and at most MAX_RK4_STEPS relaxation steps per lambda."""
     if not (math.isfinite(theta) and -math.inf < lambda_lo <= lambda_hi < math.inf):
         raise ValueError(f"need finite theta and lambda_lo <= lambda_hi, got {theta}, [{lambda_lo}, {lambda_hi}]")
+    _check_bracket(theta, lambda_lo, lambda_hi)
     _check_positive(step=step, relax_t=relax_t, relax_dt=relax_dt, jump_tol=jump_tol)
     _check_work(f"step={step!r}", _grid_size(lambda_lo, lambda_hi, step), MAX_SWEEP_POINTS, "sweep points")
     _check_work(f"relax_t={relax_t!r} at relax_dt={relax_dt!r}", relax_t * RELAX_CAP_FACTOR / relax_dt,

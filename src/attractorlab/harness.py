@@ -24,6 +24,10 @@ Outputs are small CSV files (diff-able, golden-testable) plus a
 diagnostics, the environment (Python, numpy and orjson versions, platform,
 cores, workers) and sha256 digests of every emitted file, taken from the
 bytes as they are written.  Every float is spelled as ``repr`` spells it.
+A call hashes its first MiB with CPython's built-in SHA-256, unless
+``hashlib`` is imported already, and the rest with ``hashlib``'s
+(``new_sha256``), so a call that writes little never loads OpenSSL;
+either gives the same digest.
 
 Each process runs one contiguous slice of the replicates (netgrowth steps
 them together, in chunks) and writes each file under a temporary name as
@@ -43,7 +47,6 @@ from __future__ import annotations
 import copy
 import errno
 import functools
-import hashlib
 import importlib.util
 import inspect
 import json
@@ -528,6 +531,35 @@ def aggregate(values) -> SummaryStats:
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 1 << 16  # rows formatted, written and hashed at a time
+# Bytes a caller hashes with CPython's built-in SHA-256 before it takes hashlib's:
+# about where the built-in's slower hashing has cost what importing hashlib costs.
+_BUILTIN_SHA256_BYTES = 1 << 20
+
+
+def new_sha256(hashed: int):
+    """A new SHA-256 object for a caller whose ``hashed`` bytes count what
+    it hashed before and the first block it will feed this object.  Below
+    ``_BUILTIN_SHA256_BYTES``, while ``hashlib`` is not imported, it is
+    CPython's built-in one (``_sha2`` from Python 3.12, ``_sha256`` before),
+    so a call that hashes little never imports ``hashlib``, which maps
+    OpenSSL's libcrypto: about 3.6 MB of RSS and 3-4 ms.  Otherwise, and on
+    a build with neither, it is ``hashlib``'s, which hashes about five times
+    as fast and lets go of the GIL while it hashes: from the switch on (a
+    file whose first block is that large is hashed by it whole), and in a
+    process that imported it anyway, as ``numpy.random`` does.  Every
+    digest is the same either way."""
+    if hashed < _BUILTIN_SHA256_BYTES and "hashlib" not in sys.modules:
+        try:
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
+            return sha256()
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256()
 
 
 @functools.lru_cache(maxsize=1)
@@ -618,11 +650,15 @@ def _write_files(files) -> dict[str, str]:
     hashed: this thread draws ``files`` and the chunks (formatting, and any
     runner behind them) and hashes each chunk before it hands it over, while
     one writer thread opens, writes and closes, with one chunk queued
-    between them.  hashlib lets go of the GIL while it hashes a chunk, which
-    is the writer's time to run.  Having handed over a file, this thread
-    takes the writer's word that the one before is closed, so the writer's
-    first error is raised here, with its type, before another file is
-    drawn.  The thread is joined before this returns or raises."""
+    between them.  Each file is hashed by ``new_sha256`` of the bytes this
+    call has hashed once the file's first chunk is: a call's first MiB by
+    the built-in SHA-256, which holds the GIL, unless hashlib is imported
+    already, and the rest by hashlib, which lets go of the GIL while it
+    hashes a chunk, and that is the writer's time to run.  Having handed
+    over a file, this thread takes the writer's word that the one before is
+    closed, so the writer's first error is raised here, with its type,
+    before another file is drawn.  The thread is joined before this returns
+    or raises."""
     import queue
     import threading
 
@@ -635,12 +671,15 @@ def _write_files(files) -> dict[str, str]:
 
     thread = threading.Thread(target=_writer, args=(handoff, done))
     thread.start()
-    digests = {}
+    digests, hashed = {}, 0
     try:
         for path, chunks in files:
-            digest = hashlib.sha256()
+            digest = None
             for data, last in chunks:
+                if digest is None:
+                    digest = new_sha256(hashed + len(data))
                 digest.update(data)
+                hashed += len(data)
                 handoff.put((path, data, last))
             if digests:
                 closed()  # the file before, closed while this one was formatted

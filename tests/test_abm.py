@@ -223,6 +223,24 @@ def test_payoff_isolated_agent_rejected():
         payoff_of(0, population([1]), GameMatrix(1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e308, -1e301,
+                                   math.nextafter(1e300, math.inf)])
+def test_game_matrix_rejects_an_entry_past_max_payoff(entry):
+    with pytest.raises(ValueError, match=r"game matrix entry t must be finite and at most 1e\+300 in magnitude"):
+        GameMatrix(1, 0, entry, 1)
+
+
+@pytest.mark.parametrize("topology", [WellMixed(), RingLattice(2), Imported(((0, 1), (1, 2), (2, 3), (3, 0)), 4)])
+@pytest.mark.parametrize("update", [ProportionalImitation(), Fermi(2.0)])
+def test_a_game_at_max_payoff_runs_without_overflow(topology, update):
+    big = 1e300  # abm.MAX_PAYOFF
+    cfg = AbmConfig(n=4, x0=0.5, game=GameMatrix(big, -big, -big, big), rounds=5, topology=topology,
+                    update=update, noise=0.1, rng_seed=3)
+    with np.errstate(all="raise"):
+        trace = run(cfg)
+    assert np.isfinite(trace.coop_fraction).all()
+
+
 @given(pop=populations(), game=games)
 def test_payoff_of_matches_the_scalar_loop(pop, game):
     # exact where both sum the same counts; elsewhere the two differ only in

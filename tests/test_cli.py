@@ -233,6 +233,20 @@ def test_bifurcate_and_hysteresis_shortcuts(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path / "h"), "hysteresis.csv"))
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["hysteresis", "--theta", "1", "--lambda-hi", "0.2", "--step", "0.1"], "--lambda-lo", "-1e-3"),
+    (["hysteresis", "--theta", "1", "--lambda-lo", "-0.2", "--step", "0.1"], "--lambda-hi", "-1E-3"),
+    (["replicator", "--x0", "0.3", "--t-end", "1", "--pc", "1"], "--pd", "-2e0"),
+    (["abm", "--n", "20", "--x0", "0.5", "--rounds", "2"], "--game", "-1,0,0,1"),
+    (["basin", "--n", "20", "--game", "1,0,0,1", "--rounds", "2"], "--x0-list", "-.0,0.5"),
+])
+def test_a_negative_value_may_follow_its_flag(tmp_path, argv, flag, value):
+    # argparse takes only "-5" and "-.5" for numbers, so these read as options without the rule in _Parser
+    assert main([*argv, flag, value, "--out", str(tmp_path / "apart"), "--quiet"]) == 0
+    assert main([*argv, f"{flag}={value}", "--out", str(tmp_path / "joined"), "--quiet"]) == 0
+    assert dir_bytes(tmp_path / "apart") == dir_bytes(tmp_path / "joined")
+
+
 def test_report_prints_aligned_table(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["netgrowth", "--seeds", "2,1", "--nodes", "100",
@@ -586,6 +600,13 @@ _POPULATION_ARGS = ["--n", "20", "--game", "1,0,0,1", "--rounds", "2"]
     (["abm", *_POPULATION_ARGS, "--x0", "0.5", "--sc", "0.5", "--sd", "0.5"], "s_c"),
     (["basin", *_POPULATION_ARGS, "--x0-list", "0.5", "--sd", "1.5"], "s_d"),
     (["basin", *_POPULATION_ARGS, "--x0-list", "0.2,0.5,1.5"], "x0"),
+    (["bifurcate", *_SWEEP_ARGS, "--theta", "1e200"], "give a root bracket of 1e+200, whose cube is past"),
+    (["hysteresis", *_SWEEP_ARGS, "--theta", "1e200"], "give a root bracket of 1e+200, whose cube is past"),
+    (["abm", *_POPULATION_ARGS, "--x0", "0.5", "--game", "1e308,-1e308,0,1"],
+     "game matrix entry r must be finite and at most 1e+300 in magnitude, got 1e+308"),
+    (["basin", *_POPULATION_ARGS, "--x0-list", "0.3,0.7", "--game", "1,1,1,1e301", "--topology", "ring:2"],
+     "game matrix entry pu must be finite and at most 1e+300 in magnitude, got 1e+301"),
+    (["replicator", "--x0", "0.3", "--t-end", "1", "--pc", "1", "--pd", "-inf"], "constant payoffs must be finite"),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else value)
 def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
     out = tmp_path / "out"

@@ -340,6 +340,7 @@ def test_misplaced_jumps_counts_a_missing_jump():
     {"jump_tol": 0.0}, {"jump_tol": -0.5}, {"step": 0.0}, {"step": math.inf},
     {"lambda_lo": 0.7}, {"lambda_hi": math.inf}, {"theta": math.nan},
     {"relax_dt": 1e-300}, {"relax_t": 1e300},
+    {"theta": 1e200}, {"lambda_lo": -1e200, "lambda_hi": 1e200, "step": 1e199},
 ])
 def test_hysteresis_rules_raise_before_relaxing(bad, monkeypatch):
     # a zero relax_dt never advances the relaxation clock, so the rule must
@@ -356,6 +357,7 @@ def test_hysteresis_rules_raise_before_relaxing(bad, monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"step": 0.0}, {"step": -1.0}, {"lambda_hi": -0.6}, {"lambda_lo": -math.inf}, {"grid_n": 1},
     {"theta": math.inf}, {"grid_n": 2 ** 20 + 1}, {"grid_n": 10 ** 20}, {"grid_n": 10 ** 400},
+    {"theta": -1e200}, {"lambda_hi": 1e200, "step": 1e199},
 ])
 def test_bifurcation_rules_raise_before_scanning(bad, monkeypatch):
     def no_scan(*args):
@@ -365,6 +367,18 @@ def test_bifurcation_rules_raise_before_scanning(bad, monkeypatch):
     args = {"theta": 1.0, "lambda_lo": -0.6, "lambda_hi": 0.6, "step": 0.1, **bad}
     with pytest.raises(ValueError, match=next(iter(bad))):
         sweep_bifurcation(**args)
+
+
+@pytest.mark.parametrize("check, rest", [
+    (dynamics.check_bifurcation, {"grid_n": 64}),
+    (dynamics.check_hysteresis, {"relax_t": 5.0, "relax_dt": 0.01, "jump_tol": 0.5}),
+])
+def test_a_root_bracket_may_cube_up_to_the_float_range(check, rest):
+    # the bracket is |theta| + 0.6 + 0.5; its cube passes the float range between these thetas
+    args = {"lambda_lo": -0.6, "lambda_hi": 0.6, "step": 0.1, **rest}
+    check(theta=5.6e102, **args)
+    with pytest.raises(ValueError, match=re.escape("give a root bracket of 5.7e+102, whose cube is past")):
+        check(theta=5.7e102, **args)
 
 
 @pytest.mark.parametrize("lo, hi, step, count", [

@@ -72,9 +72,10 @@ def test_write_failure_exits_two_and_leaves_only_what_was_there(tmp_path):
 # os._exit ends the process before any code after the entry could run, so the
 # script wraps it: just before the CLI process ends, it prints one JSON line with
 # the exit code, the attractorlab modules that were executed (a module bound
-# lazily whose code never ran is still a _LazyModule) and whether a child
-# process is left unjoined.  A forked worker also ends through os._exit and
-# prints nothing.
+# lazily whose code never ran is still a _LazyModule), whether a child
+# process is left unjoined, and whether OpenSSL's hashlib backend and
+# numpy.random, which imports it, were loaded.  A forked worker also ends
+# through os._exit and prints nothing.
 _AT_EXIT = """
 import json, os, runpy, sys, types
 parent, real_exit = os.getpid(), os._exit
@@ -88,7 +89,8 @@ def at_exit(code):
             children = False
         executed = sorted(name for name, module in sys.modules.items()
                           if name.startswith("attractorlab") and type(module) is types.ModuleType)
-        print(json.dumps({"code": code, "executed": executed, "children": children}))
+        print(json.dumps({"code": code, "executed": executed, "children": children,
+                          "openssl": "_hashlib" in sys.modules, "numpy_random": "numpy.random" in sys.modules}))
         sys.stdout.flush()
     real_exit(code)
 
@@ -122,21 +124,32 @@ def test_a_run_does_not_import_cogmodel(tmp_path):
 MODELS = {"attractorlab.abm", "attractorlab.cogmodel", "attractorlab.dynamics", "attractorlab.netgrowth"}
 
 
-@pytest.mark.parametrize("args, models", [
-    (("hysteresis", "--theta", "1", "--lambda-lo", "-0.2", "--lambda-hi", "0.2", "--step", "0.1",
-      "--out", "out", "--quiet"), {"attractorlab.dynamics"}),
-    (("--help",), set()),
-])
-def test_a_call_executes_only_the_models_it_uses(tmp_path, args, models):
+_SWEEP = ("--theta", "1", "--lambda-lo", "-0.2", "--lambda-hi", "0.2", "--step", "0.1", "--out", "out", "--quiet")
+_HYSTERESIS = ("hysteresis", *_SWEEP)
+
+
+@pytest.mark.parametrize("before, args, models", [
+    ((), _HYSTERESIS, {"attractorlab.dynamics"}),
+    ((), ("bifurcate", *_SWEEP), {"attractorlab.dynamics"}),
+    ((), ("replicator", "--x0", "0.3", "--t-end", "1", "--pc", "2", "--pd", "1", "--out", "out", "--quiet"),
+     {"attractorlab.dynamics"}),
+    (_HYSTERESIS, ("report", "out"), set()),
+    ((), ("--help",), set()),
+], ids=["hysteresis", "bifurcate", "replicator", "report", "help"])
+def test_a_call_executes_only_the_models_it_uses(tmp_path, before, args, models):
+    # and a call that hashes less than a MiB loads neither OpenSSL nor numpy.random
+    if before:
+        assert attractorlab(tmp_path, *before).returncode == 0
     at_exit = attractorlab_at_exit(tmp_path, *args)
     assert at_exit["code"] == 0
     assert MODELS & set(at_exit["executed"]) == models
+    assert not at_exit["openssl"] and not at_exit["numpy_random"]
 
 
 def test_a_two_worker_run_joins_its_pool_before_the_process_ends(tmp_path):
     at_exit = attractorlab_at_exit(tmp_path, "netgrowth", "--seeds", "2,1", "--nodes", "50",
                                    "--replicates", "4", "--jobs", "2", "--out", "out", "--quiet")
-    assert at_exit == {"code": 0, "executed": at_exit["executed"], "children": False}
+    assert (at_exit["code"], at_exit["children"]) == (0, False)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["env"]["jobs"] == min(2, os.cpu_count())
     assert sorted(manifest["files"]) == [f"shares_{i:04d}.csv" for i in range(4)] + ["summary.csv"]

@@ -958,16 +958,23 @@ def test_one_writer_thread_per_slice_and_none_left(tmp_path, monkeypatch, kind, 
         assert hashlib.sha256(read(tmp_path / "run" / name)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("switch", [0, 7, 1 << 13, 1 << 14, 1 << 20], ids=["0", "7B", "8KiB", "16KiB", "1MiB"])
 @pytest.mark.parametrize("chunk_rows", [harness._CHUNK_ROWS, 3], ids=["one-chunk", "three-row-chunks"])
-def test_concurrent_writers_under_a_short_switch_interval(tmp_path, monkeypatch, chunk_rows):
+def test_concurrent_writers_under_a_short_switch_interval(tmp_path, monkeypatch, chunk_rows, switch):
     # three calls, each with its own writer thread, on two cores, switching threads every microsecond;
     # with three-row chunks every file is many chunks, and its rows end one below, at and one above
-    # a chunk edge, so each call hands over the first chunk of a file right after the last of the one before
+    # a chunk edge, so each call hands over the first chunk of a file right after the last of the one before.
+    # The switch puts the files (6.4-6.5 KB each) on the built-in SHA-256, which holds the GIL, or on
+    # hashlib: all on hashlib (0, or 7 bytes, which any first chunk passes), at most the first one or two
+    # of a call on the built-in (8 KiB) or two or three (16 KiB), by chunk size, since the first call past
+    # the switch imports hashlib for all three, or all on the built-in (1 MiB)
     traces = [netgrowth.grow(netgrowth.GrowthConfig(n_nodes=299 + s % 3, seed_agi=2, seed_dci=1, rng_seed=s))
               for s in range(12)]
     expected = {os.path.basename(path): read(path)
                 for path in write_outputs("netgrowth", traces, str(tmp_path / "serial"))}
     monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(harness, "_BUILTIN_SHA256_BYTES", switch)
+    monkeypatch.delitem(sys.modules, "hashlib")  # until a call passes the switch and imports it again
     results = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -986,6 +993,35 @@ def test_concurrent_writers_under_a_short_switch_interval(tmp_path, monkeypatch,
         for path, digest in digests.items():
             assert read(path) == expected[os.path.basename(path)]
             assert hashlib.sha256(read(path)).hexdigest() == digest
+
+
+def test_a_call_hashes_its_first_mib_with_the_builtin_sha256(monkeypatch):
+    # until hashlib is imported, which the test process has done
+    monkeypatch.delitem(sys.modules, "hashlib")
+    openssl = type(hashlib.sha256())
+    builtin = harness.new_sha256(0)
+    assert type(builtin) is not openssl
+    assert type(harness.new_sha256(harness._BUILTIN_SHA256_BYTES - 1)) is type(builtin)
+    assert "hashlib" not in sys.modules
+    assert type(harness.new_sha256(harness._BUILTIN_SHA256_BYTES)) is openssl
+    assert type(harness.new_sha256(0)) is openssl  # hashlib is imported now
+    builtin.update(b"abc")
+    assert builtin.hexdigest() == hashlib.sha256(b"abc").hexdigest()
+
+
+def test_a_build_without_the_builtin_sha256_hashes_by_hashlib(tmp_path, monkeypatch, capsys):
+    # None in sys.modules makes an import of that name fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.delitem(sys.modules, "hashlib")
+    assert type(harness.new_sha256(0)) is type(hashlib.sha256())
+    doc = {"kind": "netgrowth", "master_seed": 42, "replicates": 3, "output_dir": str(tmp_path / "run"),
+           "params": DETERMINISM_DOCS["netgrowth"]["params"]}
+    _, _, manifest = run_scenario(load_config(json.dumps(doc)))
+    for name, digest in manifest.files.items():
+        assert hashlib.sha256(read(tmp_path / "run" / name)).hexdigest() == digest
+    assert cli.main(["report", str(tmp_path / "run")]) == 0
+    assert "final_agi_share" in capsys.readouterr().out
 
 
 def test_runner_error_waits_for_the_file_in_flight(tmp_path, monkeypatch):
