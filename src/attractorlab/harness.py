@@ -21,9 +21,11 @@ wall-clock timestamps live only in the manifest.
 
 Outputs are small CSV files (diff-able, golden-testable) plus a
 ``manifest.json`` carrying the config echo, per-replicate seeds, numerical
-diagnostics, the environment (Python, numpy and orjson versions, platform,
-cores, workers) and sha256 digests of every emitted file, taken from the
-bytes as they are written.  Every float is spelled as ``repr`` spells it.
+diagnostics, the environment (Python version, platform, cores, workers, and
+the numpy and orjson versions where the run loaded numpy) and sha256 digests
+of every emitted file, taken from the bytes as they are written.  Every float
+is spelled as ``repr`` spells it.  This module imports no numpy: a sweep's
+columns are lists of floats, which ``str`` spells.
 A call hashes its first MiB with CPython's built-in SHA-256, unless
 ``hashlib`` is imported already, and the rest with ``hashlib``'s
 (``new_sha256``), so a call that writes little never loads OpenSSL;
@@ -60,8 +62,6 @@ from collections.abc import Callable, Mapping
 from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
-
-import numpy as np
 
 from . import __version__
 from .rng import mix64
@@ -344,9 +344,9 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     return out
 
 
-def _pairs(points) -> np.ndarray:
-    """The two float64 columns of a sequence of ``(a, b)`` pairs."""
-    return np.array(points, dtype=np.float64).reshape(-1, 2).T
+def _pairs(points) -> tuple[list, list]:
+    """The two columns of a sequence of ``(a, b)`` pairs of floats."""
+    return [a for a, _ in points], [b for _, b in points]
 
 
 class _Schema(Mapping):
@@ -581,9 +581,11 @@ def _cells(col) -> list[bytes]:
     ``null``).  So a float64 array whose values all pass that check (nan
     fails every comparison) is dumped by one ``orjson.dumps``; any other
     column, a ``range`` or a sequence of text, ints or floats included, is
-    spelled by ``str``, which is ``repr`` for a float.
+    spelled by ``str``, which is ``repr`` for a float.  A column can be an
+    array only once numpy is loaded, and only then is it tested for one.
     """
-    if isinstance(col, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(col, np.ndarray):
         size = abs(col)
         if len(col) and ((size < 1e16) & ((size >= 1e-4) | (size == 0))).all():
             import orjson  # here, not at module level: it would add to every CLI call's start-up
@@ -736,13 +738,19 @@ def _platform() -> str:
 
 def _env(jobs: int) -> dict:
     """What the data bytes may depend on besides the config: the versions
-    that compute and spell the numbers, the host, and the worker count."""
+    that compute and spell the numbers, the host, and the worker count.
+    numpy and orjson are listed only for a run that loaded numpy, since
+    orjson spells only numpy arrays; a dynamics sweep and its files load
+    neither."""
     import platform
-    import orjson
 
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "orjson": orjson.__version__, "platform": _platform(),
-            "cpu_count": os.cpu_count(), "jobs": jobs}
+    env = {"python": platform.python_version(), "platform": _platform(),
+           "cpu_count": os.cpu_count(), "jobs": jobs}
+    if "numpy" in sys.modules:
+        import orjson
+
+        env.update(numpy=sys.modules["numpy"].__version__, orjson=orjson.__version__)
+    return env
 
 
 def _unlink(path: str) -> None:

@@ -8,7 +8,10 @@ mixing function so that the stream of replicate ``i`` depends only on
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,6 +48,8 @@ def mix64(master_seed: int, index: int) -> int:
 
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
+    import numpy as np  # here, so that importing this module for mix64 loads no numpy
+
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
@@ -52,6 +57,8 @@ def rewind(generator: np.random.Generator, seed: int) -> None:
     """Return ``generator`` to the state of a fresh ``make_generator(seed)``:
     Philox counter 0 and no buffered output, set through the public state
     setter, which costs a fraction of building a new generator."""
+    import numpy as np
+
     generator.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64),

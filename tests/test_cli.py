@@ -471,13 +471,14 @@ def test_empty_out_exits_one_and_keeps_the_run_in_the_working_directory(
 
 
 def test_relaxation_overflow_exits_two_and_leaves_the_directory(tmp_path, capsys):
-    # a coarse relax_dt overshoots until a Python float cube overflows; the
-    # run fails as a named divergence and removes only what it wrote
+    # a coarse relax_dt, within RK4's linear stability bound at the outermost
+    # equilibrium, overshoots on the last up point until a Python float cube
+    # overflows; the run fails as a named divergence and removes only what it wrote
     out = tmp_path / "h"
     out.mkdir()
     (out / "notes.txt").write_text("mine\n")
-    assert main(["hysteresis", "--theta", "1", "--lambda-lo", "-0.6", "--lambda-hi", "0.6",
-                 "--step", "0.1", "--relax-dt", "5", "--out", str(out), "--quiet"]) == 2
+    assert main(["hysteresis", "--theta", "-1", "--lambda-lo", "-0.3", "--lambda-hi", "0.3",
+                 "--step", "0.1", "--relax-dt", "2.2", "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "OverflowError" not in err
     assert "NumericalDivergenceError" in err and "relax_dt" in err
@@ -602,6 +603,10 @@ _POPULATION_ARGS = ["--n", "20", "--game", "1,0,0,1", "--rounds", "2"]
     (["basin", *_POPULATION_ARGS, "--x0-list", "0.2,0.5,1.5"], "x0"),
     (["bifurcate", *_SWEEP_ARGS, "--theta", "1e200"], "give a root bracket of 1e+200, whose cube is past"),
     (["hysteresis", *_SWEEP_ARGS, "--theta", "1e200"], "give a root bracket of 1e+200, whose cube is past"),
+    # relax_dt = 0.01 is past RK4's stability bound on the outermost equilibrium from theta = 140 on
+    (["hysteresis", *_SWEEP_ARGS, "--theta", "140"], "relax_dt=0.01 at theta=140.0 is past RK4's stability bound"),
+    (["hysteresis", *_SWEEP_ARGS, "--theta", "300"], "relax_dt=0.01 at theta=300.0 is past RK4's stability bound"),
+    (["hysteresis", *_SWEEP_ARGS, "--theta", "1e100"], "relax_dt=0.01 at theta=1e+100 is past RK4's stability bound"),
     (["abm", *_POPULATION_ARGS, "--x0", "0.5", "--game", "1e308,-1e308,0,1"],
      "game matrix entry r must be finite and at most 1e+300 in magnitude, got 1e+308"),
     (["basin", *_POPULATION_ARGS, "--x0-list", "0.3,0.7", "--game", "1,1,1,1e301", "--topology", "ring:2"],
@@ -613,6 +618,15 @@ def test_bad_sweep_or_threshold_params_exit_one(tmp_path, capsys, argv, named):
     assert main([*argv, "--out", str(out), "--quiet"]) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_relax_dt_just_within_rk4_stability_runs(tmp_path, capsys):
+    # at theta = 139, relax_dt = 0.01 times the outermost equilibrium's slope is
+    # about 2.781, inside RK4's 2.785: the run settles every point
+    out = tmp_path / "out"
+    assert main(["hysteresis", *_SWEEP_ARGS, "--theta", "139", "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["diagnostics"]["non_equilibrated"] == 0
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -341,6 +341,8 @@ def test_misplaced_jumps_counts_a_missing_jump():
     {"lambda_lo": 0.7}, {"lambda_hi": math.inf}, {"theta": math.nan},
     {"relax_dt": 1e-300}, {"relax_t": 1e300},
     {"theta": 1e200}, {"lambda_lo": -1e200, "lambda_hi": 1e200, "step": 1e199},
+    # relax_dt = 0.01 past RK4's stability bound on the outermost equilibrium
+    {"theta": 140.0}, {"theta": 300.0}, {"theta": 1e100},
 ])
 def test_hysteresis_rules_raise_before_relaxing(bad, monkeypatch):
     # a zero relax_dt never advances the relaxation clock, so the rule must
@@ -371,7 +373,8 @@ def test_bifurcation_rules_raise_before_scanning(bad, monkeypatch):
 
 @pytest.mark.parametrize("check, rest", [
     (dynamics.check_bifurcation, {"grid_n": 64}),
-    (dynamics.check_hysteresis, {"relax_t": 5.0, "relax_dt": 0.01, "jump_tol": 0.5}),
+    # a relax_dt within RK4's stability bound at an outermost equilibrium of about 2.4e51
+    (dynamics.check_hysteresis, {"relax_t": 1e-99, "relax_dt": 1e-103, "jump_tol": 0.5}),
 ])
 def test_a_root_bracket_may_cube_up_to_the_float_range(check, rest):
     # the bracket is |theta| + 0.6 + 0.5; its cube passes the float range between these thetas
@@ -388,7 +391,8 @@ def test_a_root_bracket_may_cube_up_to_the_float_range(check, rest):
 ])
 @pytest.mark.parametrize("check, rest", [
     (dynamics.check_bifurcation, {"grid_n": 64}),
-    (dynamics.check_hysteresis, {"relax_t": 5.0, "relax_dt": 0.01, "jump_tol": 0.5}),
+    # a relax_dt within RK4's stability bound at lambda = 999,999, whose outermost equilibrium is about 100
+    (dynamics.check_hysteresis, {"relax_t": 0.5, "relax_dt": 5e-5, "jump_tol": 0.5}),
 ])
 def test_sweep_size_is_checked_before_the_grid_is_built(check, rest, lo, hi, step, count,
                                                         monkeypatch):
@@ -607,7 +611,7 @@ def sweep_ranges(draw):
        relax_dt=st.sampled_from([dynamics.DEFAULT_RELAX_DT]) | st.floats(0.01, 0.2))
 @example(theta=0.0, sweep=(-1.0, 1.0, 0.01), relax_t=50.0, relax_dt=0.01)  # 0.0 is on the grid
 @example(theta=1.0, sweep=(-0.5, 0.7, 0.01), relax_t=50.0, relax_dt=0.01)  # asymmetric
-@example(theta=1.0, sweep=(-0.5, 0.5, 0.25), relax_t=50.0, relax_dt=2.5)  # diverges
+@example(theta=-1.0, sweep=(-0.3, 0.3, 0.1), relax_t=50.0, relax_dt=2.2)  # diverges
 def test_hysteresis_loop_matches_relaxing_every_point(theta, sweep, relax_t, relax_dt):
     assert_loop_matches(theta, *sweep, relax_t, relax_dt)
 
@@ -669,9 +673,16 @@ def test_relaxations_the_down_sweep_reuses(theta, lambda_lo, lambda_hi, step, po
 
 
 def reference_fixed_points(rhs, lo, hi, grid_n):
-    """``find_fixed_points`` before vectorizing: the grid scanned one index at a time."""
+    """``find_fixed_points`` before vectorizing: the grid scanned one index at a
+    time, its values from one call of ``rhs`` on the numpy grid where ``rhs``
+    broadcasts, and one call per point where it does not."""
     xs = np.linspace(lo, hi, grid_n + 1)
-    vals = dynamics._eval_grid(rhs, xs)
+    try:
+        vals = np.asarray(rhs(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise TypeError
+    except Exception:
+        vals = np.array([float(rhs(float(x))) for x in xs])
     locations = []
     for i in range(grid_n + 1):
         if vals[i] == 0.0:
@@ -787,6 +798,36 @@ def test_sweep_bifurcation_is_find_fixed_points_per_lambda(theta, lambda_lo, lam
 @example(theta=0.0, sweep=(-1.0, 1.0, 0.05), grid_n=dynamics.DEFAULT_GRID_N)  # the marginal zero
 def test_sweep_bifurcation_matches_find_fixed_points_per_lambda(theta, sweep, grid_n):
     assert_sweep_matches(theta, *sweep, grid_n)
+
+
+@st.composite
+def fold_crossings(draw):
+    """(theta, lambda_lo, lambda_hi, step): a theta of 0, 1e-9, a negative one or a
+    positive one, and a lambda range that crosses both folds, +-2 (theta / 3)**1.5,
+    in at most 60 steps."""
+    theta = draw(st.sampled_from([0.0, 1e-9, -1e-9]) | st.floats(-2.0, -1e-6) | st.floats(1e-9, 2.0))
+    fold = 2.0 * (max(theta, 0.0) / 3.0) ** 1.5
+    lo, hi = -fold - draw(st.floats(1e-3, 1.0)), fold + draw(st.floats(1e-3, 1.0))
+    return theta, lo, hi, (hi - lo) / draw(st.integers(1, 60))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep=fold_crossings(), grid_n=st.sampled_from([2, 3, 64, dynamics.DEFAULT_GRID_N]))
+@example(sweep=(1e-9, -0.5, 0.5, 0.01), grid_n=3)
+def test_a_sweep_across_both_folds_matches_find_fixed_points_per_lambda(sweep, grid_n):
+    # each grid point's sign steps along lambda where the root set changes shape
+    assert_sweep_matches(*sweep, grid_n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(5e-324, 1e6) | st.sampled_from([5e-324, 1e-320, 1.0]),
+       n=st.integers(2, 3000))
+@example(lo=0.0, width=5e-324, n=1025)  # the step rounds to zero
+@example(lo=-2.1, width=4.2, n=dynamics.DEFAULT_GRID_N + 1)
+def test_the_scan_grid_is_numpy_linspace(lo, width, n):
+    hi = lo + width
+    assume(lo < hi)
+    assert dynamics._linspace(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
 def test_sweep_bifurcation_holds_one_grid_row_at_a_time():

@@ -73,9 +73,9 @@ def test_write_failure_exits_two_and_leaves_only_what_was_there(tmp_path):
 # script wraps it: just before the CLI process ends, it prints one JSON line with
 # the exit code, the attractorlab modules that were executed (a module bound
 # lazily whose code never ran is still a _LazyModule), whether a child
-# process is left unjoined, and whether OpenSSL's hashlib backend and
-# numpy.random, which imports it, were loaded.  A forked worker also ends
-# through os._exit and prints nothing.
+# process is left unjoined, and which of OpenSSL's hashlib backend, numpy,
+# numpy.random (which imports hashlib) and orjson were loaded.  A forked
+# worker also ends through os._exit and prints nothing.
 _AT_EXIT = """
 import json, os, runpy, sys, types
 parent, real_exit = os.getpid(), os._exit
@@ -89,8 +89,8 @@ def at_exit(code):
             children = False
         executed = sorted(name for name, module in sys.modules.items()
                           if name.startswith("attractorlab") and type(module) is types.ModuleType)
-        print(json.dumps({"code": code, "executed": executed, "children": children,
-                          "openssl": "_hashlib" in sys.modules, "numpy_random": "numpy.random" in sys.modules}))
+        loaded = [name for name in ("_hashlib", "numpy", "numpy.random", "orjson") if name in sys.modules]
+        print(json.dumps({"code": code, "executed": executed, "children": children, "loaded": loaded}))
         sys.stdout.flush()
     real_exit(code)
 
@@ -128,22 +128,33 @@ _SWEEP = ("--theta", "1", "--lambda-lo", "-0.2", "--lambda-hi", "0.2", "--step",
 _HYSTERESIS = ("hysteresis", *_SWEEP)
 
 
-@pytest.mark.parametrize("before, args, models", [
-    ((), _HYSTERESIS, {"attractorlab.dynamics"}),
-    ((), ("bifurcate", *_SWEEP), {"attractorlab.dynamics"}),
+_ARRAYS = ["numpy", "orjson"]
+
+
+@pytest.mark.parametrize("before, args, models, loaded", [
+    ((), _HYSTERESIS, {"attractorlab.dynamics"}, []),
+    ((), ("bifurcate", *_SWEEP), {"attractorlab.dynamics"}, []),
     ((), ("replicator", "--x0", "0.3", "--t-end", "1", "--pc", "2", "--pd", "1", "--out", "out", "--quiet"),
-     {"attractorlab.dynamics"}),
-    (_HYSTERESIS, ("report", "out"), set()),
-    ((), ("--help",), set()),
-], ids=["hysteresis", "bifurcate", "replicator", "report", "help"])
-def test_a_call_executes_only_the_models_it_uses(tmp_path, before, args, models):
-    # and a call that hashes less than a MiB loads neither OpenSSL nor numpy.random
+     {"attractorlab.dynamics"}, _ARRAYS),
+    (_HYSTERESIS, ("report", "out"), set(), []),
+    ((), ("--help",), set(), []),
+    ((), ("netgrowth", "--seeds", "2,1", "--nodes", "50", "--replicates", "2", "--out", "out", "--quiet"),
+     {"attractorlab.netgrowth"}, ["_hashlib", "numpy", "numpy.random", "orjson"]),
+], ids=["hysteresis", "bifurcate", "replicator", "report", "help", "netgrowth"])
+def test_a_call_executes_only_the_models_it_uses(tmp_path, before, args, models, loaded):
+    # a call that hashes less than a MiB loads neither OpenSSL nor numpy.random unless
+    # its model draws random numbers, and a sweep, a hysteresis loop and their report
+    # run in Python floats and load neither numpy nor orjson; the manifest's env lists
+    # the array libraries' versions exactly where they were loaded
     if before:
         assert attractorlab(tmp_path, *before).returncode == 0
     at_exit = attractorlab_at_exit(tmp_path, *args)
     assert at_exit["code"] == 0
     assert MODELS & set(at_exit["executed"]) == models
-    assert not at_exit["openssl"] and not at_exit["numpy_random"]
+    assert at_exit["loaded"] == loaded
+    if args[0] not in ("report", "--help"):
+        env = json.loads((tmp_path / "out" / "manifest.json").read_text())["env"]
+        assert sorted(_ARRAYS & env.keys()) == [name for name in loaded if name in _ARRAYS]
 
 
 def test_a_two_worker_run_joins_its_pool_before_the_process_ends(tmp_path):
