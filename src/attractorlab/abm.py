@@ -94,6 +94,8 @@ class RingLattice:
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
             raise ValueError(f"ring lattice degree must be even and >= 2, got {self.k}")
+        if self.k >= MAX_AGENTS:  # no run has that many agents, and the offsets would not fit
+            raise ValueError(f"ring lattice degree k={self.k:,} must be < MAX_AGENTS={MAX_AGENTS:,}")
         half = self.k // 2
         offsets = np.array([o for o in range(-half, half + 1) if o != 0], dtype=np.int64)
         object.__setattr__(self, "offsets", offsets)
@@ -214,6 +216,13 @@ def check_size(n: int, rounds: int) -> None:
         raise ValueError(f"rounds={rounds:,} is above the limit of {MAX_ROUNDS:,} rounds")
 
 
+def check_ring(k: int, n: int) -> None:
+    """A ring lattice's degree is below its agent count; checked before the
+    ring and its offsets are built."""
+    if k >= n:
+        raise ValueError(f"ring lattice degree k={k} must be < n={n}")
+
+
 def check_thresholds(s_c: float, s_d: float) -> None:
     """Outcome thresholds satisfy 0 <= s_c < s_d <= 1."""
     if not 0.0 <= s_c < s_d <= 1.0:
@@ -242,8 +251,8 @@ class AbmConfig:
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
         check_seed(self.rng_seed)
-        if isinstance(self.topology, RingLattice) and self.topology.k >= self.n:
-            raise ValueError(f"ring lattice degree k={self.topology.k} must be < n={self.n}")
+        if isinstance(self.topology, RingLattice):
+            check_ring(self.topology.k, self.n)
         if isinstance(self.topology, Imported) and self.topology.n != self.n:
             raise ValueError(f"imported graph was built for {self.topology.n} nodes, not n={self.n}")
         check_thresholds(self.s_c, self.s_d)

@@ -164,7 +164,7 @@ _SUBCOMMANDS = {
 def _flags(kind: str):
     """(flag name, params keys it sets, required) of each shortcut flag of
     ``kind``, in schema order; a flag is required when its key is."""
-    for key, (_, default) in KINDS[kind].schema.items():
+    for key, (_, default) in KINDS[kind].schema().items():
         if key != _SEEDS[1]:  # --seeds sets it with _SEEDS[0]
             keys = _SEEDS if key == _SEEDS[0] else (key,)
             yield _RENAMED.get(key, "--" + key.replace("_", "-")), keys, default is REQUIRED

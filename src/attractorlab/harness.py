@@ -25,7 +25,7 @@ diagnostics, the environment (Python version, platform, cores, workers, and
 the numpy and orjson versions where the run loaded numpy) and sha256 digests
 of every emitted file, taken from the bytes as they are written.  Every float
 is spelled as ``repr`` spells it.  This module imports no numpy: a sweep's
-columns are lists of floats, which ``str`` spells.
+columns are tuples or lists of floats, which ``str`` spells.
 A call hashes its first MiB with CPython's built-in SHA-256, unless
 ``hashlib`` is imported already, and the rest with ``hashlib``'s
 (``new_sha256``), so a call that writes little never loads OpenSSL;
@@ -58,7 +58,7 @@ import re
 import sys
 from array import array
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
@@ -86,7 +86,7 @@ abm, dynamics, netgrowth = map(_lazy, ("abm", "dynamics", "netgrowth"))
 _MAX_SEED = (1 << 64) - 1
 # Seed streams of one run (replicates times the kind's streams per replicate),
 # checked at load: the parent keeps about 0.5 KB per replicate (seed, metric values,
-# file name, digest), 0.5 GB at the limit.  No scenario in the tests, scripts or benchmark runs over 400.
+# file name, digest), 0.5 GB at the limit.  The tests run up to 2,000 replicates, CI 20,000.
 MAX_STREAMS = 1_000_000
 
 
@@ -257,7 +257,7 @@ def load_config(text: str) -> ScenarioConfig:
     kind = top["kind"]
     if kind not in KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {tuple(KINDS)}")
-    params = _take(top["params"], KINDS[kind].schema, f"{kind} params")
+    params = _take(top["params"], KINDS[kind].schema(), f"{kind} params")
     return ScenarioConfig(kind, top["master_seed"], top["replicates"], top["output_dir"], params)
 
 
@@ -288,6 +288,7 @@ def _build_topology(topo: dict, n: int) -> abm.Topology:
     if topo["kind"] == "well_mixed":
         return abm.WellMixed()
     if topo["kind"] == "ring_lattice":
+        abm.check_ring(topo["k"], n)
         return abm.RingLattice(topo["k"])
     try:
         with open(topo["path"], encoding="utf-8") as fh:
@@ -299,7 +300,8 @@ def _build_topology(topo: dict, n: int) -> abm.Topology:
 
 def _build_abm(params: dict) -> abm.AbmConfig:
     """Template config, seed 0; plain fields pass through by name.  The work
-    size is checked first: an imported graph's arrays are sized by n."""
+    size is checked first, and a ring's degree before its offsets are built:
+    an imported graph's arrays are sized by n, a ring's offsets by k."""
     abm.check_size(params["n"], params["rounds"])
     update = params["update"]
     return abm.AbmConfig(**{
@@ -344,34 +346,11 @@ def _basin_metrics(params: dict, row) -> dict[str, float]:
     return out
 
 
-def _pairs(points) -> tuple[list, list]:
-    """The two columns of a sequence of ``(a, b)`` pairs of floats."""
-    return [a for a, _ in points], [b for _, b in points]
-
-
-class _Schema(Mapping):
-    """A params schema that ``make`` returns the first time it is read:
-    most are read off a model's signature, and reading one runs the model's
-    module.  A ``Mapping``, so a plain dict can stand in for one."""
-
-    def __init__(self, make: Callable[[], dict]):
-        self._schema = functools.cache(make)
-
-    def __getitem__(self, key):
-        return self._schema()[key]
-
-    def __iter__(self):
-        return iter(self._schema())
-
-    def __len__(self) -> int:
-        return len(self._schema())
-
-
 @dataclass(frozen=True)
 class _Kind:
     """Everything the harness knows about one scenario kind."""
 
-    schema: Mapping  # params key -> (cast, default), see ``_take``
+    schema: Callable  # () -> {params key: (cast, default)}, see ``_take``; runs the model's module
     build: Callable  # params -> model object; runs whenever a config is created
     run: Callable  # (model, master_seed, replicate indices) -> their results, in order
     metrics: Callable  # (params, result) -> {metric name: value}, same keys for every result
@@ -382,38 +361,40 @@ class _Kind:
 
 
 # game, topology and update in their JSON forms; rounds is required here, not in the model
-_POPULATION = _Schema(lambda: _params_of(
-    abm.AbmConfig, skip=("x0", "rng_seed"),
-    game=(_norm_game, REQUIRED),
-    topology=(_variant({
-        "well_mixed": {},
-        "ring_lattice": {"k": (_as_int, REQUIRED)},
-        "imported": {"path": (_as_str, REQUIRED)},
-    }), {"kind": "well_mixed"}),
-    update=(_variant({
-        "proportional_imitation": {},
-        "fermi": {"beta": (_as_float, REQUIRED)},
-    }), {"kind": "proportional_imitation"}),
-    rounds=(_as_int, REQUIRED),
-))
+def _population() -> dict:
+    return _params_of(
+        abm.AbmConfig, skip=("x0", "rng_seed"),
+        game=(_norm_game, REQUIRED),
+        topology=(_variant({
+            "well_mixed": {},
+            "ring_lattice": {"k": (_as_int, REQUIRED)},
+            "imported": {"path": (_as_str, REQUIRED)},
+        }), {"kind": "well_mixed"}),
+        update=(_variant({
+            "proportional_imitation": {},
+            "fermi": {"beta": (_as_float, REQUIRED)},
+        }), {"kind": "proportional_imitation"}),
+        rounds=(_as_int, REQUIRED),
+    )
+
 
 KINDS: dict[str, _Kind] = {
     "replicator": _Kind(
-        schema=_Schema(lambda: {
+        schema=lambda: {
             "x0": (_as_float, REQUIRED),
             "t_end": (_as_float, REQUIRED),
             "dt": (_as_float, dynamics.DEFAULT_DT),
             "p_c": (_as_float, _OPTIONAL),
             "p_d": (_as_float, _OPTIONAL),
             "game": (_norm_game, _OPTIONAL),
-        }),
+        },
         build=_build_replicator,
         run=_each(lambda spec, master_seed, index: dynamics.integrate(spec)),
         metrics=lambda params, t: {"final_x": float(t.states[-1])},
         write=lambda t, i: (f"trajectory_{i:04d}.csv", "t,x", (t.times, t.states)),
     ),
     "bifurcation": _Kind(
-        schema=_Schema(lambda: _params_of(dynamics.sweep_bifurcation)),
+        schema=lambda: _params_of(dynamics.sweep_bifurcation),
         build=lambda params: dynamics.check_bifurcation(**params) or params,
         run=_each(lambda params, master_seed, index: dynamics.sweep_bifurcation(**params)),
         metrics=lambda params, sweep: {
@@ -421,13 +402,13 @@ KINDS: dict[str, _Kind] = {
             "min_stable_roots": float(min(rep.stable_count() for _, rep in sweep)),
         },
         write=lambda sweep, i: ("bifurcation.csv", "lambda,root,stability", (
-            *_pairs([(lam, root.location) for lam, rep in sweep for root in rep.roots]),
+            *zip(*[(lam, root.location) for lam, rep in sweep for root in rep.roots]),
             [root.stability for _, rep in sweep for root in rep.roots],
         )),
         deterministic=True,
     ),
     "hysteresis": _Kind(
-        schema=_Schema(lambda: _params_of(dynamics.hysteresis_loop)),
+        schema=lambda: _params_of(dynamics.hysteresis_loop),
         build=lambda params: dynamics.check_hysteresis(**params) or params,
         run=_each(lambda params, master_seed, index: dynamics.hysteresis_loop(**params)),
         metrics=lambda params, report: {
@@ -437,7 +418,7 @@ KINDS: dict[str, _Kind] = {
         },
         write=lambda report, i: ("hysteresis.csv", "sweep,lambda,state", (
             ["up"] * len(report.up_branch) + ["down"] * len(report.down_branch),
-            *_pairs(report.up_branch + report.down_branch),
+            *zip(*report.up_branch + report.down_branch),
         )),
         deterministic=True,
         diagnostics=lambda params, report: {
@@ -447,7 +428,7 @@ KINDS: dict[str, _Kind] = {
         },
     ),
     "netgrowth": _Kind(
-        schema=_Schema(lambda: _params_of(netgrowth.GrowthConfig, skip=("rng_seed",))),
+        schema=lambda: _params_of(netgrowth.GrowthConfig, skip=("rng_seed",)),
         build=lambda params: netgrowth.GrowthConfig(**params),
         run=lambda cfg, master_seed, indices: netgrowth.grow_replicates(
             replace(cfg, rng_seed=master_seed), indices
@@ -460,7 +441,7 @@ KINDS: dict[str, _Kind] = {
         write=lambda t, i: (f"shares_{i:04d}.csv", "step,agi_share", (range(1, len(t.shares) + 1), t.shares)),
     ),
     "abm": _Kind(
-        schema=_Schema(lambda: {**_POPULATION, "x0": (_as_float, REQUIRED)}),
+        schema=lambda: {**_population(), "x0": (_as_float, REQUIRED)},
         build=_build_abm,
         run=_each(lambda cfg, master_seed, index: abm.run(
             replace(cfg, rng_seed=mix64(master_seed, index))
@@ -471,7 +452,7 @@ KINDS: dict[str, _Kind] = {
     ),
     # basin outcome rows have no trace file, they only feed summary.csv
     "basin": _Kind(
-        schema=_Schema(lambda: {**_POPULATION, "x0_list": (_norm_x0_list, REQUIRED)}),
+        schema=lambda: {**_population(), "x0_list": (_norm_x0_list, REQUIRED)},
         build=_build_basin,
         run=_each(_run_basin),
         metrics=_basin_metrics,

@@ -928,3 +928,16 @@ def test_ring_lattice_offsets_match_the_per_round_oracle(half):
 def test_ring_lattice_checks_its_degree_when_built(k):
     with pytest.raises(ValueError, match="even and >= 2"):
         RingLattice(k)
+
+
+@pytest.mark.parametrize("k", [abm_mod.MAX_AGENTS, 2 ** 62])
+def test_a_ring_lattice_refuses_a_degree_no_run_can_have(k):
+    # refused before its k offsets are built
+    with pytest.raises(ValueError, match=f"k={k:,} must be < MAX_AGENTS=10,000,000"):
+        RingLattice(k)
+
+
+def test_a_ring_degree_is_checked_against_n():
+    abm_mod.check_ring(4, 5)
+    with pytest.raises(ValueError, match="ring lattice degree k=4 must be < n=4"):
+        abm_mod.check_ring(4, 4)

@@ -112,7 +112,7 @@ def test_flag_lines_cover_every_params_key():
     covered = {}
     for kind, _, params in _FLAG_LINES:
         covered.setdefault(kind, set()).update(params)
-    assert covered == {kind: set(spec.schema) for kind, spec in KINDS.items()}
+    assert covered == {kind: set(spec.schema()) for kind, spec in KINDS.items()}
 
 
 @pytest.mark.parametrize("kind, line, params", _FLAG_LINES,
@@ -122,7 +122,7 @@ def test_flag_and_file_configs_agree(tmp_path, kind, line, params):
     edges.write_text(_EDGES)
     params = json.loads(json.dumps(params).replace("{edges}", str(edges)))
     for key, value in params.items():
-        assert value != KINDS[kind].schema[key][1], f"{key} is set to its default"
+        assert value != KINDS[kind].schema()[key][1], f"{key} is set to its default"
     argv = line.replace("{edges}", str(edges)).split()
     out_flags = str(tmp_path / "flags")
     assert main([*argv, "--out", out_flags, "--quiet"]) == 0
@@ -171,7 +171,7 @@ def test_missing_required_flag_is_usage_error(tmp_path, capsys):
 def test_a_new_schema_key_gets_a_flag(monkeypatch):
     spec = KINDS["netgrowth"]
     monkeypatch.setitem(KINDS, "netgrowth", replace(
-        spec, schema={**spec.schema, "new_rate": (spec.schema["tau"][0], REQUIRED)}))
+        spec, schema=lambda: {**spec.schema(), "new_rate": (spec.schema()["tau"][0], REQUIRED)}))
     args = build_parser().parse_args(["netgrowth", "--nodes", "5", "--new-rate", "0.5"])
     assert (args.n_nodes, args.new_rate) == (5, 0.5)
     with pytest.raises(SystemExit):

@@ -129,6 +129,16 @@ _HYSTERESIS = ("hysteresis", *_SWEEP)
 
 
 _ARRAYS = ["numpy", "orjson"]
+_RANDOM = ["_hashlib", "numpy", "numpy.random", "orjson"]
+_POPULATION = ("--n", "20", "--game", "1,0,0,1", "--rounds", "2", "--replicates", "2", "--out", "out", "--quiet")
+# scenario files the `run` rows read, written into each test's directory
+_FILES = {
+    "hysteresis.json": {"kind": "hysteresis", "master_seed": 0, "replicates": 1, "output_dir": "out",
+                        "params": {"theta": 1, "lambda_lo": -0.2, "lambda_hi": 0.2, "step": 0.1}},
+    "ring.json": {"kind": "abm", "master_seed": 0, "replicates": 2, "output_dir": "out",
+                  "params": {"n": 20, "x0": 0.5, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1}, "rounds": 2,
+                             "topology": {"kind": "ring_lattice", "k": 4}}},
+}
 
 
 @pytest.mark.parametrize("before, args, models, loaded", [
@@ -140,12 +150,19 @@ _ARRAYS = ["numpy", "orjson"]
     ((), ("--help",), set(), []),
     ((), ("netgrowth", "--seeds", "2,1", "--nodes", "50", "--replicates", "2", "--out", "out", "--quiet"),
      {"attractorlab.netgrowth"}, ["_hashlib", "numpy", "numpy.random", "orjson"]),
-], ids=["hysteresis", "bifurcate", "replicator", "report", "help", "netgrowth"])
+    ((), ("run", "--config", "hysteresis.json", "--quiet"), {"attractorlab.dynamics"}, []),
+    ((), ("run", "--config", "ring.json", "--quiet"), {"attractorlab.abm"}, _RANDOM),
+    ((), ("abm", "--x0", "0.5", *_POPULATION), {"attractorlab.abm"}, _RANDOM),
+    ((), ("basin", "--x0-list", "0.3,0.7", *_POPULATION), {"attractorlab.abm"}, _RANDOM),
+], ids=["hysteresis", "bifurcate", "replicator", "report", "help", "netgrowth",
+        "run-hysteresis", "run-abm-ring", "abm", "basin"])
 def test_a_call_executes_only_the_models_it_uses(tmp_path, before, args, models, loaded):
     # a call that hashes less than a MiB loads neither OpenSSL nor numpy.random unless
     # its model draws random numbers, and a sweep, a hysteresis loop and their report
     # run in Python floats and load neither numpy nor orjson; the manifest's env lists
     # the array libraries' versions exactly where they were loaded
+    for name, doc in _FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     if before:
         assert attractorlab(tmp_path, *before).returncode == 0
     at_exit = attractorlab_at_exit(tmp_path, *args)
@@ -166,6 +183,35 @@ def test_a_two_worker_run_joins_its_pool_before_the_process_ends(tmp_path):
     assert sorted(manifest["files"]) == [f"shares_{i:04d}.csv" for i in range(4)] + ["summary.csv"]
     assert sorted(os.listdir(tmp_path / "out")) == sorted([*manifest["files"], "manifest.json"])
     assert attractorlab(tmp_path, "report", "out").returncode == 0
+
+
+# the CLI under a 1 GiB address-space cap, so a run that sizes memory by a huge
+# number fails fast with MemoryError instead of taking the machine's memory
+_CAPPED = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.argv = ["attractorlab", *sys.argv[1:]]
+runpy.run_module("attractorlab", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("k, args", [
+    (20_000_000, ["abm", "--n", "100", "--x0", "0.5", "--game", "1,0,0,1", "--rounds", "1",
+                  "--topology", "ring:20000000", "--out", "out", "--quiet"]),
+    (2 ** 62, ["run", "--config", "ring.json", "--quiet"]),
+], ids=["flag", "file"])
+def test_a_ring_degree_is_checked_against_n_before_the_ring_is_built(tmp_path, k, args):
+    # a ring's offsets are a list of k entries: k >= n is refused at load,
+    # before they are built
+    (tmp_path / "ring.json").write_text(json.dumps({
+        "kind": "abm", "master_seed": 0, "replicates": 1, "output_dir": "out",
+        "params": {"n": 100, "x0": 0.5, "game": {"r": 1, "sg": 0, "t": 0, "pu": 1}, "rounds": 1,
+                   "topology": {"kind": "ring_lattice", "k": k}}}))
+    done = subprocess.run([sys.executable, "-c", _CAPPED, *args], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert f"ring lattice degree k={k} must be < n=100" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def basin_run(cwd, x0_count: int) -> str:

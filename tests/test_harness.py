@@ -311,7 +311,7 @@ def _cast_or_none(cast, value, key):
 
 @pytest.mark.parametrize("kind", list(WRITTEN_SCHEMAS))
 def test_derived_schemas_match_the_written_ones(kind):
-    schema = harness.KINDS[kind].schema
+    schema = harness.KINDS[kind].schema()
     assert set(schema) == set(WRITTEN_SCHEMAS[kind])
     for key, (cast, default) in WRITTEN_SCHEMAS[kind].items():
         got_cast, got_default = schema[key]
@@ -329,15 +329,73 @@ def test_a_new_model_field_gets_a_key_and_a_flag(tmp_path, monkeypatch):
     lockin = make_dataclass("LockinConfig", [("head_start", "int", field(default=0))],
                             bases=(netgrowth.GrowthConfig,), frozen=True)
     schema = harness._params_of(lockin, skip=("rng_seed",))
-    assert schema == {**harness.KINDS["netgrowth"].schema, "head_start": (harness._as_int, 0)}
+    assert schema == {**harness.KINDS["netgrowth"].schema(), "head_start": (harness._as_int, 0)}
     monkeypatch.setitem(harness.KINDS, "netgrowth", replace(
-        harness.KINDS["netgrowth"], schema=schema, build=lambda params: lockin(**params)))
+        harness.KINDS["netgrowth"], schema=lambda: schema, build=lambda params: lockin(**params)))
     assert ("--head-start", ("head_start",), False) in list(cli._flags("netgrowth"))
     assert cli.build_parser().parse_args(["netgrowth", "--nodes", "5", "--head-start", "3"]).head_start == 3
     config = load_config(json.dumps(netgrowth_doc(str(tmp_path / "run"))))
     assert config.params["head_start"] == 0 and config.model.head_start == 0
     with pytest.raises(ConfigError, match="'head_start' must be an integer"):
         load_config(json.dumps(netgrowth_doc(str(tmp_path / "run"), head_start=0.5)))
+
+
+# Loader fuzz: a valid value at a tiny size for every key, then up to two keys of
+# each object dropped or given a bad value (mistyped, nan or +-inf, an integer past
+# 2**64), or an unknown key added; ring degrees go up to 2**63.
+_FLOAT = st.floats(0, 1) | st.integers(0, 1)
+_BAD = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.lists(st.integers(0, 2), max_size=2),
+                 st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                  2 ** 63, 2 ** 64 + 1, -(2 ** 64), 10 ** 400]))
+_VALID = {
+    harness._as_int: st.integers(0, 12),
+    harness._as_float: _FLOAT,
+    harness._as_str: st.sampled_from(["urn", "degree_pa"]),
+    harness._norm_game: st.fixed_dictionaries({key: _FLOAT for key in ("r", "sg", "t", "pu")}),
+    harness._norm_x0_list: st.lists(st.floats(0, 1), min_size=1, max_size=3),
+}
+_VALID_VARIANTS = {
+    "topology": st.one_of(
+        st.just({"kind": "well_mixed"}),
+        st.builds(lambda k: {"kind": "ring_lattice", "k": k}, st.integers(0, 12) | st.integers(0, 2 ** 63)),
+        st.just({"kind": "imported", "path": "."}),  # a directory, which cannot be read
+    ),
+    "update": st.one_of(st.just({"kind": "proportional_imitation"}),
+                        st.builds(lambda beta: {"kind": "fermi", "beta": beta}, _FLOAT)),
+}
+
+
+def _corrupt(draw, obj: dict) -> dict:
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2]))):
+        key = draw(st.sampled_from([*obj, "unknown"]))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_BAD)
+    return obj
+
+
+@st.composite
+def _documents(draw, kind: str) -> dict:
+    params = {}
+    for key, (cast, default) in harness.KINDS[kind].schema().items():
+        if default is harness._OPTIONAL and draw(st.booleans()):
+            continue
+        value = draw(_VALID_VARIANTS[key] if key in _VALID_VARIANTS else _VALID[cast])
+        params[key] = _corrupt(draw, dict(value)) if isinstance(value, dict) else value
+    replicates = 1 if harness.KINDS[kind].deterministic else draw(st.integers(1, 3))
+    return _corrupt(draw, {"kind": kind, "master_seed": draw(st.integers(0, 12)), "replicates": replicates,
+                           "output_dir": "out", "params": _corrupt(draw, params)})
+
+
+@pytest.mark.parametrize("kind", list(harness.KINDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_loaded_document_returns_or_raises_config_error(kind, data):
+    try:
+        load_config(json.dumps(data.draw(_documents(kind))))
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------
